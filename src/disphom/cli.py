@@ -32,7 +32,6 @@ from .model import (
     derive_spectral,
     eta_prime,
     extract_fwhm,
-    group_index_bounds,
     oscillation_period,
 )
 from .oracle import QuadratureSpec, windowed_rate_numeric
@@ -181,7 +180,7 @@ def _cmd_fit(args):
     except dio.DatasetFormatError as exc:
         raise UserError(str(exc)) from None
 
-    init_beta2, init_rho, init_eta = 20.0, 10.0, 0.501
+    init_beta2, init_rho = 20.0, 10.0
     if args.init is not None:
         try:
             init_data = json.loads(Path(args.init).read_text(encoding="utf-8"))
@@ -191,14 +190,9 @@ def _cmd_fit(args):
             raise UserError(f"{args.init}: invalid JSON ({exc})") from None
         init_beta2 = float(init_data.get("beta2_ps2_per_km", init_beta2))
         init_rho = float(init_data.get("rho_ps2_inv", init_rho))
-        init_eta = init_data.get("eta", init_eta)
-    if isinstance(init_eta, (int, float)):
-        etas = [float(init_eta)] * len(datasets)
-    else:
-        if len(init_eta) != len(datasets):
-            raise UserError(f"init eta list must have {len(datasets)} entries")
-        etas = [float(e) for e in init_eta]
 
+    # lm_fit solves every eta from (beta2, rho); the init etas only count datasets
+    etas = [0.5] * len(datasets)
     result = lm_fit(datasets, FitParams(init_beta2, init_rho, etas), FitOptions())
     report = _fit_report(result, datasets, paths)
     Path(args.report).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -257,7 +251,12 @@ def _fit_report(result, datasets, paths):
         "covariance_order": result.covariance_order,
         "covariance": result.covariance.tolist(),
         "jtj_condition": result.jtj_condition,
-        "diagnostics": {"covariance_pseudo_inverse": result.pseudo_inverse_used},
+        "diagnostics": {
+            "covariance_pseudo_inverse": result.pseudo_inverse_used,
+            "etas_held_at_bound": [
+                result.covariance_order[2 + i] for i in result.etas_held_at_bound
+            ],
+        },
         "datasets": per_dataset,
     }
 
@@ -339,7 +338,10 @@ def build_parser():
     p = sub.add_parser("fit", help="global fit of all datasets in a directory")
     p.add_argument("--data-dir", required=True)
     p.add_argument(
-        "--init", default=None, help="JSON with initial beta2/rho (etas are solved per dataset)"
+        "--init",
+        default=None,
+        help="JSON with initial beta2_ps2_per_km and rho_ps2_inv "
+        "(etas are solved per dataset; an eta key is ignored)",
     )
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=_cmd_fit)

@@ -64,18 +64,34 @@ _WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs(_WEIDEMAN_N)
 
 def _w_weideman(zeta):
     """Faddeeva w on the upper half plane, rational approximation (|zeta| < 12)."""
+    # 2 p(Z) / (L - i zeta)^2 + (1/sqrt(pi)) / (L - i zeta) for
+    # Z = (L + i zeta) / (L - i zeta), reusing buffers wherever that gives
+    # the same result bit for bit
     izeta = 1j * zeta
-    big_z = (_WEIDEMAN_L + izeta) / (_WEIDEMAN_L - izeta)
-    p = np.polynomial.polynomial.polyval(big_z, _WEIDEMAN_A[::-1])
-    return 2.0 * p / (_WEIDEMAN_L - izeta) ** 2 + (1.0 / _SQRT_PI) / (_WEIDEMAN_L - izeta)
+    denom = _WEIDEMAN_L - izeta
+    big_z = np.add(_WEIDEMAN_L, izeta, out=izeta)
+    big_z /= denom
+    p = np.full_like(big_z, _WEIDEMAN_A[0])
+    for a in _WEIDEMAN_A[1:]:
+        # not p *= Z: numpy takes another loop for an in-place complex
+        # product of a one-element array, which can differ in the last bit
+        p = p * big_z
+        p += a
+    p *= 2.0
+    p /= denom**2
+    p += np.divide(1.0 / _SQRT_PI, denom, out=denom)
+    return p
 
 
 def _w_cf(zeta):
     """Faddeeva w by Laplace continued fraction (accurate for |zeta| >= 12)."""
     r = np.zeros_like(zeta)
     for n in range(_CF_DEPTH, 0, -1):
-        r = (0.5 * n) / (zeta - r)
-    return (1j / _SQRT_PI) / (zeta - r)
+        # r = (n/2) / (zeta - r), in place
+        np.subtract(zeta, r, out=r)
+        np.divide(0.5 * n, r, out=r)
+    np.subtract(zeta, r, out=r)
+    return np.divide(1j / _SQRT_PI, r, out=r)
 
 
 def _faddeeva_upper(zeta):
@@ -91,12 +107,18 @@ def _faddeeva_upper(zeta):
 
 
 def _erf_series(z):
-    """Maclaurin series of erf; only well conditioned for |z| <= 2."""
-    z = np.asarray(z, dtype=complex)
+    """Maclaurin series of erf; only well conditioned for |z| <= 2.
+
+    z is a float or complex array.  Float input is summed in float64: on the
+    real axis that is the same arithmetic as the real part of the complex
+    sum, bit for bit.
+    """
+    z = np.asarray(z)
     u = z * z
     p = np.full_like(u, _SERIES_COEFFS[0])
     for c in _SERIES_COEFFS[1:]:
-        p = p * u + c
+        p = p * u  # not in place, as in _w_weideman
+        p += c
     return _TWO_OVER_SQRT_PI * z * p
 
 
@@ -117,7 +139,7 @@ def erf_real(x):
     out = np.empty_like(ax)
     small = ax <= 2.0
     if small.any():
-        out[small] = _erf_series(ax[small]).real
+        out[small] = _erf_series(ax[small])
     if (~small).any():
         a = ax[~small]
         with np.errstate(under="ignore"):

@@ -15,6 +15,12 @@ least-squares solve, and the Levenberg-Marquardt loop runs over
 (beta2/10, log rho) alone (variable projection).  Its Newton matrix comes
 from central finite differences of the projected residuals, so the
 dependence of s_i and eta'_i on the parameters is part of every derivative.
+
+Every model evaluation of lm_fit is one stacked pass: all datasets share
+(beta2, rho), so their delay grids are concatenated once per fit and go
+through model.coincidence_parts in a single call, with each point's window
+half-width and broadened rho.  The covariance's J^T J is assembled block by
+block, since each eta column touches only its own dataset.
 """
 
 from __future__ import annotations
@@ -91,6 +97,7 @@ class FitResult:
     converged: bool
     pseudo_inverse_used: bool
     jtj_condition: float
+    etas_held_at_bound: list[int]
 
 
 def canonical_eta(eta: float) -> float:
@@ -118,12 +125,6 @@ def model_values(dataset: Dataset, beta2, rho, eta) -> np.ndarray:
         dataset.curve.tau_ps, rho, rho_p, eta_prime(eta), dataset.window_half_width_ps
     )
     return curve.values
-
-
-def model_parts(dataset: Dataset, beta2, rho) -> tuple[np.ndarray, np.ndarray]:
-    """The eta'-independent parts (p, q) of one dataset's model, p + eta' q."""
-    rho_p = broadened_rho(rho, ChannelParams(dataset.fiber_length_km, beta2))
-    return coincidence_parts(dataset.curve.tau_ps, rho, rho_p, dataset.window_half_width_ps)
 
 
 def _residuals(datasets, beta2, rho, etas):
@@ -219,7 +220,10 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
     (beta2, rho) its amplitude s_i and its eta'_i in [0, 1] follow from a
     2x2 linear least-squares problem (variable projection).  The LM loop
     therefore runs over (beta2/10, log rho) alone, whatever the number of
-    datasets; the etas of init only fix that number.
+    datasets; the etas of init only fix that number.  Each evaluation at
+    one (beta2, rho) is a single stacked call of model.coincidence_parts
+    over all datasets' points; its (p, q) equal per-dataset calls bit for
+    bit.
 
     Each step solves (N + lam diag(J^T J)) dx = -J^T r, where N is J^T J
     plus the residuals' own curvature (see derivatives below).  The damping
@@ -230,10 +234,14 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
     non-converged result is returned, never an exception).
     FitResult.loss is the weighted objective.  The covariance of (beta2, rho,
     eta_1..eta_D) is (JtJ)^-1 * loss / (n - p), from central differences of
-    the weighted residuals with only the scales profiled; a singular JtJ,
-    which a dataset at the eta = 1/2 boundary gives, falls back to the
-    pseudo-inverse and is flagged.  rmsre_per_dataset is computed on the
-    unweighted residuals.
+    the weighted residuals with only the scales profiled; J^T J is summed
+    block by block, never forming the n x (2 + D) Jacobian.  A dataset whose
+    eta' sits at a bound, 0 or 1, is held there: it is listed in
+    etas_held_at_bound, its eta row and column of the covariance are 0, and
+    the rest is inverted without it.  Only a singular remainder (an
+    unidentifiable beta2 at L = 0, say) falls back to the pseudo-inverse,
+    which is flagged.  rmsre_per_dataset is computed on the unweighted
+    residuals.
     """
     options = options or FitOptions()
     datasets = list(datasets)
@@ -250,12 +258,25 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
     weights2 = [_poisson_weights(y) for y in data]
     roots = [np.sqrt(w2) for w2 in weights2]
 
+    # The stacked model pass: every dataset's delays with its window
+    # half-width per point, built once; the broadened rho of each dataset
+    # is repeated per point on every pass.
+    sizes = [y.size for y in data]
+    ends = np.cumsum(sizes)
+    taus = np.concatenate([ds.curve.tau_ps for ds in datasets])
+    windows = np.repeat([ds.window_half_width_ps for ds in datasets], sizes)
+    lengths = [ds.fiber_length_km for ds in datasets]
+
+    def model_pass(beta2, rho):
+        """Each dataset's (p, q) at (beta2, rho), from one kernel call."""
+        rho_ps = [broadened_rho(rho, ChannelParams(length, beta2)) for length in lengths]
+        p, q = coincidence_parts(taus, rho, np.repeat(rho_ps, sizes), windows)
+        return list(zip(np.split(p, ends[:-1]), np.split(q, ends[:-1])))
+
     def solve(x):
         """Weighted residuals, unweighted blocks, scales and eta' at x."""
-        beta2, rho = 10.0 * x[0], math.exp(x[1])
         res, scales, eta_ps = [], [], []
-        for ds, y, w2 in zip(datasets, data, weights2):
-            p, q = model_parts(ds, beta2, rho)
+        for (p, q), y, w2 in zip(model_pass(10.0 * x[0], math.exp(x[1])), data, weights2):
             s, eta_p = _profile_amplitudes(p, q, y, w2)
             res.append(s * (p + eta_p * q) - y)
             scales.append(s)
@@ -277,22 +298,21 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
         with r.
         """
         steps = [options.fd_rel_step * max(1.0, abs(v)) for v in x]
-        shifted = []
+        jac = np.empty((r.size, 2))
+        curvature = np.zeros((2, 2))
+        plus = []
         for k, h in enumerate(steps):
             xp = x.copy()
             xn = x.copy()
             xp[k] += h
             xn[k] -= h
-            shifted.append((solve(xp)[0], solve(xn)[0]))
-        jac = np.column_stack(
-            [(rp - rn) / (2.0 * h) for (rp, rn), h in zip(shifted, steps)]
-        )
-        curvature = np.zeros((2, 2))
-        for k, ((rp, rn), h) in enumerate(zip(shifted, steps)):
+            rp, rn = solve(xp)[0], solve(xn)[0]
+            jac[:, k] = (rp - rn) / (2.0 * h)
             curvature[k, k] = np.dot(r, rp - 2.0 * r + rn) / (h * h)
+            plus.append(rp)
         r_both = solve(x + np.array(steps))[0]
         curvature[0, 1] = curvature[1, 0] = np.dot(
-            r, r_both - shifted[0][0] - shifted[1][0] + r
+            r, r_both - plus[0] - plus[1] + r
         ) / (steps[0] * steps[1])
         jtj = jac.T @ jac
         return jac, jtj, jtj + curvature
@@ -342,42 +362,51 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
     # Covariance in external units (beta2, rho, eta_1..eta_D): central
     # differences of the weighted residuals with each eta'_i held and only
     # the scales profiled.  The model is affine in eta', so the eta'_i column
-    # needs no model pass, and d eta'/d eta = 4 (2 eta - 1) carries it to
-    # eta_i without stepping outside [1/2, 1].
+    # needs no model pass beyond the one at the fit, and d eta'/d eta =
+    # 4 (2 eta - 1) carries it to eta_i without stepping outside [1/2, 1].
     def held_block(f, y, w2, w):
         return w * (profile_scale(f, y, w2) * f - y)
 
     def held_residuals(beta2, rho):
-        blocks = []
-        for ds, y, w2, w, eta_p in zip(datasets, data, weights2, roots, eta_ps):
-            p, q = model_parts(ds, beta2, rho)
-            blocks.append(held_block(p + eta_p * q, y, w2, w))
-        return np.concatenate(blocks)
+        return np.concatenate([
+            held_block(p + eta_p * q, y, w2, w)
+            for (p, q), y, w2, w, eta_p
+            in zip(model_pass(beta2, rho), data, weights2, roots, eta_ps)
+        ])
 
-    jac_ext = np.zeros((n_points, n_params))
+    shared = np.empty((n_points, 2))
     h = options.fd_rel_step * max(1.0, abs(beta2))
-    jac_ext[:, 0] = (held_residuals(beta2 + h, rho) - held_residuals(beta2 - h, rho)) / (2.0 * h)
+    shared[:, 0] = (held_residuals(beta2 + h, rho) - held_residuals(beta2 - h, rho)) / (2.0 * h)
     h = options.fd_rel_step * max(1.0, rho)
-    jac_ext[:, 1] = (held_residuals(beta2, rho + h) - held_residuals(beta2, rho - h)) / (2.0 * h)
+    shared[:, 1] = (held_residuals(beta2, rho + h) - held_residuals(beta2, rho - h)) / (2.0 * h)
+
+    # J^T J block by block: the shared 2 x 2, each free eta column against
+    # the shared rows of its own dataset, and the eta diagonal.  An eta'
+    # held at a bound has no column (at eta' = 0 it would be zero).
+    held = [i for i, e in enumerate(eta_ps) if e in (0.0, 1.0)]
+    free = [i for i in range(len(datasets)) if i not in held]
+    jtj_ext = np.zeros((2 + len(free), 2 + len(free)))
+    jtj_ext[:2, :2] = shared.T @ shared
     h = options.fd_rel_step
-    start = 0
-    for i, (ds, y, w2, w) in enumerate(zip(datasets, data, weights2, roots)):
-        p, q = model_parts(ds, beta2, rho)
+    parts = model_pass(beta2, rho)
+    for k, i in enumerate(free, start=2):
+        (p, q), y, w2, w = parts[i], data[i], weights2[i], roots[i]
         up = held_block(p + (eta_ps[i] + h) * q, y, w2, w)
         down = held_block(p + (eta_ps[i] - h) * q, y, w2, w)
-        d_eta_p = 4.0 * (2.0 * etas[i] - 1.0)
-        jac_ext[start : start + y.size, 2 + i] = d_eta_p * (up - down) / (2.0 * h)
-        start += y.size
-    jtj_ext = jac_ext.T @ jac_ext
+        column = 4.0 * (2.0 * etas[i] - 1.0) * (up - down) / (2.0 * h)
+        jtj_ext[:2, k] = jtj_ext[k, :2] = shared[ends[i] - sizes[i] : ends[i]].T @ column
+        jtj_ext[k, k] = np.dot(column, column)
     dof = max(n_points - n_params, 1)
     variance = loss / dof
     cond = float(np.linalg.cond(jtj_ext))
     pseudo = not np.isfinite(cond) or cond > 1e12
     if pseudo:
-        cov = np.linalg.pinv(jtj_ext, rcond=1e-12) * variance
+        cov_free = np.linalg.pinv(jtj_ext, rcond=1e-12) * variance
     else:
-        cov = np.linalg.inv(jtj_ext) * variance
-    cov = 0.5 * (cov + cov.T)
+        cov_free = np.linalg.inv(jtj_ext) * variance
+    kept = [0, 1] + [2 + i for i in free]
+    cov = np.zeros((n_params, n_params))
+    cov[np.ix_(kept, kept)] = 0.5 * (cov_free + cov_free.T)
 
     rmsre_list = []
     for block, ds in zip(res, datasets):
@@ -402,4 +431,5 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
         converged=converged,
         pseudo_inverse_used=bool(pseudo),
         jtj_condition=cond,
+        etas_held_at_bound=held,
     )

@@ -279,13 +279,19 @@ def eta_prime(eta: float) -> float:
 
 
 def _window_and_dip(tau, rho, rho_prime, window_t):
-    """The erf window sum, the Gaussian envelope and the damped dip term."""
-    edge = math.sqrt(0.5 * rho_prime)
+    """The erf window sum, the Gaussian envelope and the damped dip term.
+
+    rho_prime and window_t may be per-point arrays broadcasting against tau;
+    every operation is element by element.
+    """
+    edge = np.sqrt(0.5 * rho_prime)
+    # the dip first: its kernel temporaries are the largest, and no other
+    # per-point result is held while they live
+    dip = scaled_dip_term(edge * window_t, np.sqrt(0.5 * (rho - rho_prime)) * tau)
     window = erf_real(edge * (window_t + tau)) + erf_real(edge * (window_t - tau))
-    y = math.sqrt(0.5 * (rho - rho_prime)) * tau
     with np.errstate(under="ignore"):
         envelope = np.exp(-0.5 * rho_prime * tau * tau)
-    return window, envelope, scaled_dip_term(edge * window_t, y)
+    return window, envelope, dip
 
 
 def _rate_core(tau, rho, rho_prime, eta_p, window_t):
@@ -299,13 +305,14 @@ def _rate_core(tau, rho, rho_prime, eta_p, window_t):
 
 
 def _check_rate_params(rho, rho_prime, eta_p, window_t):
-    if not rho_prime > 0:
+    """Scalars or arrays; every element must satisfy each condition."""
+    if not np.all(np.greater(rho_prime, 0)):
         raise ValueError("rho_prime must be > 0")
-    if rho < rho_prime:
+    if np.any(np.less(rho, rho_prime)):
         raise ValueError("rho must be >= rho_prime")
-    if not 0.0 <= eta_p <= 1.0:
+    if not np.all(np.greater_equal(eta_p, 0.0) & np.less_equal(eta_p, 1.0)):
         raise ValueError("eta_prime must be in [0, 1]")
-    if not window_t > 0:
+    if not np.all(np.greater(window_t, 0)):
         raise ValueError("window half-width T must be > 0")
 
 
@@ -340,6 +347,12 @@ def coincidence_parts(tau_grid_ps, rho, rho_prime, window_half_width_ps):
     one model pass serves every eta'.  Away from the deep tails, where
     coincidence_curve clips round-off-level negatives to zero, p + eta' q
     equals its values to rounding.
+
+    rho_prime and window_half_width_ps may be per-point arrays that
+    broadcast against the delays, so that several datasets' grids,
+    concatenated, take one call.  The evaluation is element by element:
+    each point's (p, q) is the same, bit for bit, as in a call on its own
+    dataset.  The delays need not be increasing.
     """
     _check_rate_params(rho, rho_prime, 0.0, window_half_width_ps)
     grid = np.asarray(tau_grid_ps, dtype=float)

@@ -202,3 +202,23 @@ def test_fit_report_keys_unit_suffixed(tmp_path):
                    ("converged", "iterations", "loss", "jtj_condition")]
     for key in dimensioned:
         assert key.endswith(("_ps2_per_km", "_ps2_inv")), key
+
+
+def test_fit_reports_etas_held_at_bound(tmp_path):
+    data_dir = tmp_path / "data"
+    run(["gen", "--config", str(campaign_config(tmp_path, seed=8, etas=0.5)),
+         "--out-dir", str(data_dir)])
+    init = tmp_path / "init.json"
+    # an eta entry is ignored, whatever its length: the fit solves every eta
+    init.write_text(json.dumps({"beta2_ps2_per_km": BETA2_REF, "rho_ps2_inv": RHO_REF,
+                                "eta": [0.6]}))
+    report_path = tmp_path / "report.json"
+    assert run(["fit", "--data-dir", str(data_dir), "--init", str(init),
+                "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    held = report["diagnostics"]["etas_held_at_bound"]
+    assert held and not report["diagnostics"]["covariance_pseudo_inverse"]
+    order = report["covariance_order"]
+    for name in held:
+        assert report["datasets"][order.index(name) - 2]["eta"] == 0.5
+        assert not any(report["covariance"][order.index(name)])

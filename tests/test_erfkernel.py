@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from disphom import erf_complex, erf_real, scaled_dip_term
+from disphom.erfkernel import _erf_series
 
 mp.mp.dps = 60
 
@@ -145,3 +146,12 @@ def test_erf_real_matches_stdlib():
     want = np.array([math.erf(t) for t in grid])
     err = np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
     assert err.max() <= 5e-15
+
+
+def test_erf_real_series_branch_is_complex_series_real_part():
+    # the |x| <= 2 branch sums the series in float64; on the real axis that
+    # is the real part of the complex sum, bit for bit
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.linspace(0.0, 2.0, 20001), rng.uniform(0.0, 2.0, 20000)])
+    assert np.array_equal(erf_real(x), _erf_series(x + 0j).real)
+    assert np.array_equal(erf_real(-x), -_erf_series(x + 0j).real)

@@ -250,6 +250,13 @@ def test_lm_fit_balanced_splitter_converges():
     result = lm_fit(sets, FitParams(20.0, 13.0, [0.6] * len(sets)))
     assert result.converged and result.iterations <= 30
     assert 0.5 in result.params.etas
+    # the datasets held at eta = 1/2 leave the covariance, which inverts the rest
+    held = [i for i, eta in enumerate(result.params.etas) if eta == 0.5]
+    assert result.etas_held_at_bound == held
+    assert not result.pseudo_inverse_used
+    assert math.isfinite(result.jtj_condition)
+    rows = [2 + i for i in held]
+    assert not result.covariance[rows].any() and not result.covariance[:, rows].any()
     assert abs(result.params.beta2_ps2_per_km - BETA2_REF) <= 3.0 * result.beta2_sigma_ps2_per_km
     assert abs(result.params.rho_ps2_inv - RHO_REF) <= 3.0 * result.rho_sigma_ps2_inv
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from disphom import (
     C_MM_PER_PS,
@@ -24,6 +25,7 @@ from disphom import (
     group_index_bounds,
     oscillation_period,
 )
+from disphom.model import coincidence_parts
 from conftest import DN_IDLER_REF, DN_SIGNAL_REF, RHO_REF, BETA2_REF, reference_filter
 
 
@@ -227,6 +229,83 @@ def test_curve_matches_looped_rate():
         [coincidence_rate(t, RHO_REF, rho_p, 0.09, 450.0) for t in taus]
     )
     assert np.array_equal(curve.values, looped)
+
+
+# --- stacked model pass and rate properties (hypothesis) -----------------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+rhos = st.floats(0.5, 50.0)
+windows_ps = st.floats(100.0, 2000.0)  # T from 0.1 to 2 ns
+lengths_km = st.one_of(st.just(0.0), st.floats(0.0, 29.0))
+beta2s = st.floats(-30.0, 30.0)
+
+
+@st.composite
+def mixed_dataset(draw):
+    """(taus, L, T) with an unequal, asymmetric, not necessarily sorted grid.
+
+    A few delays within 1 ps of zero reach the kernel's series region, so
+    region subsets of one element and of several both occur.
+    """
+    window = draw(windows_ps)
+    lo = draw(st.floats(-3.0, 0.5)) * window
+    hi = lo + draw(st.floats(0.01, 3.0)) * window
+    n = draw(st.integers(1, 40))
+    near_zero = draw(st.lists(st.floats(-1.0, 1.0), max_size=3))
+    taus = np.concatenate([np.linspace(lo, hi, n), near_zero])
+    return taus, draw(lengths_km), window
+
+
+@PROPERTY_SETTINGS
+@given(rho=rhos, beta2=beta2s, sets=st.lists(mixed_dataset(), min_size=1, max_size=6))
+# tau = 0.37 ps is alone in the series region of its own call and one of
+# three in the stacked call; an in-place complex Horner product rounds it
+# differently (numpy treats a one-element in-place product specially)
+@example(rho=RHO_REF, beta2=BETA2_REF, sets=[
+    (np.array([-300.0, 0.37, 300.0]), 10.0, 400.0),
+    (np.array([-0.25, 0.0, 0.35]), 16.0, 600.0),
+    (np.linspace(-150.0, 250.0, 5), 0.0, 100.0),
+])
+def test_stacked_parts_equal_per_dataset_bit_for_bit(rho, beta2, sets):
+    singles = []
+    rho_ps = []
+    for taus, length, window in sets:
+        rho_p = broadened_rho(rho, ChannelParams(length, beta2))
+        singles.append(coincidence_parts(taus, rho, rho_p, window))
+        rho_ps.append(rho_p)
+    sizes = [taus.size for taus, _, _ in sets]
+    p, q = coincidence_parts(
+        np.concatenate([taus for taus, _, _ in sets]),
+        rho,
+        np.repeat(rho_ps, sizes),
+        np.repeat([window for _, _, window in sets], sizes),
+    )
+    assert np.array_equal(p, np.concatenate([sp for sp, _ in singles]))
+    assert np.array_equal(q, np.concatenate([sq for _, sq in singles]))
+
+
+def test_stacked_parts_check_every_point():
+    taus = np.zeros(3)
+    with pytest.raises(ValueError, match="rho must be >= rho_prime"):
+        coincidence_parts(taus, 1.0, np.array([0.5, 2.0, 0.5]), 100.0)
+    with pytest.raises(ValueError, match="T must be > 0"):
+        coincidence_parts(taus, 1.0, 0.5, np.array([100.0, 0.0, 100.0]))
+
+
+@PROPERTY_SETTINGS
+@given(rho=rhos, beta2=beta2s, length=lengths_km, window=windows_ps,
+       eta=st.floats(0.0, 1.0), scaled_taus=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=30))
+def test_rate_properties(rho, beta2, length, window, eta, scaled_taus):
+    rho_p = broadened_rho(rho, ChannelParams(length, beta2))
+    taus = np.array(scaled_taus) * window
+    values = coincidence_curve(np.unique(taus), rho, rho_p, eta_prime(eta), window).values
+    mirrored = coincidence_curve(np.unique(-taus), rho, rho_p, eta_prime(eta), window).values
+    assert np.array_equal(values, mirrored[::-1])  # even in tau
+    assert (values >= 0.0).all()
+    flipped = coincidence_curve(np.unique(taus), rho, rho_p, eta_prime(1.0 - eta), window)
+    assert np.array_equal(flipped.values, values)  # eta <-> 1 - eta
+    assert coincidence_rate(0.0, rho, rho_p, eta_prime(0.5), window) == 0.0
 
 
 # --- analyzers -----------------------------------------------------------------
