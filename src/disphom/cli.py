@@ -5,8 +5,9 @@ deviation report), derive-source (crystal/filter to spectral scales), gen
 (synthetic campaign), fit (global fit of a data directory), fwhm, and
 osc-period.  Windows are given in ns on the command line (half-width of the
 symmetric coincidence window) and converted to ps internally; all JSON
-output carries unit-suffixed keys.  User errors exit nonzero with a message,
-never a traceback.  `fit` exits 0 only when the optimizer converged.
+output carries unit-suffixed keys.  User errors are ValueErrors, raised where
+the input enters; main alone turns them into `error: ...` on stderr and exit
+code 2, never a traceback.  `fit` exits 0 only when the optimizer converged.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .fitting import Dataset, FitOptions, FitParams, lm_fit
+from .fitting import Dataset, FitParams, lm_fit
 from .model import (
     ChannelParams,
     FilterConvention,
@@ -36,27 +37,26 @@ from .model import (
 )
 from .oracle import QuadratureSpec, windowed_rate_numeric
 
-
-class UserError(Exception):
-    """A problem the user can fix; printed without a traceback."""
+_DEFAULT_INIT = {"beta2_ps2_per_km": 20.0, "rho_ps2_inv": 10.0}
+"""The fit's start where --init is not given or lacks a key."""
 
 
 def _tau_grid(args):
     if not args.tau_max_ps > args.tau_min_ps:
-        raise UserError("--tau-max-ps must exceed --tau-min-ps")
+        raise ValueError("--tau-max-ps must exceed --tau-min-ps")
     if args.points < 2:
-        raise UserError("--points must be >= 2")
+        raise ValueError("--points must be >= 2")
     return np.linspace(args.tau_min_ps, args.tau_max_ps, args.points)
 
 
 def _model_inputs(args):
     if not args.window_ns > 0:
-        raise UserError("--window-ns must be > 0 (half-width of the window)")
+        raise ValueError("--window-ns must be > 0 (half-width of the window)")
     eta = getattr(args, "eta", 0.5)
     if not 0 <= eta <= 1:
-        raise UserError("--eta must be in [0, 1]")
+        raise ValueError("--eta must be in [0, 1]")
     if not args.rho > 0:
-        raise UserError("--rho must be > 0 (ps^-2)")
+        raise ValueError("--rho must be > 0 (ps^-2)")
     window_ps = 1000.0 * args.window_ns
     rho_p = broadened_rho(args.rho, ChannelParams(args.length_km, args.beta2))
     return window_ps, rho_p, eta_prime(eta)
@@ -104,25 +104,10 @@ def _cmd_oracle(args):
     return 0
 
 
-def _load_source_filter(path):
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UserError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise UserError(f"{path}: invalid JSON ({exc})") from None
-    try:
-        source = SourceParams(**data["source"])
-        filt = FilterParams(**data["filter"])
-    except KeyError as exc:
-        raise UserError(f"{path}: missing config key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise UserError(f"{path}: bad config ({exc})") from None
-    return source, filt
-
-
 def _cmd_derive_source(args):
-    source, filt = _load_source_filter(args.config)
+    data = dio.read_json_object(args.config)
+    source = dio.from_json_fields(SourceParams, data, args.config, "source")
+    filt = dio.from_json_fields(FilterParams, data, args.config, "filter")
     report = {}
     for convention in (FilterConvention.FIELD_LEVEL, FilterConvention.INTENSITY_LEVEL):
         from dataclasses import replace
@@ -148,12 +133,7 @@ def _cmd_derive_source(args):
 
 
 def _cmd_gen(args):
-    try:
-        config = dio.CampaignConfig.from_json(args.config)
-    except (dio.DatasetFormatError, ValueError) as exc:
-        raise UserError(str(exc)) from None
-    except FileNotFoundError:
-        raise UserError(f"{args.config}: no such file") from None
+    config = dio.CampaignConfig.from_json(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     datasets, rho = dio.generate_synthetic(config)
@@ -171,29 +151,15 @@ def _cmd_gen(args):
 def _cmd_fit(args):
     data_dir = Path(args.data_dir)
     if not data_dir.is_dir():
-        raise UserError(f"{data_dir}: not a directory")
+        raise ValueError(f"{data_dir}: not a directory")
     paths = sorted(p for p in data_dir.glob("*.csv"))
     if not paths:
-        raise UserError(f"{data_dir}: no .csv datasets found")
-    try:
-        datasets = [dio.read_dataset(p) for p in paths]
-    except dio.DatasetFormatError as exc:
-        raise UserError(str(exc)) from None
-
-    init_beta2, init_rho = 20.0, 10.0
-    if args.init is not None:
-        try:
-            init_data = json.loads(Path(args.init).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise UserError(f"{args.init}: no such file") from None
-        except json.JSONDecodeError as exc:
-            raise UserError(f"{args.init}: invalid JSON ({exc})") from None
-        init_beta2 = float(init_data.get("beta2_ps2_per_km", init_beta2))
-        init_rho = float(init_data.get("rho_ps2_inv", init_rho))
-
-    # lm_fit solves every eta from (beta2, rho); the init etas only count datasets
-    etas = [0.5] * len(datasets)
-    result = lm_fit(datasets, FitParams(init_beta2, init_rho, etas), FitOptions())
+        raise ValueError(f"{data_dir}: no .csv datasets found")
+    datasets = [dio.read_dataset(p) for p in paths]
+    given = {} if args.init is None else dio.read_json_object(args.init)
+    start = {key: given.get(key, value) for key, value in _DEFAULT_INIT.items()}
+    init = dio.from_json_fields(FitParams, start, args.init)
+    result = lm_fit(datasets, init)
     report = _fit_report(result, datasets, paths)
     Path(args.report).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     status = "converged" if result.converged else "NOT converged"
@@ -262,14 +228,7 @@ def _fit_report(result, datasets, paths):
 
 
 def _cmd_fwhm(args):
-    try:
-        dataset = dio.read_dataset(args.infile)
-    except dio.DatasetFormatError as exc:
-        raise UserError(str(exc)) from None
-    try:
-        res = extract_fwhm(dataset.curve)
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
+    res = extract_fwhm(dio.read_dataset(args.infile).curve)
     report = {
         "fwhm_ps": res.fwhm_ps,
         "baseline": res.baseline,
@@ -284,10 +243,7 @@ def _cmd_fwhm(args):
 
 def _cmd_osc_period(args):
     window_ps, rho_p, _ = _model_inputs(args)
-    try:
-        period = oscillation_period(args.rho, rho_p, window_ps)
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
+    period = oscillation_period(args.rho, rho_p, window_ps)
     print(json.dumps({"oscillation_period_ps": period}))
     return 0
 
@@ -340,8 +296,8 @@ def build_parser():
     p.add_argument(
         "--init",
         default=None,
-        help="JSON with initial beta2_ps2_per_km and rho_ps2_inv "
-        "(etas are solved per dataset; an eta key is ignored)",
+        help="JSON object with the starting beta2_ps2_per_km and rho_ps2_inv "
+        "(defaults 20 and 10); etas are solved per dataset, so other keys are not used",
     )
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=_cmd_fit)
@@ -362,9 +318,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,10 +15,14 @@ least-squares solve, and the Levenberg-Marquardt loop runs over
 (beta2/10, log rho) alone (variable projection).  Its Newton matrix comes
 from central finite differences of the projected residuals, so the
 dependence of s_i and eta'_i on the parameters is part of every derivative.
+lm_fit has no options: it reads beta2 and rho from its init, and its
+iteration limit, tolerance, damping and difference step are the module
+constants below.
 
-Every model evaluation of lm_fit is one stacked pass: all datasets share
-(beta2, rho), so their delay grids are concatenated once per fit and go
-through model.coincidence_parts in a single call, with each point's window
+Every model evaluation, in lm_fit's search, its covariance and
+global_loss, is one stacked pass (_StackedPass): all datasets share
+(beta2, rho), so their delay grids are concatenated once and go through
+model.coincidence_parts in a single call, with each point's window
 half-width and broadened rho.  The covariance's J^T J is assembled block by
 block, since each eta column touches only its own dataset.
 """
@@ -74,13 +78,11 @@ class FitParams:
         self.etas = [canonical_eta(e) for e in self.etas]
 
 
-@dataclass
-class FitOptions:
-    max_iterations: int = 200
-    loss_rel_tol: float = 1e-10
-    damping_init: float = 1e-3
-    damping_factor: float = 10.0
-    fd_rel_step: float = 1e-6
+_MAX_ITERATIONS = 200
+_LOSS_REL_TOL = 1e-10
+_DAMPING_INIT = 1e-3
+_DAMPING_FACTOR = 10.0
+_FD_REL_STEP = 1e-6
 
 
 @dataclass
@@ -127,25 +129,46 @@ def model_values(dataset: Dataset, beta2, rho, eta) -> np.ndarray:
     return curve.values
 
 
-def _residuals(datasets, beta2, rho, etas):
-    """Per-dataset profiled residuals s_i0*f - y and scales, one model pass."""
-    residuals = []
-    scales = []
-    for ds, eta in zip(datasets, etas):
-        f = model_values(ds, beta2, rho, eta)
-        s0 = profile_scale(f, ds.curve.values)
-        residuals.append(s0 * f - ds.curve.values)
-        scales.append(s0)
-    return residuals, scales
+class _StackedPass:
+    """Every dataset's (p, q) at one (beta2, rho) from one coincidence_parts call.
+
+    The delays and per-point window half-widths of all datasets are
+    concatenated once; each call repeats every dataset's broadened rho per
+    point and splits (p, q) back into per-dataset blocks, which equal
+    per-dataset calls bit for bit.
+    """
+
+    def __init__(self, datasets):
+        self._sizes = [len(ds.curve) for ds in datasets]
+        self._ends = np.cumsum(self._sizes)[:-1]
+        self._taus = np.concatenate([ds.curve.tau_ps for ds in datasets])
+        self._windows = np.repeat([ds.window_half_width_ps for ds in datasets], self._sizes)
+        self._lengths = [ds.fiber_length_km for ds in datasets]
+
+    def split(self, stacked):
+        """Per-dataset blocks of a per-point array (or of its rows)."""
+        return np.split(stacked, self._ends)
+
+    def __call__(self, beta2, rho):
+        rho_ps = [broadened_rho(rho, ChannelParams(length, beta2)) for length in self._lengths]
+        p, q = coincidence_parts(self._taus, rho, np.repeat(rho_ps, self._sizes), self._windows)
+        return list(zip(self.split(p), self.split(q)))
 
 
 def global_loss(params: FitParams, datasets) -> tuple[float, list[np.ndarray]]:
-    """Total scale-agnostic loss E = sum_i sum_x |s_i0 f(x) - y_x|^2."""
+    """Total scale-agnostic loss E = sum_i sum_x |s_i0 f(x) - y_x|^2.
+
+    f_i = p_i + eta'_i q_i is the model of lm_fit, from one stacked pass.
+    """
     if len(datasets) == 0:
         return 0.0, []
     if len(params.etas) != len(datasets):
         raise ValueError("need one eta per dataset")
-    residuals, _ = _residuals(datasets, params.beta2_ps2_per_km, params.rho_ps2_inv, params.etas)
+    residuals = []
+    parts = _StackedPass(datasets)(params.beta2_ps2_per_km, params.rho_ps2_inv)
+    for (p, q), ds, eta in zip(parts, datasets, params.etas):
+        f = p + eta_prime(eta) * q
+        residuals.append(profile_scale(f, ds.curve.values) * f - ds.curve.values)
     loss = float(sum(np.dot(r, r) for r in residuals))
     return loss, residuals
 
@@ -209,7 +232,7 @@ def _eta_from_prime(eta_p):
     return 0.5 + 0.5 * math.sqrt(eta_p)
 
 
-def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitResult:
+def lm_fit(datasets, init: FitParams) -> FitResult:
     """Levenberg-Marquardt global fit with per-dataset amplitudes solved exactly.
 
     The objective is sum_i sum_x |s_i f_i(x) - y_x|^2 / (max(y_x, y_i,min)
@@ -220,10 +243,10 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
     (beta2, rho) its amplitude s_i and its eta'_i in [0, 1] follow from a
     2x2 linear least-squares problem (variable projection).  The LM loop
     therefore runs over (beta2/10, log rho) alone, whatever the number of
-    datasets; the etas of init only fix that number.  Each evaluation at
-    one (beta2, rho) is a single stacked call of model.coincidence_parts
-    over all datasets' points; its (p, q) equal per-dataset calls bit for
-    bit.
+    datasets; it starts from init's beta2 and rho, and init's etas are not
+    read.  Each evaluation at one (beta2, rho) is a single stacked call of
+    model.coincidence_parts over all datasets' points; its (p, q) equal
+    per-dataset calls bit for bit.
 
     Each step solves (N + lam diag(J^T J)) dx = -J^T r, where N is J^T J
     plus the residuals' own curvature (see derivatives below).  The damping
@@ -243,12 +266,9 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
     which is flagged.  rmsre_per_dataset is computed on the unweighted
     residuals.
     """
-    options = options or FitOptions()
     datasets = list(datasets)
     if len(datasets) == 0:
         raise ValueError("need at least one dataset")
-    if len(init.etas) != len(datasets):
-        raise ValueError("need one initial eta per dataset")
     n_points = sum(len(ds.curve) for ds in datasets)
     n_params = 2 + len(datasets)
     if n_points < n_params + 1:
@@ -258,20 +278,7 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
     weights2 = [_poisson_weights(y) for y in data]
     roots = [np.sqrt(w2) for w2 in weights2]
 
-    # The stacked model pass: every dataset's delays with its window
-    # half-width per point, built once; the broadened rho of each dataset
-    # is repeated per point on every pass.
-    sizes = [y.size for y in data]
-    ends = np.cumsum(sizes)
-    taus = np.concatenate([ds.curve.tau_ps for ds in datasets])
-    windows = np.repeat([ds.window_half_width_ps for ds in datasets], sizes)
-    lengths = [ds.fiber_length_km for ds in datasets]
-
-    def model_pass(beta2, rho):
-        """Each dataset's (p, q) at (beta2, rho), from one kernel call."""
-        rho_ps = [broadened_rho(rho, ChannelParams(length, beta2)) for length in lengths]
-        p, q = coincidence_parts(taus, rho, np.repeat(rho_ps, sizes), windows)
-        return list(zip(np.split(p, ends[:-1]), np.split(q, ends[:-1])))
+    model_pass = _StackedPass(datasets)
 
     def solve(x):
         """Weighted residuals, unweighted blocks, scales and eta' at x."""
@@ -297,7 +304,7 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
         iterations to converge.  On data the model fits exactly it vanishes
         with r.
         """
-        steps = [options.fd_rel_step * max(1.0, abs(v)) for v in x]
+        steps = [_FD_REL_STEP * max(1.0, abs(v)) for v in x]
         jac = np.empty((r.size, 2))
         curvature = np.zeros((2, 2))
         plus = []
@@ -320,11 +327,11 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
     x = np.array([init.beta2_ps2_per_km / 10.0, math.log(init.rho_ps2_inv)])
     r, res, scales, eta_ps = solve(x)
     loss = loss_of(r)
-    lam = options.damping_init
+    lam = _DAMPING_INIT
     converged = False
     iterations = 0
 
-    for iterations in range(1, options.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         jac, jtj, newton = derivatives(x, r)
         grad = jac.T @ r
         diag = np.diag(jtj).copy()
@@ -336,22 +343,22 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
                 np.linalg.cholesky(damped)
             except np.linalg.LinAlgError:
                 # not positive definite yet: more damping, towards steepest descent
-                lam *= options.damping_factor
+                lam *= _DAMPING_FACTOR
                 continue
             x_new = x + np.linalg.solve(damped, -grad)
             trial = solve(x_new)
             loss_new = loss_of(trial[0])
             if loss_new <= loss:
                 accepted = True
-                lam = max(lam / options.damping_factor, 1e-14)
+                lam = max(lam / _DAMPING_FACTOR, 1e-14)
                 break
-            lam *= options.damping_factor
+            lam *= _DAMPING_FACTOR
         if not accepted:
             break
         rel_drop = (loss - loss_new) / max(loss, 1e-300)
         x, loss = x_new, loss_new
         r, res, scales, eta_ps = trial
-        if rel_drop < options.loss_rel_tol:
+        if rel_drop < _LOSS_REL_TOL:
             converged = True
             break
 
@@ -375,9 +382,9 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
         ])
 
     shared = np.empty((n_points, 2))
-    h = options.fd_rel_step * max(1.0, abs(beta2))
+    h = _FD_REL_STEP * max(1.0, abs(beta2))
     shared[:, 0] = (held_residuals(beta2 + h, rho) - held_residuals(beta2 - h, rho)) / (2.0 * h)
-    h = options.fd_rel_step * max(1.0, rho)
+    h = _FD_REL_STEP * max(1.0, rho)
     shared[:, 1] = (held_residuals(beta2, rho + h) - held_residuals(beta2, rho - h)) / (2.0 * h)
 
     # J^T J block by block: the shared 2 x 2, each free eta column against
@@ -387,14 +394,15 @@ def lm_fit(datasets, init: FitParams, options: FitOptions | None = None) -> FitR
     free = [i for i in range(len(datasets)) if i not in held]
     jtj_ext = np.zeros((2 + len(free), 2 + len(free)))
     jtj_ext[:2, :2] = shared.T @ shared
-    h = options.fd_rel_step
+    h = _FD_REL_STEP
     parts = model_pass(beta2, rho)
+    shared_blocks = model_pass.split(shared)
     for k, i in enumerate(free, start=2):
         (p, q), y, w2, w = parts[i], data[i], weights2[i], roots[i]
         up = held_block(p + (eta_ps[i] + h) * q, y, w2, w)
         down = held_block(p + (eta_ps[i] - h) * q, y, w2, w)
         column = 4.0 * (2.0 * etas[i] - 1.0) * (up - down) / (2.0 * h)
-        jtj_ext[:2, k] = jtj_ext[k, :2] = shared[ends[i] - sizes[i] : ends[i]].T @ column
+        jtj_ext[:2, k] = jtj_ext[k, :2] = shared_blocks[i].T @ column
         jtj_ext[k, k] = np.dot(column, column)
     dof = max(n_points - n_params, 1)
     variance = loss / dof

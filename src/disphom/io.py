@@ -3,9 +3,12 @@
 Datasets are CSV files with the exact header ``tau_ps,counts`` (lines starting
 with ``#`` are comments) plus a ``<name>.meta.json`` sidecar carrying
 ``window_half_width_ns``, ``fiber_length_km`` and ``label``.  Counts may be
-non-integer (rates are allowed).  Synthetic campaigns draw Poisson counts
-from a counter-based generator (Philox) keyed by the campaign seed and the
-dataset index, so identical configurations produce identical bytes.
+non-integer (rates are allowed).  Every JSON input (sidecars, campaign and
+source configs, fit starts) is read by read_json_object, and dataclasses
+are built from it field by field by from_json_fields.  Synthetic campaigns
+draw Poisson counts from a counter-based generator (Philox) keyed by the
+campaign seed and the dataset index, so identical configurations produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +41,62 @@ class DatasetFormatError(ValueError):
 
 def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in a file; errors name the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DatasetFormatError(f"{path}: cannot read ({exc.strerror})") from None
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise DatasetFormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _number(data, key, path) -> float:
+    try:
+        return float(data[key])
+    except (TypeError, ValueError):
+        raise DatasetFormatError(f"{path}: '{key}' must be a number, got {data[key]!r}") from None
+
+
+def from_json_fields(cls, data: dict, path, key=None):
+    """An instance of dataclass cls from a JSON object, one key per field.
+
+    data is the object, or with key given, holds it under that key.  A
+    missing key takes the field's default, a float field must convert to a
+    float, and a dataclass field is read the same way from its own object;
+    other keys are ignored.  Errors, the class's own validation included,
+    name the file and the key.
+    """
+    if key is not None:
+        if key not in data:
+            raise DatasetFormatError(f"{path}: missing config key '{key}'")
+        data = data[key]
+        if not isinstance(data, dict):
+            raise DatasetFormatError(f"{path}: '{key}' must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            kwargs[f.name] = from_json_fields(hint, data, path, f.name)
+        elif f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise DatasetFormatError(f"{path}: missing config key '{f.name}'")
+        elif hint is float:
+            kwargs[f.name] = _number(data, f.name, path)
+        else:
+            kwargs[f.name] = data[f.name]
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{path}: bad config ({exc})") from None
 
 
 def read_dataset(path) -> Dataset:
@@ -86,18 +147,14 @@ def read_dataset(path) -> Dataset:
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise DatasetFormatError(f"{meta_path}: missing metadata sidecar")
-    with meta_path.open("r", encoding="utf-8") as handle:
-        try:
-            meta = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{meta_path}: invalid JSON ({exc})") from None
+    meta = read_json_object(meta_path)
     for key in ("window_half_width_ns", "fiber_length_km", "label"):
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key '{key}'")
     return Dataset(
         curve=HomCurve(np.asarray(taus), np.asarray(counts)),
-        window_half_width_ps=1000.0 * float(meta["window_half_width_ns"]),
-        fiber_length_km=float(meta["fiber_length_km"]),
+        window_half_width_ps=1000.0 * _number(meta, "window_half_width_ns", meta_path),
+        fiber_length_km=_number(meta, "fiber_length_km", meta_path),
         label=str(meta["label"]),
     )
 
@@ -218,6 +275,8 @@ class CampaignConfig:
             raise ValueError("windows must be > 0")
         if any(length < 0 for length in self.fiber_lengths_km):
             raise ValueError("fiber lengths must be >= 0")
+        if not isinstance(self.tau_points, numbers.Integral):
+            raise ValueError(f"tau_points must be an integer, got {self.tau_points!r}")
         if self.tau_points < 5:
             raise ValueError("tau_points must be >= 5")
         if not self.peak_counts > 0:
@@ -236,53 +295,12 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, path) -> "CampaignConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        try:
-            source = SourceParams(**data["source"])
-            filt = FilterParams(**data["filter"])
-            return cls(
-                source=source,
-                filter=filt,
-                beta2_ps2_per_km=data["beta2_ps2_per_km"],
-                fiber_lengths_km=list(data["fiber_lengths_km"]),
-                windows_ns=list(data["windows_ns"]),
-                etas=data.get("etas", 0.5),
-                tau_points=data.get("tau_points", 201),
-                tau_min_ps=data.get("tau_min_ps"),
-                tau_max_ps=data.get("tau_max_ps"),
-                peak_counts=data.get("peak_counts", 1e4),
-                seed=data.get("seed", 0),
-            )
-        except KeyError as exc:
-            raise DatasetFormatError(f"{path}: missing config key {exc}") from None
-        except TypeError as exc:
-            raise DatasetFormatError(f"{path}: bad config field ({exc})") from None
+        return from_json_fields(cls, read_json_object(path), path)
 
     def to_json_dict(self) -> dict:
-        return {
-            "source": {
-                "delta_ng_signal": self.source.delta_ng_signal,
-                "delta_ng_idler": self.source.delta_ng_idler,
-                "crystal_length_mm": self.source.crystal_length_mm,
-                "pump_wavelength_nm": self.source.pump_wavelength_nm,
-                "pump_sigma_radps": self.source.pump_sigma_radps,
-                "poling_period_um": self.source.poling_period_um,
-            },
-            "filter": {
-                "center_wavelength_nm": self.filter.center_wavelength_nm,
-                "fwhm_nm": self.filter.fwhm_nm,
-                "convention": self.filter.convention.value,
-            },
-            "beta2_ps2_per_km": self.beta2_ps2_per_km,
-            "fiber_lengths_km": list(self.fiber_lengths_km),
-            "windows_ns": list(self.windows_ns),
-            "etas": list(self.etas),
-            "tau_points": self.tau_points,
-            "tau_min_ps": self.tau_min_ps,
-            "tau_max_ps": self.tau_max_ps,
-            "peak_counts": self.peak_counts,
-            "seed": self.seed,
-        }
+        """The fields as nested dicts; the filter convention is a str enum,
+        which json writes as its value."""
+        return asdict(self)
 
 
 def generate_synthetic(config: CampaignConfig):

@@ -294,59 +294,28 @@ def _window_and_dip(tau, rho, rho_prime, window_t):
     return window, envelope, dip
 
 
-def _rate_core(tau, rho, rho_prime, eta_p, window_t):
-    """Vectorized windowed coincidence rate; preconditions already checked."""
-    window, envelope, dip = _window_and_dip(tau, rho, rho_prime, window_t)
-    first = 0.25 * (1.0 + eta_p) * window
-    second = 0.5 * (1.0 - eta_p) * envelope * dip
-    # The rate is nonnegative analytically; clip round-off-level negatives in
-    # the deep tails so the contract holds for scalar and grid paths alike.
-    return np.maximum(first - second, 0.0)
-
-
-def _check_rate_params(rho, rho_prime, eta_p, window_t):
+def _check_rate_params(rho, rho_prime, window_t):
     """Scalars or arrays; every element must satisfy each condition."""
     if not np.all(np.greater(rho_prime, 0)):
         raise ValueError("rho_prime must be > 0")
     if np.any(np.less(rho, rho_prime)):
         raise ValueError("rho must be >= rho_prime")
-    if not np.all(np.greater_equal(eta_p, 0.0) & np.less_equal(eta_p, 1.0)):
-        raise ValueError("eta_prime must be in [0, 1]")
     if not np.all(np.greater(window_t, 0)):
         raise ValueError("window half-width T must be > 0")
 
 
-def coincidence_rate(tau_ps, rho, rho_prime, eta_p, window_half_width_ps) -> float:
-    """Windowed coincidence rate c(tau) of the dispersed photon pair.
-
-    Closed form: (1+eta')/4 * [erf(sqrt(rho'/2)(T+tau)) + erf(sqrt(rho'/2)(T-tau))]
-    - (1-eta')/2 * exp(-rho tau^2/2) * Re erf(sqrt(rho'/2) T + i sqrt((rho-rho')/2) tau),
-    with the second term evaluated through the damped kernel so the bounded
-    product never overflows.  Even in tau; zero at tau = 0 for a balanced
-    splitter; tends to 0 as |tau| grows beyond the window.
-    """
-    _check_rate_params(rho, rho_prime, eta_p, window_half_width_ps)
-    return float(_rate_core(float(tau_ps), rho, rho_prime, eta_p, window_half_width_ps))
-
-
-def coincidence_curve(tau_grid_ps, rho, rho_prime, eta_p, window_half_width_ps) -> HomCurve:
-    """Vectorized coincidence_rate over a strictly increasing delay grid."""
-    _check_rate_params(rho, rho_prime, eta_p, window_half_width_ps)
-    grid = np.asarray(tau_grid_ps, dtype=float)
-    if grid.size == 0:
-        return HomCurve(np.array([]), np.array([]))
-    values = _rate_core(grid, rho, rho_prime, eta_p, window_half_width_ps)
-    return HomCurve(grid, values)
-
-
 def coincidence_parts(tau_grid_ps, rho, rho_prime, window_half_width_ps):
-    """The rate's two eta'-independent parts (p, q) over a delay grid.
+    """The windowed coincidence rate c = p + eta' q as its two parts (p, q).
 
-    The rate is affine in eta': c = p + eta' q, with p = A/4 - B/2 and
-    q = A/4 + B/2 for the erf window sum A and the enveloped dip term B, so
-    one model pass serves every eta'.  Away from the deep tails, where
-    coincidence_curve clips round-off-level negatives to zero, p + eta' q
-    equals its values to rounding.
+    With the erf window sum
+    A = erf(sqrt(rho'/2)(T+tau)) + erf(sqrt(rho'/2)(T-tau)) and the
+    enveloped dip term
+    B = exp(-rho tau^2/2) Re erf(sqrt(rho'/2) T + i sqrt((rho-rho')/2) tau),
+    the rate is (1+eta')/4 A - (1-eta')/2 B, so p = A/4 - B/2 and
+    q = A/4 + B/2, and one model pass serves every eta'.  B is evaluated
+    through the damped kernel, so the bounded product never overflows.
+    This is the only statement of the rate; coincidence_curve and
+    coincidence_rate evaluate it.
 
     rho_prime and window_half_width_ps may be per-point arrays that
     broadcast against the delays, so that several datasets' grids,
@@ -354,12 +323,32 @@ def coincidence_parts(tau_grid_ps, rho, rho_prime, window_half_width_ps):
     each point's (p, q) is the same, bit for bit, as in a call on its own
     dataset.  The delays need not be increasing.
     """
-    _check_rate_params(rho, rho_prime, 0.0, window_half_width_ps)
+    _check_rate_params(rho, rho_prime, window_half_width_ps)
     grid = np.asarray(tau_grid_ps, dtype=float)
     window, envelope, dip = _window_and_dip(grid, rho, rho_prime, window_half_width_ps)
     a = 0.25 * window
     b = 0.5 * envelope * dip
     return a - b, a + b
+
+
+def coincidence_curve(tau_grid_ps, rho, rho_prime, eta_p, window_half_width_ps) -> HomCurve:
+    """The rate max(p + eta' q, 0) of coincidence_parts over a strictly increasing grid.
+
+    The rate is nonnegative analytically; the clip removes round-off-level
+    negatives in the deep tails.  Even in tau; zero at tau = 0 for a
+    balanced splitter (eta' = 0); tends to 0 as |tau| grows beyond the
+    window.
+    """
+    if not 0.0 <= eta_p <= 1.0:
+        raise ValueError("eta_prime must be in [0, 1]")
+    grid = np.asarray(tau_grid_ps, dtype=float)
+    p, q = coincidence_parts(grid, rho, rho_prime, window_half_width_ps)
+    return HomCurve(grid, np.maximum(p + eta_p * q, 0.0))
+
+
+def coincidence_rate(tau_ps, rho, rho_prime, eta_p, window_half_width_ps) -> float:
+    """Windowed coincidence rate c(tau) of the dispersed photon pair at one delay."""
+    return float(coincidence_curve([tau_ps], rho, rho_prime, eta_p, window_half_width_ps).values[0])
 
 
 def oscillation_period(rho, rho_prime, window_half_width_ps) -> float:

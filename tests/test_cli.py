@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from disphom import read_dataset
+from disphom import CampaignConfig, Dataset, HomCurve, read_dataset, write_dataset
 from disphom.cli import main
 from conftest import BETA2_REF, DN_ENGINEERED, RHO_REF, small_campaign
 
@@ -130,6 +130,19 @@ def test_gen_fit_end_to_end(tmp_path, capsys):
         assert entry["window_half_width_ns"] in (0.4, 0.8)
 
 
+def test_gen_campaign_echo_loads_and_round_trips(tmp_path):
+    # gen's campaign.json carries the extra key derived_rho_ps2_inv
+    config = small_campaign(seed=3)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(config.to_json_dict()))
+    assert run(["gen", "--config", str(path), "--out-dir", str(tmp_path / "data")]) == 0
+    echo_path = tmp_path / "data" / "campaign.json"
+    assert "derived_rho_ps2_inv" in json.loads(echo_path.read_text())
+    back = CampaignConfig.from_json(echo_path)
+    assert back == config
+    assert back.to_json_dict() == config.to_json_dict()
+
+
 def test_gen_deterministic_bytes(tmp_path):
     config = campaign_config(tmp_path, seed=5)
     dirs = [tmp_path / "d1", tmp_path / "d2"]
@@ -222,3 +235,53 @@ def test_fit_reports_etas_held_at_bound(tmp_path):
     for name in held:
         assert report["datasets"][order.index(name) - 2]["eta"] == 0.5
         assert not any(report["covariance"][order.index(name)])
+
+
+def _dataset_dir(tmp_path, meta=None):
+    """A directory holding one small valid dataset, optionally with another sidecar."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    taus = np.linspace(-600.0, 600.0, 41)
+    write_dataset(Dataset(HomCurve(taus, 1.0 + taus**2), 400.0, 10.0, "x"), data_dir / "x.csv")
+    if meta is not None:
+        (data_dir / "x.meta.json").write_text(meta)
+    return data_dir
+
+
+def _fit_with_init(tmp_path, text):
+    (tmp_path / "init.json").write_text(text)
+    return ["fit", "--data-dir", str(_dataset_dir(tmp_path)), "--init",
+            str(tmp_path / "init.json"), "--report", str(tmp_path / "r.json")], "init.json"
+
+
+def _fwhm_with_sidecar(tmp_path, text):
+    data_dir = _dataset_dir(tmp_path, meta=text)
+    return ["fwhm", "--in", str(data_dir / "x.csv"), "--out", str(tmp_path / "w.json")], \
+        "x.meta.json"
+
+
+def _gen_with(tmp_path, **fields):
+    path = campaign_config(tmp_path)
+    config = json.loads(path.read_text())
+    config.update(fields)
+    path.write_text(json.dumps(config))
+    return ["gen", "--config", str(path), "--out-dir", str(tmp_path / "out")], "campaign.json"
+
+
+@pytest.mark.parametrize("make_args, key", [
+    (lambda tmp: _fit_with_init(tmp, "[1, 2]"), None),
+    (lambda tmp: _fit_with_init(tmp, '{"rho_ps2_inv": null}'), "rho_ps2_inv"),
+    (lambda tmp: _fwhm_with_sidecar(tmp, "5"), None),
+    (lambda tmp: _fwhm_with_sidecar(
+        tmp, '{"window_half_width_ns": null, "fiber_length_km": 10.0, "label": "x"}'),
+     "window_half_width_ns"),
+    (lambda tmp: _gen_with(tmp, tau_points=7.5), "tau_points"),
+], ids=["init-list", "init-null-rho", "sidecar-number", "sidecar-null-window",
+        "campaign-fractional-tau-points"])
+def test_malformed_json_input_is_clean_error(tmp_path, capsys, make_args, key):
+    args, name = make_args(tmp_path)
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert key is None or key in err
+    assert "Traceback" not in err

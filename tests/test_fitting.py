@@ -134,6 +134,26 @@ def test_global_loss_scale_invariant_value():
     assert loss2 == pytest.approx(49.0 * loss1, rel=1e-12)
 
 
+def test_global_loss_sums_over_mixed_datasets():
+    # one stacked pass over unequal grids, windows, lengths (L = 0 among
+    # them) and etas gives each dataset's own loss
+    sets = [
+        make_dataset(0.4, 10.0, seed=11),
+        make_dataset(0.8, 0.0, eta=0.6, points=57, seed=12),
+        make_dataset(0.3, 29.0, eta=0.5, points=130, seed=13),
+    ]
+    sets.append(Dataset(HomCurve(sets[0].curve.tau_ps[40:] + 3.5, sets[0].curve.values[40:]),
+                        650.0, 4.0))
+    etas = [0.52, 0.6, 0.5, 0.7]
+    params = FitParams(BETA2_REF * 1.02, RHO_REF * 0.97, etas)
+    loss, residuals = global_loss(params, sets)
+    singles = [global_loss(FitParams(params.beta2_ps2_per_km, params.rho_ps2_inv, [eta]), [ds])
+               for ds, eta in zip(sets, etas)]
+    assert loss == pytest.approx(sum(single for single, _ in singles), rel=1e-12)
+    for block, (_, single) in zip(residuals, singles):
+        assert np.array_equal(block, single[0])
+
+
 # --- rmsre ----------------------------------------------------------------------
 
 def test_rmsre_zero_residuals():
@@ -287,9 +307,12 @@ def test_lm_fit_sigma_shrinks_with_replicas():
 def test_lm_fit_input_validation():
     with pytest.raises(ValueError, match="at least one dataset"):
         lm_fit([], FitParams(20.0, 14.0, []))
-    ds = make_dataset(0.4, 10.0, points=5)
-    with pytest.raises(ValueError, match="one initial eta"):
-        lm_fit([ds], FitParams(20.0, 14.0, []))
+    # the init gives beta2 and rho only: no etas are needed, and any given are not read
+    sets = [make_dataset(0.4, 10.0), make_dataset(0.8, 15.0), make_dataset(0.3, 1.0)]
+    result = lm_fit(sets, FitParams(BETA2_REF, RHO_REF))
+    assert len(result.params.etas) == len(sets)
+    with_etas = lm_fit(sets, FitParams(BETA2_REF, RHO_REF, [0.9]))
+    assert with_etas.params == result.params and with_etas.loss == result.loss
     tiny = make_dataset(0.4, 10.0, points=5)
     # 5 points but p + 1 = 4 needed -> fine; shrink below the limit
     with pytest.raises(ValueError, match="p \\+ 1"):

@@ -300,6 +300,8 @@ def test_rate_properties(rho, beta2, length, window, eta, scaled_taus):
     rho_p = broadened_rho(rho, ChannelParams(length, beta2))
     taus = np.array(scaled_taus) * window
     values = coincidence_curve(np.unique(taus), rho, rho_p, eta_prime(eta), window).values
+    p, q = coincidence_parts(np.unique(taus), rho, rho_p, window)
+    assert np.array_equal(values, np.maximum(p + eta_prime(eta) * q, 0.0))  # the one formula
     mirrored = coincidence_curve(np.unique(-taus), rho, rho_p, eta_prime(eta), window).values
     assert np.array_equal(values, mirrored[::-1])  # even in tau
     assert (values >= 0.0).all()
