@@ -140,7 +140,7 @@ def _cmd_gen(args):
     for dataset in datasets:
         dio.write_dataset(dataset, out_dir / f"ds_{dataset.label}.csv")
     echo = config.to_json_dict()
-    echo["derived_rho_ps2_inv"] = rho
+    echo[dio.DERIVED_RHO_KEY] = rho
     (out_dir / "campaign.json").write_text(
         json.dumps(echo, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

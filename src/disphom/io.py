@@ -71,8 +71,8 @@ def from_json_fields(cls, data: dict, path, key=None):
     data is the object, or with key given, holds it under that key.  A
     missing key takes the field's default, a float field must convert to a
     float, and a dataclass field is read the same way from its own object;
-    other keys are ignored.  Errors, the class's own validation included,
-    name the file and the key.
+    a key that names no field is an error.  Errors, the class's own
+    validation included, name the file and the key.
     """
     if key is not None:
         if key not in data:
@@ -80,6 +80,9 @@ def from_json_fields(cls, data: dict, path, key=None):
         data = data[key]
         if not isinstance(data, dict):
             raise DatasetFormatError(f"{path}: '{key}' must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DatasetFormatError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
@@ -246,6 +249,9 @@ def poisson_counts(means, seed_key) -> np.ndarray:
 
 # --- campaign configuration ---------------------------------------------------
 
+DERIVED_RHO_KEY = "derived_rho_ps2_inv"
+"""Key of the derived rho that gen adds to its echo of the campaign config."""
+
 
 @dataclass
 class CampaignConfig:
@@ -281,6 +287,9 @@ class CampaignConfig:
             raise ValueError("tau_points must be >= 5")
         if not self.peak_counts > 0:
             raise ValueError("peak_counts must be > 0")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        self.seed = int(self.seed)  # a numpy integer would overflow the Philox key arithmetic
         if (self.tau_min_ps is None) != (self.tau_max_ps is None):
             raise ValueError("tau_min_ps and tau_max_ps must be given together")
         if self.tau_min_ps is not None and not self.tau_max_ps > self.tau_min_ps:
@@ -295,7 +304,10 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, path) -> "CampaignConfig":
-        return from_json_fields(cls, read_json_object(path), path)
+        """The config in a JSON file; the DERIVED_RHO_KEY that gen echoes is skipped."""
+        data = read_json_object(path)
+        data.pop(DERIVED_RHO_KEY, None)
+        return from_json_fields(cls, data, path)
 
     def to_json_dict(self) -> dict:
         """The fields as nested dicts; the filter convention is a str enum,
@@ -327,7 +339,7 @@ def generate_synthetic(config: CampaignConfig):
             rho_p = broadened_rho(rho, ChannelParams(length_km, config.beta2_ps2_per_km))
             curve = coincidence_curve(taus, rho, rho_p, eta_prime(eta), window_ps)
             means = curve.values / curve.values.max() * config.peak_counts
-            key = (int(config.seed) * 0x9E3779B97F4A7C15 + index) % 2**64
+            key = (config.seed * 0x9E3779B97F4A7C15 + index) % 2**64
             counts = poisson_counts(means, key)
             label = f"T{window_ns:g}ns_L{length_km:g}km"
             datasets.append(

@@ -10,8 +10,6 @@ own contracts.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,15 +56,15 @@ class QuadratureError(RuntimeError):
 
 
 def max_workers() -> int:
-    """Parallelism cap for grid evaluation; DISPHOM_THREADS overrides."""
-    env = os.environ.get("DISPHOM_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError("DISPHOM_THREADS must be an integer") from exc
-        return max(1, n)
-    return min(4, os.cpu_count() or 1)
+    """Threads the oracle uses: one, as delays are integrated one after another.
+
+    perfbench records this figure with every run."""
+    return 1
+
+
+def _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km):
+    """k = Im(1/(4a)), a as in beta_minus_time: the amplitude's phase is -k t^2."""
+    return (0.5 / (1.0 / rho + 1j * fiber_length_km * beta2_ps2_per_km)).imag
 
 
 def beta_minus_time(t_ps, rho, fiber_length_km, beta2_ps2_per_km):
@@ -96,18 +94,27 @@ def differential_rate(tau_ps, sigma_ps, eta, rho, fiber_length_km, beta2_ps2_per
 
     c(tau, sigma) = (1/sqrt(2)) |eta b((tau+sigma)/sqrt2) - (1-eta) b((tau-sigma)/sqrt2)|^2,
     with b the unit-normalized difference amplitude; the sum-coordinate
-    intensity integral is unity and is absorbed.
+    intensity integral is unity and is absorbed.  As b(t) is
+    (rho'/pi)^(1/4) exp(-rho' t^2/2 - i k t^2) times a constant phase, the
+    square is expanded in real arithmetic; cos(2 k tau sigma) carries the
+    interference.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
+    rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
+    k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     tau = np.asarray(tau_ps, dtype=float)
     sigma = np.asarray(sigma_ps, dtype=float)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    plus = beta_minus_time((tau + sigma) * inv_sqrt2, rho, fiber_length_km, beta2_ps2_per_km)
-    minus = beta_minus_time((tau - sigma) * inv_sqrt2, rho, fiber_length_km, beta2_ps2_per_km)
+    half = 0.5 * rho_p
     with np.errstate(under="ignore"):
-        amp = eta * plus - (1.0 - eta) * minus
-        out = inv_sqrt2 * (amp.real**2 + amp.imag**2)
+        out = (
+            (eta * eta) * np.exp(-half * (tau + sigma) ** 2)
+            + ((1.0 - eta) * (1.0 - eta)) * np.exp(-half * (tau - sigma) ** 2)
+            - (2.0 * eta * (1.0 - eta))
+            * np.exp(-half * (tau * tau + sigma * sigma))
+            * np.cos(2.0 * k * tau * sigma)
+        )
+        out *= math.sqrt(rho_p / (2.0 * math.pi))
     if np.isscalar(tau_ps) and np.isscalar(sigma_ps):
         return float(out)
     return out
@@ -216,9 +223,9 @@ def windowed_rate_numeric(
 ):
     """Window integral of the time-resolved rate: c(tau) = int_{-T}^{T} c(tau, s) ds.
 
-    tau_ps may be a scalar or a grid; grid rows are independent and evaluated
-    concurrently up to the DISPHOM_THREADS cap.  Matches the closed-form rate
-    up to one global positive scale (which is unity for this normalization).
+    tau_ps may be a scalar or a grid; each delay is integrated on its own.
+    Matches the closed-form rate up to one global positive scale (which is
+    unity for this normalization).
     """
     if not window_half_width_ps > 0:
         raise ValueError("window half-width T must be > 0")
@@ -228,8 +235,8 @@ def windowed_rate_numeric(
     # Feature scales of the integrand itself: the pair-amplitude intensity has
     # bumps of width 1/sqrt(rho') centered at sigma = -/+tau, and the
     # interference term carries a chirp phase whose local wavenumber in sigma
-    # is 2|tau| Im(1/(4a)).  Both must be resolved by the initial grid.
-    a_chirp = 0.5 * (1.0 / rho + 1j * fiber_length_km * beta2_ps2_per_km)
+    # is 2|tau| |k|.  Both must be resolved by the initial grid.
+    k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
     bump_width = 1.0 / math.sqrt(rho_p)
 
@@ -237,7 +244,7 @@ def windowed_rate_numeric(
         seeds = []
         for center in (-tau, tau):
             seeds.extend(center + bump_width * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
-        wavenumber = 2.0 * abs(tau) * abs((0.25 / a_chirp).imag)
+        wavenumber = 2.0 * abs(tau * k)
         # where the interference envelope exp(-rho'(tau^2+sigma^2)/2) still matters
         cross_exponent = 0.5 * rho_p * tau * tau
         if wavenumber > 0.0 and cross_exponent < 50.0:
@@ -252,9 +259,7 @@ def windowed_rate_numeric(
 
     def one(tau):
         def integrand(sigma):
-            return differential_rate(
-                np.full_like(sigma, tau), sigma, eta, rho, fiber_length_km, beta2_ps2_per_km
-            )
+            return differential_rate(tau, sigma, eta, rho, fiber_length_km, beta2_ps2_per_km)
 
         if spec.method is QuadratureMethod.ADAPTIVE_SIMPSON:
             value, _ = _adaptive_simpson(
@@ -274,14 +279,7 @@ def windowed_rate_numeric(
 
     if np.isscalar(tau_ps):
         return one(float(tau_ps))
-    taus = np.asarray(tau_ps, dtype=float)
-    workers = max_workers()
-    if workers > 1 and taus.size > 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, taus.tolist()))
-    else:
-        values = [one(t) for t in taus.tolist()]
-    return np.asarray(values)
+    return np.asarray([one(t) for t in np.asarray(tau_ps, dtype=float).tolist()])
 
 
 def sinc_gaussian_check(x_values):

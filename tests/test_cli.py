@@ -276,8 +276,12 @@ def _gen_with(tmp_path, **fields):
         tmp, '{"window_half_width_ns": null, "fiber_length_km": 10.0, "label": "x"}'),
      "window_half_width_ns"),
     (lambda tmp: _gen_with(tmp, tau_points=7.5), "tau_points"),
+    (lambda tmp: _gen_with(tmp, seed=7.5), "seed"),
+    (lambda tmp: _gen_with(tmp, seed="abc"), "seed"),
+    (lambda tmp: _gen_with(tmp, peak_count=5.0), "peak_count"),
 ], ids=["init-list", "init-null-rho", "sidecar-number", "sidecar-null-window",
-        "campaign-fractional-tau-points"])
+        "campaign-fractional-tau-points", "campaign-fractional-seed", "campaign-string-seed",
+        "campaign-unknown-key"])
 def test_malformed_json_input_is_clean_error(tmp_path, capsys, make_args, key):
     args, name = make_args(tmp_path)
     assert run(args) == 2

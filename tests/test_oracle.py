@@ -99,6 +99,24 @@ def test_differential_rate_single_path():
     assert got == pytest.approx(abs(amp) ** 2 / math.sqrt(2.0), rel=1e-14)
 
 
+def test_differential_rate_matches_amplitude_form():
+    # the real-arithmetic density against |eta b+ - (1-eta) b-|^2 / sqrt(2)
+    # built from the complex amplitude, interference term included
+    rng = np.random.default_rng(29)
+    for length in (0.0, 5.0, 29.0):
+        rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
+        peak = math.sqrt(rho_p / (2.0 * math.pi))
+        span = 3.0 / math.sqrt(rho_p)
+        tau = rng.uniform(-span, span, 400)
+        sigma = rng.uniform(-span, span, 400)
+        plus = beta_minus_time((tau + sigma) / math.sqrt(2.0), RHO_REF, length, BETA2_REF)
+        minus = beta_minus_time((tau - sigma) / math.sqrt(2.0), RHO_REF, length, BETA2_REF)
+        for eta in rng.uniform(0.0, 1.0, 3):
+            reference = np.abs(eta * plus - (1.0 - eta) * minus) ** 2 / math.sqrt(2.0)
+            got = differential_rate(tau, sigma, eta, RHO_REF, length, BETA2_REF)
+            assert np.abs(got - reference).max() <= 1e-12 * peak
+
+
 def test_differential_rate_mirror_symmetry():
     rng = np.random.default_rng(17)
     for _ in range(50):
