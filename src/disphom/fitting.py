@@ -21,10 +21,13 @@ constants below.
 
 Every model evaluation, in lm_fit's search, its covariance and
 global_loss, is one stacked pass (_StackedPass): all datasets share
-(beta2, rho), so their delay grids are concatenated once and go through
-model.coincidence_parts in a single call, with each point's window
-half-width and broadened rho.  The covariance's J^T J is assembled block by
-block, since each eta column touches only its own dataset.
+(beta2, rho), so the distinct (T, L, |tau|) points of all their grids
+(window half-width, fiber length, delay) are found once and go through
+model.coincidence_parts in a single call, with each point's broadened rho.
+The rate is even in tau, so a grid symmetric about tau = 0 costs half its
+points.  The covariance reuses the last accepted step's pass, and its
+J^T J is assembled block by block, since each eta column touches only its
+own dataset.
 """
 
 from __future__ import annotations
@@ -132,27 +135,43 @@ def model_values(dataset: Dataset, beta2, rho, eta) -> np.ndarray:
 class _StackedPass:
     """Every dataset's (p, q) at one (beta2, rho) from one coincidence_parts call.
 
-    The delays and per-point window half-widths of all datasets are
-    concatenated once; each call repeats every dataset's broadened rho per
-    point and splits (p, q) back into per-dataset blocks, which equal
-    per-dataset calls bit for bit.
+    The rate depends on a point only through its window half-width T, its
+    fiber length L and its delay, and it is even in the delay, bit for bit.
+    So the distinct (T, L, |tau|) over all datasets' points are found once;
+    each call evaluates only those, with one broadened rho per distinct L,
+    and expands (p, q) back to every point before splitting them into
+    per-dataset blocks.  A grid symmetric about tau = 0 costs half its
+    points, and datasets that repeat a (T, L) and grid cost nothing more.
+    The blocks equal per-dataset calls bit for bit.
     """
 
     def __init__(self, datasets):
-        self._sizes = [len(ds.curve) for ds in datasets]
-        self._ends = np.cumsum(self._sizes)[:-1]
-        self._taus = np.concatenate([ds.curve.tau_ps for ds in datasets])
-        self._windows = np.repeat([ds.window_half_width_ps for ds in datasets], self._sizes)
-        self._lengths = [ds.fiber_length_km for ds in datasets]
+        sizes = [len(ds.curve) for ds in datasets]
+        self._ends = np.cumsum(sizes)[:-1]
+        keys = np.stack([
+            np.repeat([ds.window_half_width_ps for ds in datasets], sizes),
+            np.repeat([ds.fiber_length_km for ds in datasets], sizes),
+            np.abs(np.concatenate([ds.curve.tau_ps for ds in datasets])),
+        ])
+        # one lexsort: np.unique over rows sorts them some 30 times slower
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        self._inverse = np.empty(order.size, dtype=np.intp)
+        self._inverse[order] = np.cumsum(first) - 1
+        self._windows, lengths, self._taus = np.ascontiguousarray(keys[:, first])
+        self._lengths, self._length_index = np.unique(lengths, return_inverse=True)
 
     def split(self, stacked):
         """Per-dataset blocks of a per-point array (or of its rows)."""
         return np.split(stacked, self._ends)
 
     def __call__(self, beta2, rho):
-        rho_ps = [broadened_rho(rho, ChannelParams(length, beta2)) for length in self._lengths]
-        p, q = coincidence_parts(self._taus, rho, np.repeat(rho_ps, self._sizes), self._windows)
-        return list(zip(self.split(p), self.split(q)))
+        rho_ps = np.array([broadened_rho(rho, ChannelParams(length, beta2))
+                           for length in self._lengths])
+        p, q = coincidence_parts(self._taus, rho, rho_ps[self._length_index], self._windows)
+        return list(zip(self.split(p[self._inverse]), self.split(q[self._inverse])))
 
 
 def global_loss(params: FitParams, datasets) -> tuple[float, list[np.ndarray]]:
@@ -245,8 +264,9 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     therefore runs over (beta2/10, log rho) alone, whatever the number of
     datasets; it starts from init's beta2 and rho, and init's etas are not
     read.  Each evaluation at one (beta2, rho) is a single stacked call of
-    model.coincidence_parts over all datasets' points; its (p, q) equal
-    per-dataset calls bit for bit.
+    model.coincidence_parts over the distinct (T, L, |tau|) points of all
+    datasets; its (p, q), expanded to every point, equal per-dataset calls
+    bit for bit.
 
     Each step solves (N + lam diag(J^T J)) dx = -J^T r, where N is J^T J
     plus the residuals' own curvature (see derivatives below).  The damping
@@ -281,15 +301,16 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     model_pass = _StackedPass(datasets)
 
     def solve(x):
-        """Weighted residuals, unweighted blocks, scales and eta' at x."""
+        """Weighted residuals, unweighted blocks, scales, eta' and (p, q) at x."""
         res, scales, eta_ps = [], [], []
-        for (p, q), y, w2 in zip(model_pass(10.0 * x[0], math.exp(x[1])), data, weights2):
+        parts = model_pass(10.0 * x[0], math.exp(x[1]))
+        for (p, q), y, w2 in zip(parts, data, weights2):
             s, eta_p = _profile_amplitudes(p, q, y, w2)
             res.append(s * (p + eta_p * q) - y)
             scales.append(s)
             eta_ps.append(eta_p)
         weighted = np.concatenate([w * r for w, r in zip(roots, res)])
-        return weighted, res, scales, eta_ps
+        return weighted, res, scales, eta_ps, parts
 
     def loss_of(r):
         return float(np.dot(r, r))
@@ -325,7 +346,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         return jac, jtj, jtj + curvature
 
     x = np.array([init.beta2_ps2_per_km / 10.0, math.log(init.rho_ps2_inv)])
-    r, res, scales, eta_ps = solve(x)
+    r, res, scales, eta_ps, parts = solve(x)
     loss = loss_of(r)
     lam = _DAMPING_INIT
     converged = False
@@ -357,7 +378,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
             break
         rel_drop = (loss - loss_new) / max(loss, 1e-300)
         x, loss = x_new, loss_new
-        r, res, scales, eta_ps = trial
+        r, res, scales, eta_ps, parts = trial
         if rel_drop < _LOSS_REL_TOL:
             converged = True
             break
@@ -395,7 +416,6 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     jtj_ext = np.zeros((2 + len(free), 2 + len(free)))
     jtj_ext[:2, :2] = shared.T @ shared
     h = _FD_REL_STEP
-    parts = model_pass(beta2, rho)
     shared_blocks = model_pass.split(shared)
     for k, i in enumerate(free, start=2):
         (p, q), y, w2, w = parts[i], data[i], weights2[i], roots[i]

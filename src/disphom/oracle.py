@@ -125,6 +125,11 @@ def _simpson_panels(lo_edges, hi_edges, f_lo, f_mid, f_hi):
     return width / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
 
 
+def _halves(first, second, keep):
+    """The kept panels' left-half values, then their right-half values."""
+    return np.concatenate([first[keep], second[keep]])
+
+
 def _adaptive_simpson(f, lo, hi, abs_tol, rel_tol, max_levels, seeds=()):
     """Adaptive Simpson over [lo, hi]; level-synchronous, numpy-batched.
 
@@ -133,65 +138,52 @@ def _adaptive_simpson(f, lo, hi, abs_tol, rel_tol, max_levels, seeds=()):
     features and fast oscillations must be resolved by the starting grid
     (a uniform grid can hit an integer panels-per-period resonance and
     silently alias an oscillatory integrand).
+
+    Each level evaluates f at the quarter points of the open panels only:
+    a panel's halves, as Simpson sums, become the next level's coarse sums,
+    and the accepted panels' integral and bound are kept as running sums.
+    The initial grid's nodes are evaluated once, shared endpoints included.
     """
-    base = np.linspace(lo, hi, 65)
-    extra = np.asarray([s for s in np.atleast_1d(np.asarray(seeds, dtype=float)).ravel()
-                        if lo < s < hi], dtype=float)
-    grid = np.unique(np.concatenate([base, extra]))
-    a = grid[:-1]
-    b = grid[1:]
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=float)).ravel()
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, 65), seeds[(lo < seeds) & (seeds < hi)]]))
+    f_grid = f(grid)
+    a, b = grid[:-1], grid[1:]
+    fa, fb = f_grid[:-1], f_grid[1:]
     m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
+    fm = f(m)
+    coarse = _simpson_panels(a, b, fa, fm, fb)
 
     total_width = hi - lo
-    accepted = []
-    accepted_err = []
-    estimate = float(np.sum(_simpson_panels(a, b, fa, fm, fb)))
-
+    integral = 0.0
+    bound = 0.0
+    estimate = float(np.sum(coarse))
     for _level in range(max_levels):
-        if a.size == 0:
-            break
         ml = 0.5 * (a + m)
         mr = 0.5 * (m + b)
         fml = f(ml)
         fmr = f(mr)
-        s1 = _simpson_panels(a, b, fa, fm, fb)
-        s2 = _simpson_panels(a, m, fa, fml, fm) + _simpson_panels(m, b, fm, fmr, fb)
-        err = np.abs(s2 - s1) / 15.0
+        left = _simpson_panels(a, m, fa, fml, fm)
+        right = _simpson_panels(m, b, fm, fmr, fb)
+        fine = left + right
+        err = np.abs(fine - coarse) / 15.0
         tol = max(abs_tol, rel_tol * abs(estimate)) * (b - a) / total_width
         done = err <= tol
         if done.any():
-            accepted.append(s2[done] + (s2[done] - s1[done]) / 15.0)
-            accepted_err.append(err[done])
+            integral += float(np.sum(fine[done] + (fine[done] - coarse[done]) / 15.0))
+            bound += float(np.sum(err[done]))
         keep = ~done
         if not keep.any():
-            a = a[:0]
-            break
-        # split surviving panels in two for the next level
-        a, m_old, b, fa, fm_old, fb = a[keep], m[keep], b[keep], fa[keep], fm[keep], fb[keep]
-        fml, fmr = fml[keep], fmr[keep]
-        ml, mr = ml[keep], mr[keep]
-        a = np.concatenate([a, m_old])
-        b = np.concatenate([m_old, b])
-        fa = np.concatenate([fa, fm_old])
-        fb = np.concatenate([fm_old, fb])
-        m = np.concatenate([ml, mr])
-        fm = np.concatenate([fml, fmr])
-        estimate = float(
-            sum(np.sum(c) for c in accepted) + np.sum(_simpson_panels(a, b, fa, fm, fb))
-        )
+            return integral, bound
+        a, m, b = _halves(a, m, keep), _halves(ml, mr, keep), _halves(m, b, keep)
+        fa, fm, fb = _halves(fa, fm, keep), _halves(fml, fmr, keep), _halves(fm, fb, keep)
+        coarse = _halves(left, right, keep)
+        estimate = integral + float(np.sum(coarse))
 
-    integral = float(sum(np.sum(c) for c in accepted))
-    bound = float(sum(np.sum(c) for c in accepted_err))
-    if a.size:
-        remainder = _simpson_panels(a, b, fa, fm, fb)
-        estimate = integral + float(np.sum(remainder))
-        raise QuadratureError(
-            f"quadrature did not converge within {max_levels} subdivision levels",
-            estimate,
-            bound + float(np.sum(np.abs(remainder))),
-        )
-    return integral, bound
+    raise QuadratureError(
+        f"quadrature did not converge within {max_levels} subdivision levels",
+        estimate,
+        bound + float(np.sum(np.abs(coarse))),
+    )
 
 
 def _fixed_simpson(f, lo, hi, abs_tol, rel_tol, depth):

@@ -18,7 +18,9 @@ from disphom import (
     profile_scale,
     rmsre,
 )
+from disphom import fitting
 from disphom.io import poisson_counts
+from disphom.model import coincidence_parts
 from conftest import BETA2_REF, RHO_REF
 
 
@@ -152,6 +154,65 @@ def test_global_loss_sums_over_mixed_datasets():
     assert loss == pytest.approx(sum(single for single, _ in singles), rel=1e-12)
     for block, (_, single) in zip(residuals, singles):
         assert np.array_equal(block, single[0])
+
+
+# --- the stacked model pass -----------------------------------------------------
+
+MIRRORED = np.linspace(-600.0, 600.0, 201)
+
+# each case: (delays, window half-width ps, fiber length km) per dataset
+STACKED_CASES = {
+    "mirrored": [(MIRRORED, 400.0, 10.0), (np.linspace(-1200.0, 1200.0, 151), 800.0, 29.0)],
+    "asymmetric": [
+        (np.linspace(-300.0, 500.0, 81), 400.0, 10.0),
+        (np.linspace(-90.5, 1200.0, 64), 650.0, 4.0),
+        # near-zero delays reach the kernel's series region on both sides
+        (np.array([-0.25, 0.0, 0.35, 0.37, 300.0]), 600.0, 16.0),
+    ],
+    "holds_zero": [(np.linspace(-400.0, 400.0, 9), 300.0, 22.0)],
+    "replicas": [(MIRRORED, 400.0, 10.0), (MIRRORED, 400.0, 10.0)],
+    "mixed_t_and_l": [
+        (MIRRORED, 400.0, 10.0), (MIRRORED, 800.0, 0.0),
+        (MIRRORED, 400.0, 0.0), (MIRRORED, 800.0, 10.0), (MIRRORED[50:], 400.0, 10.0),
+    ],
+}
+
+
+def kernel_points(monkeypatch, datasets, beta2=BETA2_REF, rho=RHO_REF):
+    """One stacked pass's (p, q) blocks and the number of points it evaluated."""
+    sizes = []
+
+    def counted(taus, *args):
+        sizes.append(np.size(taus))
+        return coincidence_parts(taus, *args)
+
+    monkeypatch.setattr(fitting, "coincidence_parts", counted)
+    parts = fitting._StackedPass(datasets)(beta2, rho)
+    assert len(sizes) == 1
+    return parts, sizes[0]
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_stacked_pass_equals_per_dataset_parts(case, monkeypatch):
+    sets = STACKED_CASES[case]
+    datasets = [Dataset(HomCurve(taus, np.ones_like(taus)), window, length)
+                for taus, window, length in sets]
+    beta2, rho = BETA2_REF * 1.03, RHO_REF * 0.98
+    parts, points = kernel_points(monkeypatch, datasets, beta2, rho)
+    for (p, q), (taus, window, length) in zip(parts, sets):
+        single_p, single_q = coincidence_parts(
+            taus, rho, broadened_rho(rho, ChannelParams(length, beta2)), window)
+        assert np.array_equal(p, single_p)
+        assert np.array_equal(q, single_q)
+    distinct = {(window, length, abs(t)) for taus, window, length in sets for t in taus}
+    assert points == len(distinct)
+
+
+def test_stacked_pass_evaluates_each_distinct_point_once(monkeypatch):
+    # two replicas of a 201-point mirrored grid share their 101 |tau|
+    replica = make_dataset(0.4, 10.0)
+    assert kernel_points(monkeypatch, [replica, replica])[1] == 101
+    assert kernel_points(monkeypatch, [replica, make_dataset(0.4, 0.0)])[1] == 202
 
 
 # --- rmsre ----------------------------------------------------------------------

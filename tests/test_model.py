@@ -285,6 +285,24 @@ def test_stacked_parts_equal_per_dataset_bit_for_bit(rho, beta2, sets):
     assert np.array_equal(q, np.concatenate([sq for _, sq in singles]))
 
 
+def test_parts_even_in_tau_bit_for_bit():
+    # the stacked fit pass evaluates each |tau| once and reuses it for -tau
+    rng = np.random.default_rng(31)
+    n = 5000
+    windows = rng.uniform(100.0, 2000.0, n)
+    lengths = rng.choice([0.0, 1.0, 10.0, 29.0, rng.uniform(0.0, 29.0)], n)
+    rho_ps = np.array([broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
+                       for length in lengths])
+    taus = rng.uniform(-3.0, 3.0, n) * windows
+    taus[:40] = rng.uniform(-1.0, 1.0, 40)  # the kernel's series region
+    taus[40] = 0.0
+    taus = rng.permutation(taus)
+    p, q = coincidence_parts(taus, RHO_REF, rho_ps, windows)
+    p_mirror, q_mirror = coincidence_parts(-taus, RHO_REF, rho_ps, windows)
+    assert np.array_equal(p, p_mirror)
+    assert np.array_equal(q, q_mirror)
+
+
 def test_stacked_parts_check_every_point():
     taus = np.zeros(3)
     with pytest.raises(ValueError, match="rho must be >= rho_prime"):
