@@ -222,6 +222,7 @@ def _fit_report(result, datasets, paths):
             "etas_held_at_bound": [
                 result.covariance_order[2 + i] for i in result.etas_held_at_bound
             ],
+            "model_passes": result.model_passes,
         },
         "datasets": per_dataset,
     }

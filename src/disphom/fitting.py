@@ -12,28 +12,32 @@ one curve (for example from counts to rates) changes neither its weight nor
 the fit.  The model is affine in eta' = (2 eta - 1)^2, so for given
 (beta2, rho) each dataset's (s_i, eta'_i) is a bounded 2x2 linear
 least-squares solve, and the Levenberg-Marquardt loop runs over
-(beta2/10, log rho) alone (variable projection).  Its Newton matrix comes
-from central finite differences of the projected residuals, so the
-dependence of s_i and eta'_i on the parameters is part of every derivative.
-lm_fit has no options: it reads beta2 and rho from its init, and its
-iteration limit, tolerance, damping and difference step are the module
-constants below.
+x = (beta2/10, log rho) alone (variable projection).  Its gradient and
+Newton matrix are exact: model.coincidence_parts_derivatives gives the
+first and second derivatives of a pass's (p, q), a chain rule per fiber
+length carries them to x, and per dataset the Hessian of the projected
+loss is f_xx - f_xz f_zz^-1 f_zx in the linear coefficients z = (s, s eta').
+A dataset whose eta' sits at a bound, 0 or 1, is held there: its z is s
+alone.  The covariance takes its Jacobian from the same derivatives, so a
+fit makes one model pass per trial point and no other.  lm_fit has no
+options: it reads beta2 and rho from its init, and its iteration limit,
+tolerance and damping are the module constants below.
 
-Every model evaluation, in lm_fit's search, its covariance and
-global_loss, is one stacked pass (_StackedPass): all datasets share
-(beta2, rho), so the distinct (T, L, |tau|) points of all their grids
-(window half-width, fiber length, delay) are found once and go through
-model.coincidence_parts in a single call, with each point's broadened rho.
-The rate is even in tau, so a grid symmetric about tau = 0 costs half its
-points.  The covariance reuses the last accepted step's pass, and its
-J^T J is assembled block by block, since each eta column touches only its
-own dataset.
+Every model evaluation, in lm_fit's search and global_loss, is one stacked
+pass (_StackedPass): all datasets share (beta2, rho), so the distinct
+(T, L, |tau|) points of all their grids (window half-width, fiber length,
+delay) are found once and go through model.coincidence_parts in a single
+call, with each point's broadened rho.  The rate is even in tau, so a grid
+symmetric about tau = 0 costs half its points.  The covariance's J^T J is
+assembled block by block, since each eta column touches only its own
+dataset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .model import (
     broadened_rho,
     coincidence_curve,
     coincidence_parts,
+    coincidence_parts_derivatives,
     eta_prime,
 )
 
@@ -85,7 +90,6 @@ _MAX_ITERATIONS = 200
 _LOSS_REL_TOL = 1e-10
 _DAMPING_INIT = 1e-3
 _DAMPING_FACTOR = 10.0
-_FD_REL_STEP = 1e-6
 
 
 @dataclass
@@ -103,6 +107,7 @@ class FitResult:
     pseudo_inverse_used: bool
     jtj_condition: float
     etas_held_at_bound: list[int]
+    model_passes: int
 
 
 def canonical_eta(eta: float) -> float:
@@ -138,11 +143,12 @@ class _StackedPass:
     The rate depends on a point only through its window half-width T, its
     fiber length L and its delay, and it is even in the delay, bit for bit.
     So the distinct (T, L, |tau|) over all datasets' points are found once;
-    each call evaluates only those, with one broadened rho per distinct L,
-    and expands (p, q) back to every point before splitting them into
-    per-dataset blocks.  A grid symmetric about tau = 0 costs half its
+    each pass evaluates only those, with one broadened rho per distinct L,
+    and blocks expands a per-point result back to every point and splits it
+    into per-dataset blocks.  A grid symmetric about tau = 0 costs half its
     points, and datasets that repeat a (T, L) and grid cost nothing more.
-    The blocks equal per-dataset calls bit for bit.
+    The blocks equal per-dataset calls bit for bit.  passes counts the
+    coincidence_parts calls.
     """
 
     def __init__(self, datasets):
@@ -162,16 +168,61 @@ class _StackedPass:
         self._inverse[order] = np.cumsum(first) - 1
         self._windows, lengths, self._taus = np.ascontiguousarray(keys[:, first])
         self._lengths, self._length_index = np.unique(lengths, return_inverse=True)
+        self.passes = 0
 
-    def split(self, stacked):
-        """Per-dataset blocks of a per-point array (or of its rows)."""
-        return np.split(stacked, self._ends)
+    def _rho_primes(self, beta2, rho):
+        return np.array([broadened_rho(rho, ChannelParams(length, beta2))
+                         for length in self._lengths])
+
+    def parts(self, beta2, rho):
+        """(p, q) at the distinct points, shape (2, points): one model pass."""
+        self.passes += 1
+        rho_ps = self._rho_primes(beta2, rho)[self._length_index]
+        return np.array(coincidence_parts(self._taus, rho, rho_ps, self._windows))
+
+    def expand(self, distinct):
+        """A per-distinct-point array, along its last axis, at every point."""
+        return distinct[..., self._inverse]
+
+    def blocks(self, distinct):
+        """Per-dataset blocks of a per-distinct-point array, along its last axis."""
+        return np.split(self.expand(distinct), self._ends, axis=-1)
 
     def __call__(self, beta2, rho):
-        rho_ps = np.array([broadened_rho(rho, ChannelParams(length, beta2))
-                           for length in self._lengths])
-        p, q = coincidence_parts(self._taus, rho, rho_ps[self._length_index], self._windows)
-        return list(zip(self.split(p[self._inverse]), self.split(q[self._inverse])))
+        return [tuple(block) for block in self.blocks(self.parts(beta2, rho))]
+
+    def derivatives(self, beta2, rho, parts):
+        """Derivatives of a pass's (p, q) in x = (beta2/10, log rho), at every point.
+
+        parts is parts(beta2, rho).  The result has shape (5, 2, points): the
+        derivatives in x0, x1, x0 x0, x0 x1 and x1 x1 of p and of q.  They
+        come from model.coincidence_parts_derivatives in (rho, rho') by the
+        chain rule through rho = e^x1 and, for each fiber length L,
+        rho' = rho / g with g = 1 + chi^2 and chi = 10 L x0 rho.
+        """
+        rho_p = self._rho_primes(beta2, rho)
+        chi = self._lengths * beta2 * rho
+        slope = 10.0 * self._lengths * rho  # d chi / d x0; d chi / d x1 = chi
+        g = 1.0 + chi * chi
+        # derivatives of log rho', then of rho' itself
+        w_0 = -2.0 * slope * chi / g
+        w_1 = (1.0 - chi * chi) / g
+        w_00 = -2.0 * slope * slope / g + w_0 * w_0
+        w_01 = -4.0 * slope * chi / (g * g)
+        w_11 = -4.0 * chi * chi / (g * g)
+        rp_0, rp_1, rp_00, rp_01, rp_11 = (
+            (rho_p * w)[self._length_index]
+            for w in (w_0, w_1, w_00 + w_0 * w_0, w_01 + w_0 * w_1, w_11 + w_1 * w_1)
+        )
+        (f_r, f_p), (f_rr, f_rp, f_pp) = coincidence_parts_derivatives(
+            self._taus, rho, rho_p[self._length_index], self._windows, *parts)
+        out = np.empty((5,) + parts.shape)
+        out[0] = f_p * rp_0
+        out[1] = f_r * rho + f_p * rp_1
+        out[2] = f_pp * rp_0 * rp_0 + f_p * rp_00
+        out[3] = f_rp * rho * rp_0 + f_pp * rp_0 * rp_1 + f_p * rp_01
+        out[4] = (f_rr * rho + 2.0 * f_rp * rp_1 + f_r) * rho + f_pp * rp_1 * rp_1 + f_p * rp_11
+        return self.expand(out)
 
 
 def global_loss(params: FitParams, datasets) -> tuple[float, list[np.ndarray]]:
@@ -246,9 +297,137 @@ def _profile_amplitudes(p, q, y, w2):
     return best[1], best[2]
 
 
+def _at_bound(eta_p):
+    """Whether a solved eta' sits at a bound, 0 or 1, where the fit holds it."""
+    return eta_p in (0.0, 1.0)
+
+
 def _eta_from_prime(eta_p):
     """Canonical eta >= 1/2 with (2 eta - 1)^2 = eta'."""
     return 0.5 + 0.5 * math.sqrt(eta_p)
+
+
+class _Solved(NamedTuple):
+    """The objective at one x: its value, the residuals and what solved them."""
+
+    loss: float
+    res: list  # unweighted residual blocks
+    scales: list
+    eta_ps: list
+    parts: np.ndarray  # the model pass's (p, q) at the distinct points
+
+
+class _Objective:
+    """lm_fit's loss over x = (beta2/10, log rho), each dataset's s and eta' solved.
+
+    solve evaluates it with one model pass.  derivatives gives its exact
+    gradient and Hessian at a solved point, and covariance_jtj the J^T J of
+    the covariance, from that pass alone.  Both work on all datasets' points
+    at once and sum per dataset with reduceat.
+
+    A dataset's model s (p + eta' q) = s f lies in the span of the basis
+    (f, q), with the linear coefficients z = (s, 0) at the solution.  A
+    dataset whose eta' is held at a bound, 0 or 1, has the basis f alone.
+    """
+
+    def __init__(self, datasets):
+        self._data = [ds.curve.values for ds in datasets]
+        self.weights2 = [_poisson_weights(y) for y in self._data]
+        self._roots = [np.sqrt(w2) for w2 in self.weights2]
+        self.model_pass = _StackedPass(datasets)
+        self._sizes = [len(y) for y in self._data]
+        self._starts = np.cumsum([0] + self._sizes[:-1])
+        self._w2 = np.concatenate(self.weights2)
+
+    def solve(self, x) -> _Solved:
+        res, scales, eta_ps = [], [], []
+        parts = self.model_pass.parts(10.0 * x[0], math.exp(x[1]))
+        for (p, q), y, w2 in zip(self.model_pass.blocks(parts), self._data, self.weights2):
+            s, eta_p = _profile_amplitudes(p, q, y, w2)
+            res.append(s * (p + eta_p * q) - y)
+            scales.append(s)
+            eta_ps.append(eta_p)
+        weighted = np.concatenate([w * r for w, r in zip(self._roots, res)])
+        return _Solved(float(np.dot(weighted, weighted)), res, scales, eta_ps, parts)
+
+    def _sums(self, rows):
+        """Per-dataset sums of per-point rows: shape (..., points) to (..., datasets)."""
+        return np.add.reduceat(rows, self._starts, axis=-1)
+
+    def _projection(self, basis, d_basis, r, s):
+        """Jacobian of the projected residuals, and the terms of their curvature.
+
+        basis (k, points) holds each dataset's linear basis functions and
+        d_basis (k, m, points) their derivatives in m parameters; r are the
+        residuals at the optimal coefficients z = (s, 0, ...).  Moving a
+        parameter moves z by dz = -G^-1 (B^T W J_z + C), with the Gram matrix
+        G = B^T W B, the Jacobian J_z = s d_basis[0] at fixed z and the cross
+        term C = sum w2 r d_basis, per dataset.  A basis row that is zero on
+        a dataset is absent from it: a unit diagonal in G keeps its
+        coefficient at rest.  Returns the Jacobian J_z + B^T dz
+        (m, points), dz (datasets, k, m) and C (k, m, datasets).
+        """
+        wr = self._w2 * r
+        fixed = s * d_basis[0]
+        weighted = self._w2 * basis
+        gram = np.moveaxis(self._sums(weighted[:, None] * basis), -1, 0)
+        diagonal = np.arange(len(basis))
+        gram[:, diagonal, diagonal] += gram[:, diagonal, diagonal] == 0
+        cross = self._sums(wr * d_basis)
+        rhs = self._sums(weighted[:, None] * fixed) + cross
+        dz = -np.linalg.solve(gram, np.moveaxis(rhs, -1, 0))
+        moved = np.repeat(dz, self._sizes, axis=0)
+        return fixed + np.einsum("nkm,kn->mn", moved, basis), dz, cross
+
+    def _per_point(self, x, solved):
+        """Every point's f = p + eta' q, q, the derivatives of f (5 rows) and of
+        q (first 2), s and residual, and the free mask over datasets."""
+        p, q = self.model_pass.expand(solved.parts)
+        d_pq = self.model_pass.derivatives(10.0 * x[0], math.exp(x[1]), solved.parts)
+        free = np.array([not _at_bound(e) for e in solved.eta_ps])
+        s, eta_p = (np.repeat(v, self._sizes) for v in (solved.scales, solved.eta_ps))
+        d_f = d_pq[:, 0] + eta_p * d_pq[:, 1]
+        # a copy, so that the (5, 2, points) d_pq is freed on return
+        return p + eta_p * q, q, d_f, d_pq[:2, 1].copy(), s, np.concatenate(solved.res), free
+
+    def derivatives(self, x, solved: _Solved):
+        """J^T r and N, half the loss's gradient and Hessian, and J^T J.
+
+        J is the Jacobian of the weighted projected residuals.  Per dataset,
+        N = f_xx - f_xz f_zz^-1 f_zx for half its loss f: J^T J, plus the
+        residuals' curvature at fixed z, plus the terms through which z
+        moves with x.
+        """
+        f, q, d_f, d_q, s, r, free = self._per_point(x, solved)
+        q_in_basis = np.repeat(free, self._sizes)
+        jac, dz, cross = self._projection(
+            np.array([f, q_in_basis * q]), np.array([d_f[:2], q_in_basis * d_q]), r, s)
+        wr = self._w2 * r
+        curv = (s * d_f[2:]) @ wr
+        jtj = (self._w2 * jac) @ jac.T
+        mixed = np.einsum("kmd,dkl->ml", cross, dz)
+        newton = jtj + mixed + mixed.T + np.array([curv[:2], curv[1:]])
+        return jac @ wr, jtj, newton
+
+    def covariance_jtj(self, x, solved: _Solved):
+        """J^T J of the weighted residuals in (x, eta'_i of each free dataset).
+
+        Each eta' is held and only the scales are profiled, so the basis is
+        f alone and eta'_i is one more parameter, in which f moves by q.
+        J^T J is summed block by block: the shared 2 x 2, each free eta'
+        column against the shared rows of its own dataset, and the eta'
+        diagonal.
+        """
+        f, q, d_f, _, s, r, free = self._per_point(x, solved)
+        jac = self._projection(f[None], np.array([[d_f[0], d_f[1], q]]), r, s)[0]
+        blocks = self._sums(self._w2 * jac[:, None] * jac)
+        n_free = int(free.sum())
+        jtj = np.empty((2 + n_free, 2 + n_free))
+        jtj[:2, :2] = blocks[:2, :2].sum(axis=-1)
+        jtj[2:, :2] = blocks[2, :2, free]
+        jtj[:2, 2:] = jtj[2:, :2].T
+        jtj[2:, 2:] = np.diag(blocks[2, 2, free])
+        return jtj
 
 
 def lm_fit(datasets, init: FitParams) -> FitResult:
@@ -261,30 +440,42 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     is s_i (p_i + eta'_i q_i) for eta' = (2 eta - 1)^2, so for given
     (beta2, rho) its amplitude s_i and its eta'_i in [0, 1] follow from a
     2x2 linear least-squares problem (variable projection).  The LM loop
-    therefore runs over (beta2/10, log rho) alone, whatever the number of
-    datasets; it starts from init's beta2 and rho, and init's etas are not
-    read.  Each evaluation at one (beta2, rho) is a single stacked call of
-    model.coincidence_parts over the distinct (T, L, |tau|) points of all
+    therefore runs over x = (beta2/10, log rho) alone, whatever the number
+    of datasets; it starts from init's beta2 and rho, and init's etas are
+    not read.  Each evaluation at one (beta2, rho) is a single stacked call
+    of model.coincidence_parts over the distinct (T, L, |tau|) points of all
     datasets; its (p, q), expanded to every point, equal per-dataset calls
-    bit for bit.
+    bit for bit.  That call is the only model pass: a fit makes one per
+    trial point, and model_passes counts them.
 
-    Each step solves (N + lam diag(J^T J)) dx = -J^T r, where N is J^T J
-    plus the residuals' own curvature (see derivatives below).  The damping
-    lam starts at 1e-3, grows tenfold on a rejected step or while the
-    damped matrix is not positive definite, and shrinks tenfold on an
+    The derivatives are exact and cost no pass: the model's
+    coincidence_parts_derivatives turns a pass's (p, q) into their first
+    and second derivatives, which the chain rule carries to x.  With z the
+    linear coefficients, z = (s, s eta'), or z = s alone for a dataset whose
+    eta' is held at a bound, 0 or 1, the projected loss F(x) = min_z f(x, z)
+    has the gradient f_x and the Hessian f_xx - f_xz f_zz^-1 f_zx, both
+    summed from dot products per dataset (_Objective.derivatives).  Each step
+    solves (N + lam diag(J^T J)) dx = -J^T r, where J is the Jacobian of the
+    projected residuals, J^T r half the gradient and N half the Hessian.
+    N is J^T J plus the residuals' own curvature; at a converged campaign
+    fit the curvature was 0.7 of J^T J in the beta2 entry, and Gauss-Newton
+    steps without it overshot in beta2 and took 50-200 iterations.  The
+    damping lam starts at 1e-3, grows tenfold on a rejected step or while
+    the damped matrix is not positive definite, and shrinks tenfold on an
     accepted step.  Iteration stops when the relative loss decrease of an
     accepted step falls below 1e-10 or after 200 iterations (a
     non-converged result is returned, never an exception).
-    FitResult.loss is the weighted objective.  The covariance of (beta2, rho,
-    eta_1..eta_D) is (JtJ)^-1 * loss / (n - p), from central differences of
-    the weighted residuals with only the scales profiled; J^T J is summed
-    block by block, never forming the n x (2 + D) Jacobian.  A dataset whose
-    eta' sits at a bound, 0 or 1, is held there: it is listed in
-    etas_held_at_bound, its eta row and column of the covariance are 0, and
-    the rest is inverted without it.  Only a singular remainder (an
-    unidentifiable beta2 at L = 0, say) falls back to the pseudo-inverse,
-    which is flagged.  rmsre_per_dataset is computed on the unweighted
-    residuals.
+
+    FitResult.loss is the weighted objective.  The covariance of (beta2,
+    rho, eta_1..eta_D) is (J^T J)^-1 * loss / (n - p), from the exact
+    Jacobian of the weighted residuals with each eta' held and only the
+    scales profiled, from the final pass's (p, q); J^T J is summed block by
+    block, never forming the n x (2 + D) Jacobian.  A dataset whose eta'
+    sits at a bound is held there: it is listed in etas_held_at_bound, its
+    eta row and column of the covariance are 0, and the rest is inverted
+    without it.  Only a singular remainder (an unidentifiable beta2 at
+    L = 0, say) falls back to the pseudo-inverse, which is flagged.
+    rmsre_per_dataset is computed on the unweighted residuals.
     """
     datasets = list(datasets)
     if len(datasets) == 0:
@@ -294,67 +485,16 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     if n_points < n_params + 1:
         raise ValueError("need at least p + 1 data points for p parameters")
 
-    data = [ds.curve.values for ds in datasets]
-    weights2 = [_poisson_weights(y) for y in data]
-    roots = [np.sqrt(w2) for w2 in weights2]
-
-    model_pass = _StackedPass(datasets)
-
-    def solve(x):
-        """Weighted residuals, unweighted blocks, scales, eta' and (p, q) at x."""
-        res, scales, eta_ps = [], [], []
-        parts = model_pass(10.0 * x[0], math.exp(x[1]))
-        for (p, q), y, w2 in zip(parts, data, weights2):
-            s, eta_p = _profile_amplitudes(p, q, y, w2)
-            res.append(s * (p + eta_p * q) - y)
-            scales.append(s)
-            eta_ps.append(eta_p)
-        weighted = np.concatenate([w * r for w, r in zip(roots, res)])
-        return weighted, res, scales, eta_ps, parts
-
-    def loss_of(r):
-        return float(np.dot(r, r))
-
-    def derivatives(x, r):
-        """Jacobian J and Newton matrix J^T J + sum_j r_j d2r_j of the residuals.
-
-        Central differences give J and the diagonal second derivatives; one
-        more point gives the mixed one.  The curvature term matters: at a
-        converged campaign fit it was 0.7 of J^T J in the beta2 entry, and
-        Gauss-Newton steps without it overshot in beta2 and took 50-200
-        iterations to converge.  On data the model fits exactly it vanishes
-        with r.
-        """
-        steps = [_FD_REL_STEP * max(1.0, abs(v)) for v in x]
-        jac = np.empty((r.size, 2))
-        curvature = np.zeros((2, 2))
-        plus = []
-        for k, h in enumerate(steps):
-            xp = x.copy()
-            xn = x.copy()
-            xp[k] += h
-            xn[k] -= h
-            rp, rn = solve(xp)[0], solve(xn)[0]
-            jac[:, k] = (rp - rn) / (2.0 * h)
-            curvature[k, k] = np.dot(r, rp - 2.0 * r + rn) / (h * h)
-            plus.append(rp)
-        r_both = solve(x + np.array(steps))[0]
-        curvature[0, 1] = curvature[1, 0] = np.dot(
-            r, r_both - plus[0] - plus[1] + r
-        ) / (steps[0] * steps[1])
-        jtj = jac.T @ jac
-        return jac, jtj, jtj + curvature
-
+    objective = _Objective(datasets)
     x = np.array([init.beta2_ps2_per_km / 10.0, math.log(init.rho_ps2_inv)])
-    r, res, scales, eta_ps, parts = solve(x)
-    loss = loss_of(r)
+    state = objective.solve(x)
+    loss = state.loss
     lam = _DAMPING_INIT
     converged = False
     iterations = 0
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        jac, jtj, newton = derivatives(x, r)
-        grad = jac.T @ r
+        grad, jtj, newton = objective.derivatives(x, state)
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(), 1e-30)
         accepted = False
@@ -367,8 +507,8 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
                 lam *= _DAMPING_FACTOR
                 continue
             x_new = x + np.linalg.solve(damped, -grad)
-            trial = solve(x_new)
-            loss_new = loss_of(trial[0])
+            trial = objective.solve(x_new)
+            loss_new = trial.loss
             if loss_new <= loss:
                 accepted = True
                 lam = max(lam / _DAMPING_FACTOR, 1e-14)
@@ -377,53 +517,24 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         if not accepted:
             break
         rel_drop = (loss - loss_new) / max(loss, 1e-300)
-        x, loss = x_new, loss_new
-        r, res, scales, eta_ps, parts = trial
+        x, loss, state = x_new, loss_new, trial
         if rel_drop < _LOSS_REL_TOL:
             converged = True
             break
 
+    res, scales, eta_ps = state.res, state.scales, state.eta_ps
     beta2, rho = 10.0 * x[0], math.exp(x[1])
     etas = [_eta_from_prime(e) for e in eta_ps]
     params = FitParams(beta2, rho, etas)
 
-    # Covariance in external units (beta2, rho, eta_1..eta_D): central
-    # differences of the weighted residuals with each eta'_i held and only
-    # the scales profiled.  The model is affine in eta', so the eta'_i column
-    # needs no model pass beyond the one at the fit, and d eta'/d eta =
-    # 4 (2 eta - 1) carries it to eta_i without stepping outside [1/2, 1].
-    def held_block(f, y, w2, w):
-        return w * (profile_scale(f, y, w2) * f - y)
-
-    def held_residuals(beta2, rho):
-        return np.concatenate([
-            held_block(p + eta_p * q, y, w2, w)
-            for (p, q), y, w2, w, eta_p
-            in zip(model_pass(beta2, rho), data, weights2, roots, eta_ps)
-        ])
-
-    shared = np.empty((n_points, 2))
-    h = _FD_REL_STEP * max(1.0, abs(beta2))
-    shared[:, 0] = (held_residuals(beta2 + h, rho) - held_residuals(beta2 - h, rho)) / (2.0 * h)
-    h = _FD_REL_STEP * max(1.0, rho)
-    shared[:, 1] = (held_residuals(beta2, rho + h) - held_residuals(beta2, rho - h)) / (2.0 * h)
-
-    # J^T J block by block: the shared 2 x 2, each free eta column against
-    # the shared rows of its own dataset, and the eta diagonal.  An eta'
-    # held at a bound has no column (at eta' = 0 it would be zero).
-    held = [i for i, e in enumerate(eta_ps) if e in (0.0, 1.0)]
+    # Covariance in external units (beta2, rho, eta_1..eta_D): J^T J in x and
+    # each free eta', scaled by d x / d (beta2, rho) = (1/10, 1/rho) and
+    # d eta'/d eta = 4 (2 eta - 1).  An eta' held at a bound has no column
+    # (at eta' = 0 it would be zero).
+    held = [i for i, e in enumerate(eta_ps) if _at_bound(e)]
     free = [i for i in range(len(datasets)) if i not in held]
-    jtj_ext = np.zeros((2 + len(free), 2 + len(free)))
-    jtj_ext[:2, :2] = shared.T @ shared
-    h = _FD_REL_STEP
-    shared_blocks = model_pass.split(shared)
-    for k, i in enumerate(free, start=2):
-        (p, q), y, w2, w = parts[i], data[i], weights2[i], roots[i]
-        up = held_block(p + (eta_ps[i] + h) * q, y, w2, w)
-        down = held_block(p + (eta_ps[i] - h) * q, y, w2, w)
-        column = 4.0 * (2.0 * etas[i] - 1.0) * (up - down) / (2.0 * h)
-        jtj_ext[:2, k] = jtj_ext[k, :2] = shared_blocks[i].T @ column
-        jtj_ext[k, k] = np.dot(column, column)
+    units = np.array([0.1, 1.0 / rho] + [4.0 * (2.0 * etas[i] - 1.0) for i in free])
+    jtj_ext = objective.covariance_jtj(x, state) * np.outer(units, units)
     dof = max(n_points - n_params, 1)
     variance = loss / dof
     cond = float(np.linalg.cond(jtj_ext))
@@ -460,4 +571,5 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         pseudo_inverse_used=bool(pseudo),
         jtj_condition=cond,
         etas_held_at_bound=held,
+        model_passes=objective.model_pass.passes,
     )

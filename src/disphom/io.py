@@ -43,12 +43,22 @@ def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
 
-def read_json_object(path) -> dict:
-    """The JSON object in a file; errors name the file."""
+def _read_text(path) -> str:
+    """A file's UTF-8 text; errors name the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DatasetFormatError(
+            f"{path}: cannot read (not UTF-8 text: byte {exc.start} is {byte:#04x})"
+        ) from None
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in a file; errors name the file."""
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -102,50 +112,61 @@ def from_json_fields(cls, data: dict, path, key=None):
         raise DatasetFormatError(f"{path}: bad config ({exc})") from None
 
 
+def _malformed(cells):
+    """Why a data line's cells are not two numbers, or None if they are."""
+    if len(cells) != 2:
+        return "expected two columns"
+    try:
+        float(cells[0]), float(cells[1])
+    except ValueError:
+        return "non-numeric value"
+    return None
+
+
 def read_dataset(path) -> Dataset:
     """Parse a dataset CSV and its metadata sidecar.
 
     Errors name the offending line or key: wrong header, non-monotone tau,
-    negative counts, unparsable numbers, missing sidecar keys.
+    negative counts, unparsable numbers, missing sidecar keys.  The text is
+    split and converted once, and the value checks run on whole columns;
+    the line reported is the first bad one, and on it the first failed
+    check in the order two columns, numeric, finite, increasing tau,
+    nonnegative counts.
     """
     path = Path(path)
-    if not path.exists():
-        raise DatasetFormatError(f"{path}: no such file")
-    taus: list[float] = []
-    counts: list[float] = []
-    header_seen = False
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if [c.strip() for c in line.split(",")] != ["tau_ps", "counts"]:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: expected header 'tau_ps,counts', got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DatasetFormatError(f"{path}:{lineno}: expected two columns")
-            try:
-                tau = float(parts[0])
-                value = float(parts[1])
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{lineno}: non-numeric value") from None
-            if not (math.isfinite(tau) and math.isfinite(value)):
-                raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
-            if taus and tau <= taus[-1]:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: tau_ps not strictly increasing"
-                )
-            if value < 0:
-                raise DatasetFormatError(f"{path}:{lineno}: negative counts")
-            taus.append(tau)
-            counts.append(value)
-    if not header_seen:
+    lines = [
+        (lineno, line)
+        for lineno, raw in enumerate(_read_text(path).split("\n"), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    if not lines:
         raise DatasetFormatError(f"{path}: missing 'tau_ps,counts' header")
+    lineno, header = lines.pop(0)
+    if [c.strip() for c in header.split(",")] != ["tau_ps", "counts"]:
+        raise DatasetFormatError(
+            f"{path}:{lineno}: expected header 'tau_ps,counts', got {header!r}"
+        )
+    cells = [line.split(",") for _, line in lines]
+    try:
+        # every line two numbers, the usual case: one conversion
+        values = np.array(cells, dtype=float).reshape(len(cells), 2)
+        parsed = len(cells)
+    except ValueError:
+        parsed = next(k for k, row in enumerate(cells) if _malformed(row))
+        values = np.array(cells[:parsed], dtype=float).reshape(parsed, 2)
+    taus, counts = np.ascontiguousarray(values.T)
+    failed = np.stack([
+        ~(np.isfinite(taus) & np.isfinite(counts)),
+        np.concatenate(([False], taus[1:] <= taus[:-1])),
+        counts < 0,
+    ])
+    messages = ["non-finite value", "tau_ps not strictly increasing", "negative counts"]
+    bad = failed.any(axis=0)
+    if bad.any():
+        k = int(bad.argmax())
+        raise DatasetFormatError(f"{path}:{lines[k][0]}: {messages[int(failed[:, k].argmax())]}")
+    if parsed < len(cells):
+        raise DatasetFormatError(f"{path}:{lines[parsed][0]}: {_malformed(cells[parsed])}")
 
     meta_path = _meta_path(path)
     if not meta_path.exists():
@@ -155,7 +176,7 @@ def read_dataset(path) -> Dataset:
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key '{key}'")
     return Dataset(
-        curve=HomCurve(np.asarray(taus), np.asarray(counts)),
+        curve=HomCurve(taus, counts),
         window_half_width_ps=1000.0 * _number(meta, "window_half_width_ns", meta_path),
         fiber_length_km=_number(meta, "fiber_length_km", meta_path),
         label=str(meta["label"]),

@@ -331,6 +331,110 @@ def coincidence_parts(tau_grid_ps, rho, rho_prime, window_half_width_ps):
     return a - b, a + b
 
 
+# (cos phi - sin phi / phi) / phi^2 = sum_n (-1)^n 2n / (2n+1)! phi^(2n-2), n >= 1,
+# highest power first; below |phi| = 1/2 eight terms reach 1e-17
+_BEND_COEFFS = np.array(
+    [(-1.0) ** n * 2 * n / math.factorial(2 * n + 1) for n in range(1, 9)]
+)[::-1]
+
+
+def _sinc_and_bend(phi):
+    """sin(phi)/phi and (cos phi - sin(phi)/phi)/phi^2, for phi >= 0, without dividing by 0.
+
+    The second cancels for small phi, where its Maclaurin series is used.
+    """
+    cos = np.cos(phi)
+    sinc = np.ones_like(phi)
+    np.divide(np.sin(phi), phi, out=sinc, where=phi > 0)
+    small = phi < 0.5
+    square = phi * phi
+    bend = np.empty_like(phi)
+    np.divide(cos - sinc, square, out=bend, where=~small)
+    series = np.full_like(square[small], _BEND_COEFFS[0])
+    for c in _BEND_COEFFS[1:]:
+        series = series * square[small] + c
+    bend[small] = series
+    return cos, sinc, bend
+
+
+def _window_derivatives(tau, a, t):
+    """d A/da and d^2 A/da^2 of the window sum A = erf(sqrt(a)(t+tau)) + erf(sqrt(a)(t-tau))."""
+    outer = t + tau
+    inner = t - tau
+    with np.errstate(under="ignore"):
+        e_outer = np.exp(-a * outer * outer)
+        e_inner = np.exp(-a * inner * inner)
+    moment1 = outer * e_outer + inner * e_inner
+    moment3 = outer**3 * e_outer + inner**3 * e_inner
+    scale = math.sqrt(math.pi) * np.sqrt(a)
+    return moment1 / scale, -(0.5 * moment1 / a + moment3) / scale
+
+
+def _dip_derivatives(tau, a, d, t, b):
+    """Derivatives in (a, d, aa, ad, dd) of B = exp(-(a+d) tau^2) Re erf(x + iy), tau >= 0."""
+    root_a = np.sqrt(a)
+    tau2 = tau * tau
+    t2 = t * t
+    with np.errstate(under="ignore"):
+        g = (2.0 / math.sqrt(math.pi)) * np.exp(-a * (tau2 + t2))
+    cos, sinc, bend = _sinc_and_bend(2.0 * root_a * t * np.sqrt(d) * tau)
+    g_cos = g * cos
+    g_sinc = g * sinc
+    b_a = -tau2 * b + 0.5 * t * g_cos / root_a
+    b_d = -tau2 * b + root_a * t * tau2 * g_sinc
+    b_aa = -tau2 * b_a - 0.5 * t * (
+        (0.5 / a + tau2 + t2) * g_cos + 2.0 * d * t2 * tau2 * g_sinc
+    ) / root_a
+    b_ad = tau2 * tau2 * b - root_a * t * tau2 * (tau2 + t2) * g_sinc
+    b_dd = -tau2 * b_d + 2.0 * a * root_a * t * t2 * tau2 * tau2 * g * bend
+    return b_a, b_d, b_aa, b_ad, b_dd
+
+
+def coincidence_parts_derivatives(tau_grid_ps, rho, rho_prime, window_half_width_ps, p, q):
+    """First and second derivatives of coincidence_parts' (p, q) in (rho, rho').
+
+    p and q are that call's result at the same arguments.  Returns
+    (first, second): first[k] holds the (p, q) derivatives in the k-th of
+    (rho, rho'), shape (2, 2, n), and second[k] those in the k-th of
+    (rho rho, rho rho', rho' rho'), shape (3, 2, n).
+
+    They are worked out in a = rho'/2 and d = (rho - rho')/2, in which
+    A = erf(sqrt(a)(T+tau)) + erf(sqrt(a)(T-tau)) and
+    B = exp(-(a+d) tau^2) Re erf(x + iy) for x = sqrt(a) T, y = sqrt(d) tau;
+    A depends on a alone.  With d Re erf/dx = (2/sqrt(pi)) e^(y^2-x^2) cos phi
+    and d Re erf/dy = (2/sqrt(pi)) e^(y^2-x^2) sin phi, phi = 2xy, every term
+    of B's derivatives beyond multiples of B itself is the bounded
+    G = (2/sqrt(pi)) exp(-a(tau^2+T^2)) times cos phi, sin(phi)/phi or
+    (cos phi - sin(phi)/phi)/phi^2, so no further error function is needed,
+    nothing overflows, and nothing divides by sqrt(d): the derivatives stay
+    finite at d = 0 (L = 0 or beta2 = 0).  phi is taken at |tau|, so the
+    derivatives are even in tau bit for bit, like (p, q).
+
+    B = q - p carries the rounding of p and q, and where y >> 1 the
+    d-derivatives are small differences of multiples of B and G terms.
+    At campaign delays (y up to ~4000) that leaves the first derivatives
+    good to ~1e-8 and the second ones in rho to ~1e-6 relative, against
+    40-digit references; a Newton matrix needs no more.
+    """
+    tau = np.abs(np.asarray(tau_grid_ps, dtype=float))
+    a = 0.5 * rho_prime
+    a_a, a_aa = _window_derivatives(tau, a, window_half_width_ps)
+    b_a, b_d, b_aa, b_ad, b_dd = _dip_derivatives(
+        tau, a, 0.5 * (rho - rho_prime), window_half_width_ps, q - p)
+
+    # to (rho, rho'): d/drho = d_d / 2 and d/drho' = (d_a - d_d) / 2
+    b_first = (0.5 * b_d, 0.5 * (b_a - b_d))
+    b_second = (0.25 * b_dd, 0.25 * (b_ad - b_dd), 0.25 * (b_aa - 2.0 * b_ad + b_dd))
+    a_first = (0.0, 0.5 * a_a)
+    a_second = (0.0, 0.0, 0.25 * a_aa)
+    # p = A/4 - B/2 and q = A/4 + B/2
+    first = np.array([(0.25 * a_k - 0.5 * b_k, 0.25 * a_k + 0.5 * b_k)
+                      for a_k, b_k in zip(a_first, b_first)])
+    second = np.array([(0.25 * a_k - 0.5 * b_k, 0.25 * a_k + 0.5 * b_k)
+                       for a_k, b_k in zip(a_second, b_second)])
+    return first, second
+
+
 def coincidence_curve(tau_grid_ps, rho, rho_prime, eta_p, window_half_width_ps) -> HomCurve:
     """The rate max(p + eta' q, 0) of coincidence_parts over a strictly increasing grid.
 

@@ -178,12 +178,6 @@ def test_osc_period_subcommand(capsys):
     assert out["oscillation_period_ps"] == pytest.approx(3.3599336908529556, rel=1e-9)
 
 
-def test_unreadable_path_is_clean_error(tmp_path, capsys):
-    rc = run(["fwhm", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x.json")])
-    assert rc != 0
-    err = capsys.readouterr().err
-    assert "error:" in err
-    assert "Traceback" not in err
 
 
 def test_fit_without_datasets_is_clean_error(tmp_path, capsys):
@@ -231,6 +225,8 @@ def test_fit_reports_etas_held_at_bound(tmp_path):
     report = json.loads(report_path.read_text())
     held = report["diagnostics"]["etas_held_at_bound"]
     assert held and not report["diagnostics"]["covariance_pseudo_inverse"]
+    # the start and at least one trial point per iteration, one model pass each
+    assert report["diagnostics"]["model_passes"] >= 1 + report["iterations"]
     order = report["covariance_order"]
     for name in held:
         assert report["datasets"][order.index(name) - 2]["eta"] == 0.5
@@ -246,6 +242,34 @@ def _dataset_dir(tmp_path, meta=None):
     if meta is not None:
         (data_dir / "x.meta.json").write_text(meta)
     return data_dir
+
+
+def _fwhm_of_missing_file(tmp_path):
+    return ["fwhm", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x.json")], \
+        "nope.csv"
+
+
+def _fit_with_directory_named_csv(tmp_path):
+    data_dir = _dataset_dir(tmp_path)
+    (data_dir / "y.csv").mkdir()
+    return ["fit", "--data-dir", str(data_dir), "--report", str(tmp_path / "r.json")], "y.csv"
+
+
+def _fwhm_of_non_utf8_csv(tmp_path):
+    data_dir = _dataset_dir(tmp_path)
+    (data_dir / "x.csv").write_bytes(b"tau_ps,counts\n0.0,1\n1.0,\xff2\n")
+    return ["fwhm", "--in", str(data_dir / "x.csv"), "--out", str(tmp_path / "w.json")], "x.csv"
+
+
+@pytest.mark.parametrize("make_args", [
+    _fwhm_of_missing_file, _fit_with_directory_named_csv, _fwhm_of_non_utf8_csv,
+], ids=["missing-file", "directory-named-csv", "non-utf8-csv"])
+def test_unreadable_path_is_clean_error(tmp_path, capsys, make_args):
+    args, name = make_args(tmp_path)
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "cannot read" in err
+    assert "Traceback" not in err
 
 
 def _fit_with_init(tmp_path, text):

@@ -215,6 +215,65 @@ def test_stacked_pass_evaluates_each_distinct_point_once(monkeypatch):
     assert kernel_points(monkeypatch, [replica, make_dataset(0.4, 0.0)])[1] == 202
 
 
+def test_objective_derivatives_match_differences():
+    # lm_fit's gradient, Newton matrix and J^T J are exact derivatives of the
+    # projected loss, for datasets with eta' free and held at the bound 0
+    sets = [make_dataset(0.4, 10.0, eta=0.5, seed=7),
+            make_dataset(0.8, 0.0, eta=0.6, points=57, seed=2),
+            make_dataset(0.3, 29.0, eta=0.55, points=130, seed=3),
+            make_dataset(1.0, 4.0, seed=4)]
+    objective = fitting._Objective(sets)
+    x = np.array([BETA2_REF * 1.01 / 10.0, math.log(RHO_REF * 0.99)])
+    solved = objective.solve(x)
+    assert solved.eta_ps[0] == 0.0 and 0.0 < min(solved.eta_ps[1:])
+    exact = objective.derivatives(x, solved)
+
+    def half_loss(x):
+        return 0.5 * objective.solve(x).loss
+
+    def weighted_residuals(x):
+        res = objective.solve(x).res
+        return np.concatenate([np.sqrt(w2) * r for w2, r in zip(objective.weights2, res)])
+
+    steps = 2.0 ** -np.arange(10, 19)
+    errors = []
+    for h in steps:
+        e = h * np.eye(2)
+        grad = np.array([half_loss(x + e[i]) - half_loss(x - e[i]) for i in range(2)]) / (2 * h)
+        newton = np.array([[half_loss(x + e[i] + e[j]) - half_loss(x + e[i] - e[j])
+                            - half_loss(x - e[i] + e[j]) + half_loss(x - e[i] - e[j])
+                            for j in range(2)] for i in range(2)]) / (4 * h * h)
+        jac = np.array([weighted_residuals(x + e[i]) - weighted_residuals(x - e[i])
+                        for i in range(2)]) / (2 * h)
+        errors.append([np.abs(estimate - value).max() / np.abs(value).max()
+                       for estimate, value in zip((grad, jac @ jac.T, newton), exact)])
+    # each difference's error falls as h^2 down to a floor: the rounding of
+    # the loss for the gradient and J^T J, and for the Newton matrix the
+    # cancellation that the second derivatives in rho carry where
+    # sqrt(rho) |tau| >> 1 (about 1e-6 per point, 1e-5 here)
+    for errs, floor in zip(np.transpose(errors), (1e-8, 1e-8, 3e-5)):
+        assert np.all(errs <= 1.5 * errs[0] * (steps / steps[0]) ** 2 + floor), errs
+
+
+def test_model_passes_counts_kernel_calls(monkeypatch):
+    # one coincidence_parts call per trial point: the derivatives and the
+    # covariance cost none
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return coincidence_parts(*args)
+
+    monkeypatch.setattr(fitting, "coincidence_parts", counted)
+    for seed0, eta in ((100, 0.52), (700, 0.5)):
+        sets = standard_sets(seed0=seed0, eta=eta)
+        calls.clear()
+        result = lm_fit(sets, FitParams(20.0, 13.0))
+        assert result.converged
+        assert result.model_passes == len(calls)
+        assert result.model_passes <= 1 + 2 * result.iterations
+
+
 # --- rmsre ----------------------------------------------------------------------
 
 def test_rmsre_zero_residuals():

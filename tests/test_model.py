@@ -25,7 +25,7 @@ from disphom import (
     group_index_bounds,
     oscillation_period,
 )
-from disphom.model import coincidence_parts
+from disphom.model import coincidence_parts, coincidence_parts_derivatives
 from conftest import DN_IDLER_REF, DN_SIGNAL_REF, RHO_REF, BETA2_REF, reference_filter
 
 
@@ -301,6 +301,118 @@ def test_parts_even_in_tau_bit_for_bit():
     p_mirror, q_mirror = coincidence_parts(-taus, RHO_REF, rho_ps, windows)
     assert np.array_equal(p, p_mirror)
     assert np.array_equal(q, q_mirror)
+
+
+# --- derivatives of the parts --------------------------------------------------
+
+def _rhos(x, y, window, tau):
+    """(rho, rho') that put the kernel at x + iy.
+
+    x = sqrt(rho'/2) T and y = sqrt((rho - rho')/2) tau.
+    """
+    a = (x / window) ** 2
+    d = 0.0 if y == 0.0 else (y / tau) ** 2
+    return 2.0 * (a + d), 2.0 * a
+
+
+# (rho, rho', T, tau)
+DERIVATIVE_POINTS = {
+    "series": (*_rhos(0.8, 1.0, 400.0, 150.0), 400.0, 150.0),
+    "weideman": (*_rhos(1.5, 2.0, 400.0, 150.0), 400.0, 150.0),
+    "continued-fraction": (*_rhos(0.5, 12.5, 900.0, 60.0), 900.0, 60.0),
+    "campaign": (RHO_REF, broadened_rho(RHO_REF, ChannelParams(29.0, BETA2_REF)), 800.0, 500.0),
+    "tau-zero": (RHO_REF, broadened_rho(RHO_REF, ChannelParams(10.0, BETA2_REF)), 400.0, 0.0),
+    "small-phi": (*_rhos(1.0, 1e-3, 400.0, 150.0), 400.0, 150.0),
+    "no-dispersion": (*_rhos(1.0, 0.0, 400.0, 150.0), 400.0, 150.0),
+}
+
+# Difference stencils (offsets, first-derivative weights, second-derivative
+# weights), all with an error O(h^2).  The one-sided one serves d = 0, where
+# rho may not step below rho'.
+CENTRAL = ((-1, 0, 1), (-0.5, 0.0, 0.5), (1.0, -2.0, 1.0))
+FORWARD = ((0, 1, 2, 3), (-1.5, 2.0, -0.5, 0.0), (2.0, -5.0, 4.0, -1.0))
+
+
+@pytest.mark.parametrize("point", sorted(DERIVATIVE_POINTS))
+def test_parts_derivatives_match_differences(point):
+    rho, rho_p, window, tau = DERIVATIVE_POINTS[point]
+    taus = np.array([tau])
+    parts = coincidence_parts(taus, rho, rho_p, window)
+    first, second = coincidence_parts_derivatives(taus, rho, rho_p, window, *parts)
+    # two directions in (rho, rho'): along a_dir only rho'/2 moves, along
+    # d_dir only (rho - rho')/2.  Their lengths are the scales on which the
+    # rate varies: rho' and rho themselves, or less where the phase
+    # phi = sqrt(rho'(rho - rho')) T tau turns many times over.
+    unit = 1.0 / (1.0 + math.sqrt(rho_p * (rho - rho_p)) * window * tau)
+    a_dir = unit * np.array([rho_p, rho_p])
+    d_dir = unit * np.array([rho, 0.0])
+    h0 = 2.0**-4
+    d_stencil = CENTRAL if rho - rho_p >= 4.0 * h0 * d_dir[0] else FORWARD
+
+    def along(u, v=None):
+        if v is None:
+            return np.tensordot(u, first, axes=1)[:, 0]
+        pairs = (u[0] * v[0], u[0] * v[1] + u[1] * v[0], u[1] * v[1])
+        return np.tensordot(pairs, second, axes=1)[:, 0]
+
+    exact = {"a": along(a_dir), "d": along(d_dir), "aa": along(a_dir, a_dir),
+             "ad": along(a_dir, d_dir), "dd": along(d_dir, d_dir)}
+    scale = max(abs(parts[0][0]), abs(parts[1][0]))
+
+    def rate(i, j, h):
+        r = rho + h * (i * a_dir[0] + j * d_dir[0])
+        r_p = rho_p + h * (i * a_dir[1] + j * d_dir[1])
+        return np.array(coincidence_parts(taus, r, r_p, window))[:, 0]
+
+    steps = h0 / 2.0 ** np.arange(9)
+    errors = {key: [] for key in exact}
+    for h in steps:
+        a_off, a_w1, a_w2 = CENTRAL
+        d_off, d_w1, d_w2 = d_stencil
+        estimate = {
+            "a": sum(w * rate(i, 0, h) for i, w in zip(a_off, a_w1)) / h,
+            "aa": sum(w * rate(i, 0, h) for i, w in zip(a_off, a_w2)) / h**2,
+            "d": sum(w * rate(0, j, h) for j, w in zip(d_off, d_w1)) / h,
+            "dd": sum(w * rate(0, j, h) for j, w in zip(d_off, d_w2)) / h**2,
+            "ad": sum(wi * wj * rate(i, j, h) for i, wi in zip(a_off, a_w1)
+                      for j, wj in zip(d_off, d_w1)) / h**2,
+        }
+        for key in exact:
+            errors[key].append(np.abs(estimate[key] - exact[key]).max() / scale)
+
+    eps = np.finfo(float).eps
+    for key, errs in errors.items():
+        order = len(key)
+        # rounding in the differences: the rate's own error over h or h^2
+        floor = 64.0 * eps / steps**order
+        # the truncation error falls at least as h^2 until rounding takes over
+        assert np.all(errs <= 1.5 * errs[0] * (steps / h0) ** 2 + floor), (key, errs)
+        # and where it stands clear of rounding, it falls as h^2
+        clear = [k for k in range(len(steps) - 1) if errs[k + 1] > 100.0 * floor[k + 1]]
+        for k in clear:
+            assert 3.0 <= errs[k] / errs[k + 1] <= 5.0, (key, k, errs)
+        assert clear or errs[0] <= 100.0 * floor[0], (key, errs)
+
+
+def test_parts_derivatives_even_in_tau_bit_for_bit():
+    # the stacked fit pass evaluates each |tau| once and reuses it for -tau
+    rng = np.random.default_rng(37)
+    n = 5000
+    windows = rng.uniform(100.0, 2000.0, n)
+    lengths = rng.choice([0.0, 1.0, 10.0, 29.0, rng.uniform(0.0, 29.0)], n)
+    rho_ps = np.array([broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
+                       for length in lengths])
+    taus = rng.uniform(-3.0, 3.0, n) * windows
+    taus[:40] = rng.uniform(-1.0, 1.0, 40)  # the kernel's series region, small phi
+    taus[40] = 0.0
+    taus = rng.permutation(taus)
+    plus = coincidence_parts_derivatives(
+        taus, RHO_REF, rho_ps, windows, *coincidence_parts(taus, RHO_REF, rho_ps, windows))
+    minus = coincidence_parts_derivatives(
+        -taus, RHO_REF, rho_ps, windows, *coincidence_parts(-taus, RHO_REF, rho_ps, windows))
+    for got, mirror in zip(plus, minus):
+        assert np.isfinite(got).all()  # L = 0 among the lengths: d = 0
+        assert np.array_equal(got, mirror)
 
 
 def test_stacked_parts_check_every_point():
