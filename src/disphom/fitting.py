@@ -6,31 +6,21 @@ amplitude s_i, which makes the metric agnostic to the unknown pair rate.
 global_loss is the plain sum E = sum_i |s_i0 f_i - y_i|^2 with the closed
 form s_i0 = (f.y)/(f.f).
 
-lm_fit minimizes a Poisson chi-square instead: each bin weighs by its
-counts, and each dataset's sum is divided by its peak, so that rescaling
-one curve (for example from counts to rates) changes neither its weight nor
-the fit.  The model is affine in eta' = (2 eta - 1)^2, so for given
+lm_fit minimizes a peak-normalized Poisson chi-square instead, by variable
+projection: the model is affine in eta' = (2 eta - 1)^2, so for given
 (beta2, rho) each dataset's (s_i, eta'_i) is a bounded 2x2 linear
 least-squares solve, and the Levenberg-Marquardt loop runs over
-x = (beta2/10, log rho) alone (variable projection).  Its gradient and
-Newton matrix are exact: model.coincidence_parts_derivatives gives the
-first and second derivatives of a pass's (p, q), a chain rule per fiber
-length carries them to x, and per dataset the Hessian of the projected
-loss is f_xx - f_xz f_zz^-1 f_zx in the linear coefficients z = (s, s eta').
-A dataset whose eta' sits at a bound, 0 or 1, is held there: its z is s
-alone.  The covariance takes its Jacobian from the same derivatives, so a
-fit makes one model pass per trial point and no other.  lm_fit has no
+x = (beta2/10, log rho) alone.  Its gradient and Newton matrix are exact,
+from model.coincidence_parts_derivatives, and it stops once a full Newton
+step would remove less than its tolerance of the loss.  lm_fit has no
 options: it reads beta2 and rho from its init, and its iteration limit,
 tolerance and damping are the module constants below.
 
-Every model evaluation, in lm_fit's search and global_loss, is one stacked
-pass (_StackedPass): all datasets share (beta2, rho), so the distinct
-(T, L, |tau|) points of all their grids (window half-width, fiber length,
-delay) are found once and go through model.coincidence_parts in a single
-call, with each point's broadened rho.  The rate is even in tau, so a grid
-symmetric about tau = 0 costs half its points.  The covariance's J^T J is
-assembled block by block, since each eta column touches only its own
-dataset.
+Every model evaluation, in lm_fit and global_loss, is one stacked pass
+over all datasets (_StackedPass), and every per-dataset step of the fit
+(the 2x2 solves, the scales, the derivative and covariance sums) runs on
+that pass's stacked layout as whole-array operations, with no loop over
+datasets.
 """
 
 from __future__ import annotations
@@ -62,10 +52,10 @@ class Dataset:
     label: str = ""
 
     def __post_init__(self):
-        if not self.window_half_width_ps > 0:
-            raise ValueError("window_half_width_ps must be > 0")
-        if self.fiber_length_km < 0:
-            raise ValueError("fiber_length_km must be >= 0")
+        if not 0 < self.window_half_width_ps < math.inf:
+            raise ValueError("window_half_width_ps must be finite and > 0")
+        if not 0 <= self.fiber_length_km < math.inf:
+            raise ValueError("fiber_length_km must be finite and >= 0")
 
 
 @dataclass
@@ -81,8 +71,10 @@ class FitParams:
     etas: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.rho_ps2_inv > 0:
-            raise ValueError("rho must be > 0")
+        if not math.isfinite(self.beta2_ps2_per_km):
+            raise ValueError("beta2_ps2_per_km must be finite")
+        if not 0 < self.rho_ps2_inv < math.inf:
+            raise ValueError("rho_ps2_inv must be finite and > 0")
         self.etas = [canonical_eta(e) for e in self.etas]
 
 
@@ -144,19 +136,25 @@ class _StackedPass:
     fiber length L and its delay, and it is even in the delay, bit for bit.
     So the distinct (T, L, |tau|) over all datasets' points are found once;
     each pass evaluates only those, with one broadened rho per distinct L,
-    and blocks expands a per-point result back to every point and splits it
-    into per-dataset blocks.  A grid symmetric about tau = 0 costs half its
-    points, and datasets that repeat a (T, L) and grid cost nothing more.
-    The blocks equal per-dataset calls bit for bit.  passes counts the
-    coincidence_parts calls.
+    and expand takes a result back to every point.  A grid symmetric about
+    tau = 0 costs half its points, and datasets that repeat a (T, L) and
+    grid cost nothing more.  The expanded (p, q) equal per-dataset calls
+    bit for bit.  passes counts the coincidence_parts calls.
+
+    It is also the one owner of the stacked layout: all datasets' points
+    concatenated in order.  blocks splits a per-point array into datasets,
+    sums adds it up per dataset, and at gives per-dataset values at every
+    point, so the fit's per-dataset steps need no loop over datasets.
     """
 
     def __init__(self, datasets):
-        sizes = [len(ds.curve) for ds in datasets]
-        self._ends = np.cumsum(sizes)[:-1]
-        keys = np.stack([
-            np.repeat([ds.window_half_width_ps for ds in datasets], sizes),
-            np.repeat([ds.fiber_length_km for ds in datasets], sizes),
+        self._sizes = [len(ds.curve) for ds in datasets]
+        if 0 in self._sizes:  # reduceat cannot sum an empty block
+            raise ValueError("every dataset needs at least one point")
+        self._starts = np.cumsum([0] + self._sizes[:-1])
+        keys = np.vstack([
+            self.at(np.array([[ds.window_half_width_ps, ds.fiber_length_km]
+                              for ds in datasets]).T),
             np.abs(np.concatenate([ds.curve.tau_ps for ds in datasets])),
         ])
         # one lexsort: np.unique over rows sorts them some 30 times slower
@@ -184,12 +182,20 @@ class _StackedPass:
         """A per-distinct-point array, along its last axis, at every point."""
         return distinct[..., self._inverse]
 
-    def blocks(self, distinct):
-        """Per-dataset blocks of a per-distinct-point array, along its last axis."""
-        return np.split(self.expand(distinct), self._ends, axis=-1)
+    def blocks(self, values):
+        """Per-dataset blocks of a per-point array, along its last axis."""
+        return np.split(values, self._starts[1:], axis=-1)
+
+    def sums(self, values):
+        """Per-dataset sums of a per-point array: shape (..., points) to (..., datasets)."""
+        return np.add.reduceat(values, self._starts, axis=-1)
+
+    def at(self, values):
+        """Per-dataset values at every point: shape (..., datasets) to (..., points)."""
+        return np.repeat(values, self._sizes, axis=-1)
 
     def __call__(self, beta2, rho):
-        return [tuple(block) for block in self.blocks(self.parts(beta2, rho))]
+        return [tuple(block) for block in self.blocks(self.expand(self.parts(beta2, rho)))]
 
     def derivatives(self, beta2, rho, parts):
         """Derivatives of a pass's (p, q) in x = (beta2/10, log rho), at every point.
@@ -228,19 +234,22 @@ class _StackedPass:
 def global_loss(params: FitParams, datasets) -> tuple[float, list[np.ndarray]]:
     """Total scale-agnostic loss E = sum_i sum_x |s_i0 f(x) - y_x|^2.
 
-    f_i = p_i + eta'_i q_i is the model of lm_fit, from one stacked pass.
+    f_i = p_i + eta'_i q_i is the model of lm_fit, from one stacked pass,
+    and every s_i0 comes from one set of per-dataset sums.
     """
     if len(datasets) == 0:
         return 0.0, []
     if len(params.etas) != len(datasets):
         raise ValueError("need one eta per dataset")
-    residuals = []
-    parts = _StackedPass(datasets)(params.beta2_ps2_per_km, params.rho_ps2_inv)
-    for (p, q), ds, eta in zip(parts, datasets, params.etas):
-        f = p + eta_prime(eta) * q
-        residuals.append(profile_scale(f, ds.curve.values) * f - ds.curve.values)
-    loss = float(sum(np.dot(r, r) for r in residuals))
-    return loss, residuals
+    layout = _StackedPass(datasets)
+    p, q = layout.expand(layout.parts(params.beta2_ps2_per_km, params.rho_ps2_inv))
+    y = np.concatenate([ds.curve.values for ds in datasets])
+    f = p + layout.at(np.array([eta_prime(eta) for eta in params.etas])) * q
+    ff, fy = layout.sums(np.array([f * f, f * y]))
+    if not ff.all():
+        raise ValueError("scale undefined: model values are all zero")
+    r = layout.at(fy / ff) * f - y
+    return float(np.dot(r, r)), layout.blocks(r)
 
 
 def rmsre(residuals, data_values) -> float:
@@ -270,50 +279,14 @@ def _poisson_weights(y):
     return 1.0 / (np.maximum(y, y[y > 0].min()) * peak)
 
 
-def _profile_amplitudes(p, q, y, w2):
-    """Scale s and eta' in [0, 1] minimizing sum w2 |s (p + eta' q) - y|^2.
-
-    The pair (s, s eta') enters linearly, so the unconstrained 2x2 weighted
-    least-squares solution is taken when s > 0 and its eta' lies in [0, 1];
-    otherwise eta' sits at whichever bound, 0 or 1, fits better.
-    """
-    wp = w2 * p
-    wq = w2 * q
-    pp, pq, qq = float(np.dot(wp, p)), float(np.dot(wp, q)), float(np.dot(wq, q))
-    py, qy = float(np.dot(wp, y)), float(np.dot(wq, y))
-    det = pp * qq - pq * pq
-    if det > 0:
-        s = (qq * py - pq * qy) / det
-        t = (pp * qy - pq * py) / det
-        if s > 0 and 0 <= t <= s:
-            return s, t / s
-    best = None
-    for eta_p in (0.0, 1.0):
-        f = p + eta_p * q
-        s = profile_scale(f, y, w2)
-        loss = float(np.dot(w2, (s * f - y) ** 2))
-        if best is None or loss < best[0]:
-            best = (loss, s, eta_p)
-    return best[1], best[2]
-
-
-def _at_bound(eta_p):
-    """Whether a solved eta' sits at a bound, 0 or 1, where the fit holds it."""
-    return eta_p in (0.0, 1.0)
-
-
-def _eta_from_prime(eta_p):
-    """Canonical eta >= 1/2 with (2 eta - 1)^2 = eta'."""
-    return 0.5 + 0.5 * math.sqrt(eta_p)
-
-
 class _Solved(NamedTuple):
     """The objective at one x: its value, the residuals and what solved them."""
 
     loss: float
     res: list  # unweighted residual blocks
-    scales: list
-    eta_ps: list
+    scales: np.ndarray
+    eta_ps: np.ndarray
+    held: np.ndarray  # per dataset: eta' sits at a bound, 0 or 1, where the fit holds it
     parts: np.ndarray  # the model pass's (p, q) at the distinct points
 
 
@@ -322,8 +295,8 @@ class _Objective:
 
     solve evaluates it with one model pass.  derivatives gives its exact
     gradient and Hessian at a solved point, and covariance_jtj the J^T J of
-    the covariance, from that pass alone.  Both work on all datasets' points
-    at once and sum per dataset with reduceat.
+    the covariance, from that pass alone.  All of them work on all
+    datasets' points at once, in the model pass's stacked layout.
 
     A dataset's model s (p + eta' q) = s f lies in the span of the basis
     (f, q), with the linear coefficients z = (s, 0) at the solution.  A
@@ -331,28 +304,46 @@ class _Objective:
     """
 
     def __init__(self, datasets):
-        self._data = [ds.curve.values for ds in datasets]
-        self.weights2 = [_poisson_weights(y) for y in self._data]
-        self._roots = [np.sqrt(w2) for w2 in self.weights2]
         self.model_pass = _StackedPass(datasets)
-        self._sizes = [len(y) for y in self._data]
-        self._starts = np.cumsum([0] + self._sizes[:-1])
+        self.weights2 = [_poisson_weights(ds.curve.values) for ds in datasets]
         self._w2 = np.concatenate(self.weights2)
+        self._y = np.concatenate([ds.curve.values for ds in datasets])
 
     def solve(self, x) -> _Solved:
-        res, scales, eta_ps = [], [], []
-        parts = self.model_pass.parts(10.0 * x[0], math.exp(x[1]))
-        for (p, q), y, w2 in zip(self.model_pass.blocks(parts), self._data, self.weights2):
-            s, eta_p = _profile_amplitudes(p, q, y, w2)
-            res.append(s * (p + eta_p * q) - y)
-            scales.append(s)
-            eta_ps.append(eta_p)
-        weighted = np.concatenate([w * r for w, r in zip(self._roots, res)])
-        return _Solved(float(np.dot(weighted, weighted)), res, scales, eta_ps, parts)
+        """The loss at x, with every dataset's s and eta' in [0, 1] minimizing it.
 
-    def _sums(self, rows):
-        """Per-dataset sums of per-point rows: shape (..., points) to (..., datasets)."""
-        return np.add.reduceat(rows, self._starts, axis=-1)
+        The pair (s, s eta') enters linearly, so one set of sums gives every
+        dataset's 2x2 weighted least-squares problem.  Its unconstrained
+        solution is taken where s > 0 and its eta' lies in [0, 1]; elsewhere
+        eta' sits at whichever bound, 0 or 1, fits better, each bound with
+        its own profiled scale.  An eta' of exactly 0 or 1, however it was
+        reached, is held there.
+        """
+        layout = self.model_pass
+        parts = layout.parts(10.0 * x[0], math.exp(x[1]))
+        p, q = layout.expand(parts)
+        y, w2 = self._y, self._w2
+        wp, wq = w2 * p, w2 * q
+        pp, pq, qq, py, qy = layout.sums(np.array([wp * p, wp * q, wq * q, wp * y, wq * y]))
+        det = pp * qq - pq * pq
+        det[det <= 0] = np.nan  # no unconstrained solution
+        s = (qq * py - pq * qy) / det
+        t = (pp * qy - pq * py) / det
+        interior = (s > 0) & (0 <= t) & (t <= s)
+        eta_p = np.divide(t, s, out=np.zeros_like(s), where=interior)
+        if not interior.all():
+            norms = np.array([pp, pp + 2.0 * pq + qq])
+            if not norms.all():
+                raise ValueError("scale undefined: model values are all zero")
+            bound_s = np.array([py, py + qy]) / norms
+            r = layout.at(bound_s) * (p + np.array([[0.0], [1.0]]) * q) - y
+            loss_0, loss_1 = layout.sums(w2 * r * r)
+            upper = ~interior & (loss_1 < loss_0)
+            s = np.where(interior, s, np.choose(upper, bound_s))
+            eta_p[upper] = 1.0
+        r = layout.at(s) * (p + layout.at(eta_p) * q) - y
+        return _Solved(float(np.dot(w2 * r, r)), layout.blocks(r), s, eta_p,
+                       np.isin(eta_p, (0.0, 1.0)), parts)
 
     def _projection(self, basis, d_basis, r, s):
         """Jacobian of the projected residuals, and the terms of their curvature.
@@ -365,30 +356,30 @@ class _Objective:
         term C = sum w2 r d_basis, per dataset.  A basis row that is zero on
         a dataset is absent from it: a unit diagonal in G keeps its
         coefficient at rest.  Returns the Jacobian J_z + B^T dz
-        (m, points), dz (datasets, k, m) and C (k, m, datasets).
+        (m, points), and dz and C, both (k, m, datasets).
         """
+        layout = self.model_pass
         wr = self._w2 * r
         fixed = s * d_basis[0]
         weighted = self._w2 * basis
-        gram = np.moveaxis(self._sums(weighted[:, None] * basis), -1, 0)
+        gram = np.moveaxis(layout.sums(weighted[:, None] * basis), -1, 0)
         diagonal = np.arange(len(basis))
         gram[:, diagonal, diagonal] += gram[:, diagonal, diagonal] == 0
-        cross = self._sums(wr * d_basis)
-        rhs = self._sums(weighted[:, None] * fixed) + cross
-        dz = -np.linalg.solve(gram, np.moveaxis(rhs, -1, 0))
-        moved = np.repeat(dz, self._sizes, axis=0)
-        return fixed + np.einsum("nkm,kn->mn", moved, basis), dz, cross
+        cross = layout.sums(wr * d_basis)
+        rhs = layout.sums(weighted[:, None] * fixed) + cross
+        dz = -np.moveaxis(np.linalg.solve(gram, np.moveaxis(rhs, -1, 0)), 0, -1)
+        return fixed + np.einsum("kmn,kn->mn", layout.at(dz), basis), dz, cross
 
     def _per_point(self, x, solved):
         """Every point's f = p + eta' q, q, the derivatives of f (5 rows) and of
-        q (first 2), s and residual, and the free mask over datasets."""
-        p, q = self.model_pass.expand(solved.parts)
-        d_pq = self.model_pass.derivatives(10.0 * x[0], math.exp(x[1]), solved.parts)
-        free = np.array([not _at_bound(e) for e in solved.eta_ps])
-        s, eta_p = (np.repeat(v, self._sizes) for v in (solved.scales, solved.eta_ps))
+        q (first 2), s and residual."""
+        layout = self.model_pass
+        p, q = layout.expand(solved.parts)
+        d_pq = layout.derivatives(10.0 * x[0], math.exp(x[1]), solved.parts)
+        s, eta_p = layout.at(np.array([solved.scales, solved.eta_ps]))
         d_f = d_pq[:, 0] + eta_p * d_pq[:, 1]
         # a copy, so that the (5, 2, points) d_pq is freed on return
-        return p + eta_p * q, q, d_f, d_pq[:2, 1].copy(), s, np.concatenate(solved.res), free
+        return p + eta_p * q, q, d_f, d_pq[:2, 1].copy(), s, np.concatenate(solved.res)
 
     def derivatives(self, x, solved: _Solved):
         """J^T r and N, half the loss's gradient and Hessian, and J^T J.
@@ -398,14 +389,14 @@ class _Objective:
         residuals' curvature at fixed z, plus the terms through which z
         moves with x.
         """
-        f, q, d_f, d_q, s, r, free = self._per_point(x, solved)
-        q_in_basis = np.repeat(free, self._sizes)
+        f, q, d_f, d_q, s, r = self._per_point(x, solved)
+        q_in_basis = self.model_pass.at(~solved.held)
         jac, dz, cross = self._projection(
             np.array([f, q_in_basis * q]), np.array([d_f[:2], q_in_basis * d_q]), r, s)
         wr = self._w2 * r
         curv = (s * d_f[2:]) @ wr
         jtj = (self._w2 * jac) @ jac.T
-        mixed = np.einsum("kmd,dkl->ml", cross, dz)
+        mixed = np.einsum("kmd,kld->ml", cross, dz)
         newton = jtj + mixed + mixed.T + np.array([curv[:2], curv[1:]])
         return jac @ wr, jtj, newton
 
@@ -418,9 +409,10 @@ class _Objective:
         column against the shared rows of its own dataset, and the eta'
         diagonal.
         """
-        f, q, d_f, _, s, r, free = self._per_point(x, solved)
+        f, q, d_f, _, s, r = self._per_point(x, solved)
         jac = self._projection(f[None], np.array([[d_f[0], d_f[1], q]]), r, s)[0]
-        blocks = self._sums(self._w2 * jac[:, None] * jac)
+        blocks = self.model_pass.sums(self._w2 * jac[:, None] * jac)
+        free = ~solved.held
         n_free = int(free.sum())
         jtj = np.empty((2 + n_free, 2 + n_free))
         jtj[:2, :2] = blocks[:2, :2].sum(axis=-1)
@@ -446,7 +438,9 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     of model.coincidence_parts over the distinct (T, L, |tau|) points of all
     datasets; its (p, q), expanded to every point, equal per-dataset calls
     bit for bit.  That call is the only model pass: a fit makes one per
-    trial point, and model_passes counts them.
+    trial point, and model_passes counts them.  All datasets' (s_i, eta'_i)
+    follow from one set of per-dataset sums (_Objective.solve), with one
+    more sweep over the points where an eta' must go to a bound.
 
     The derivatives are exact and cost no pass: the model's
     coincidence_parts_derivatives turns a pass's (p, q) into their first
@@ -462,9 +456,14 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     steps without it overshot in beta2 and took 50-200 iterations.  The
     damping lam starts at 1e-3, grows tenfold on a rejected step or while
     the damped matrix is not positive definite, and shrinks tenfold on an
-    accepted step.  Iteration stops when the relative loss decrease of an
-    accepted step falls below 1e-10 or after 200 iterations (a
-    non-converged result is returned, never an exception).
+    accepted step.  The fit has converged when the loss a full Newton step
+    predicts to remove, J^T r . N^-1 J^T r for a positive definite N, is
+    at most 1e-10 of the loss.  This is checked before each iteration's
+    trials and is not counted as an iteration; at the loss's rounding floor
+    no trial step can lower the loss, and rejected trials would only grow
+    lam.  An accepted step whose relative loss decrease is below 1e-10
+    converges too.  After 200 iterations, or once lam passes 1e14, a
+    non-converged result is returned, never an exception.
 
     FitResult.loss is the weighted objective.  The covariance of (beta2,
     rho, eta_1..eta_D) is (J^T J)^-1 * loss / (n - p), from the exact
@@ -493,8 +492,16 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     converged = False
     iterations = 0
 
-    for iterations in range(1, _MAX_ITERATIONS + 1):
+    while iterations < _MAX_ITERATIONS:
         grad, jtj, newton = objective.derivatives(x, state)
+        try:  # g^T N^-1 g, the loss a full Newton step would remove
+            half_step = np.linalg.solve(np.linalg.cholesky(newton), grad)
+            if half_step @ half_step <= _LOSS_REL_TOL * loss:
+                converged = True
+                break
+        except np.linalg.LinAlgError:
+            pass  # N is not positive definite (at L = 0, say): the trials decide
+        iterations += 1
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(), 1e-30)
         accepted = False
@@ -522,18 +529,16 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
             converged = True
             break
 
-    res, scales, eta_ps = state.res, state.scales, state.eta_ps
     beta2, rho = 10.0 * x[0], math.exp(x[1])
-    etas = [_eta_from_prime(e) for e in eta_ps]
-    params = FitParams(beta2, rho, etas)
+    etas = 0.5 + 0.5 * np.sqrt(state.eta_ps)  # canonical eta >= 1/2 with (2 eta - 1)^2 = eta'
+    params = FitParams(beta2, rho, etas.tolist())
 
     # Covariance in external units (beta2, rho, eta_1..eta_D): J^T J in x and
     # each free eta', scaled by d x / d (beta2, rho) = (1/10, 1/rho) and
     # d eta'/d eta = 4 (2 eta - 1).  An eta' held at a bound has no column
     # (at eta' = 0 it would be zero).
-    held = [i for i, e in enumerate(eta_ps) if _at_bound(e)]
-    free = [i for i in range(len(datasets)) if i not in held]
-    units = np.array([0.1, 1.0 / rho] + [4.0 * (2.0 * etas[i] - 1.0) for i in free])
+    free = ~state.held
+    units = np.concatenate(([0.1, 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
     jtj_ext = objective.covariance_jtj(x, state) * np.outer(units, units)
     dof = max(n_points - n_params, 1)
     variance = loss / dof
@@ -543,25 +548,18 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         cov_free = np.linalg.pinv(jtj_ext, rcond=1e-12) * variance
     else:
         cov_free = np.linalg.inv(jtj_ext) * variance
-    kept = [0, 1] + [2 + i for i in free]
+    kept = np.concatenate(([0, 1], 2 + np.flatnonzero(free)))
     cov = np.zeros((n_params, n_params))
     cov[np.ix_(kept, kept)] = 0.5 * (cov_free + cov_free.T)
 
-    rmsre_list = []
-    for block, ds in zip(res, datasets):
-        if (ds.curve.values > 0).any():
-            rmsre_list.append(rmsre(block, ds.curve.values))
-        else:
-            rmsre_list.append(math.nan)
-
-    order = ["beta2_ps2_per_km", "rho_ps2_inv"] + [
-        f"eta[{i}]" for i in range(len(datasets))
-    ]
+    rmsre_list = [rmsre(r, ds.curve.values) if (ds.curve.values > 0).any() else math.nan
+                  for r, ds in zip(state.res, datasets)]
+    order = ["beta2_ps2_per_km", "rho_ps2_inv"] + [f"eta[{i}]" for i in range(len(datasets))]
     return FitResult(
         params=params,
         beta2_sigma_ps2_per_km=float(np.sqrt(max(cov[0, 0], 0.0))),
         rho_sigma_ps2_inv=float(np.sqrt(max(cov[1, 1], 0.0))),
-        scales=[float(s) for s in scales],
+        scales=state.scales.tolist(),
         rmsre_per_dataset=rmsre_list,
         covariance=cov,
         covariance_order=order,
@@ -570,6 +568,6 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         converged=converged,
         pseudo_inverse_used=bool(pseudo),
         jtj_condition=cond,
-        etas_held_at_bound=held,
+        etas_held_at_bound=np.flatnonzero(state.held).tolist(),
         model_passes=objective.model_pass.passes,
     )

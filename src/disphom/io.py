@@ -69,10 +69,20 @@ def read_json_object(path) -> dict:
 
 
 def _number(data, key, path) -> float:
+    """data[key] as a float; NaN and booleans are not numbers here, infinities are."""
+    value = data[key]
     try:
-        return float(data[key])
+        number = float(value)
     except (TypeError, ValueError):
-        raise DatasetFormatError(f"{path}: '{key}' must be a number, got {data[key]!r}") from None
+        number = math.nan
+    if isinstance(value, bool) or math.isnan(number):
+        raise DatasetFormatError(f"{path}: '{key}' must be a number, got {value!r}")
+    return number
+
+
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number; booleans are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def from_json_fields(cls, data: dict, path, key=None):
@@ -175,12 +185,13 @@ def read_dataset(path) -> Dataset:
     for key in ("window_half_width_ns", "fiber_length_km", "label"):
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key '{key}'")
-    return Dataset(
-        curve=HomCurve(taus, counts),
-        window_half_width_ps=1000.0 * _number(meta, "window_half_width_ns", meta_path),
-        fiber_length_km=_number(meta, "fiber_length_km", meta_path),
-        label=str(meta["label"]),
-    )
+    curve = HomCurve(taus, counts)
+    window_ps = 1000.0 * _number(meta, "window_half_width_ns", meta_path)
+    length_km = _number(meta, "fiber_length_km", meta_path)
+    try:
+        return Dataset(curve, window_ps, length_km, str(meta["label"]))
+    except ValueError as exc:
+        raise DatasetFormatError(f"{meta_path}: {exc}") from None
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -298,23 +309,28 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.fiber_lengths_km or not self.windows_ns:
             raise ValueError("need at least one fiber length and one window")
-        if any(w <= 0 for w in self.windows_ns):
-            raise ValueError("windows must be > 0")
-        if any(length < 0 for length in self.fiber_lengths_km):
-            raise ValueError("fiber lengths must be >= 0")
-        if not isinstance(self.tau_points, numbers.Integral):
-            raise ValueError(f"tau_points must be an integer, got {self.tau_points!r}")
+        if not all(_finite(w) and w > 0 for w in self.windows_ns):
+            raise ValueError("windows_ns must be finite and > 0")
+        if not all(_finite(length) and length >= 0 for length in self.fiber_lengths_km):
+            raise ValueError("fiber_lengths_km must be finite and >= 0")
+        if not _finite(self.beta2_ps2_per_km):
+            raise ValueError("beta2_ps2_per_km must be finite")
+        for key in ("tau_points", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.tau_points < 5:
             raise ValueError("tau_points must be >= 5")
-        if not self.peak_counts > 0:
-            raise ValueError("peak_counts must be > 0")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (_finite(self.peak_counts) and self.peak_counts > 0):
+            raise ValueError("peak_counts must be finite and > 0")
         self.seed = int(self.seed)  # a numpy integer would overflow the Philox key arithmetic
         if (self.tau_min_ps is None) != (self.tau_max_ps is None):
             raise ValueError("tau_min_ps and tau_max_ps must be given together")
-        if self.tau_min_ps is not None and not self.tau_max_ps > self.tau_min_ps:
-            raise ValueError("tau_max_ps must exceed tau_min_ps")
+        if self.tau_min_ps is not None:
+            if not (_finite(self.tau_min_ps) and _finite(self.tau_max_ps)):
+                raise ValueError("tau_min_ps and tau_max_ps must be finite")
+            if not self.tau_max_ps > self.tau_min_ps:
+                raise ValueError("tau_max_ps must exceed tau_min_ps")
         n = len(self.windows_ns) * len(self.fiber_lengths_km)
         if isinstance(self.etas, (int, float)):
             self.etas = [float(self.etas)] * n

@@ -303,9 +303,19 @@ def _gen_with(tmp_path, **fields):
     (lambda tmp: _gen_with(tmp, seed=7.5), "seed"),
     (lambda tmp: _gen_with(tmp, seed="abc"), "seed"),
     (lambda tmp: _gen_with(tmp, peak_count=5.0), "peak_count"),
+    (lambda tmp: _fwhm_with_sidecar(
+        tmp, '{"window_half_width_ns": 0.4, "fiber_length_km": NaN, "label": "x"}'),
+     "fiber_length_km"),
+    (lambda tmp: _fwhm_with_sidecar(
+        tmp, '{"window_half_width_ns": 0.4, "fiber_length_km": Infinity, "label": "x"}'),
+     "fiber_length_km"),
+    (lambda tmp: _fit_with_init(tmp, '{"beta2_ps2_per_km": NaN}'), "beta2_ps2_per_km"),
+    (lambda tmp: _gen_with(tmp, fiber_lengths_km=[float("nan")]), "fiber_lengths_km"),
+    (lambda tmp: _gen_with(tmp, seed=True), "seed"),
 ], ids=["init-list", "init-null-rho", "sidecar-number", "sidecar-null-window",
         "campaign-fractional-tau-points", "campaign-fractional-seed", "campaign-string-seed",
-        "campaign-unknown-key"])
+        "campaign-unknown-key", "sidecar-nan-length", "sidecar-infinite-length", "init-nan-beta2",
+        "campaign-nan-length", "campaign-boolean-seed"])
 def test_malformed_json_input_is_clean_error(tmp_path, capsys, make_args, key):
     args, name = make_args(tmp_path)
     assert run(args) == 2

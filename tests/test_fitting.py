@@ -13,6 +13,7 @@ from disphom import (
     broadened_rho,
     coincidence_curve,
     eta_prime,
+    generate_synthetic,
     global_loss,
     lm_fit,
     profile_scale,
@@ -21,7 +22,7 @@ from disphom import (
 from disphom import fitting
 from disphom.io import poisson_counts
 from disphom.model import coincidence_parts
-from conftest import BETA2_REF, RHO_REF
+from conftest import BETA2_REF, RHO_REF, small_campaign
 
 
 def make_dataset(window_ns, length_km, eta=0.52, peak=1e4, points=201, seed=None,
@@ -253,6 +254,44 @@ def test_objective_derivatives_match_differences():
     # sqrt(rho) |tau| >> 1 (about 1e-6 per point, 1e-5 here)
     for errs, floor in zip(np.transpose(errors), (1e-8, 1e-8, 3e-5)):
         assert np.all(errs <= 1.5 * errs[0] * (steps / steps[0]) ** 2 + floor), errs
+
+
+def test_solve_matches_dense_eta_scan():
+    # one stacked solve gives each dataset the best eta' in [0, 1], each
+    # with its closed-form weighted scale: an interior eta', eta' = 0
+    # (eta = 1/2, where the unconstrained eta' is negative) and eta' = 1
+    # (eta = 1 at L = 0, where it exceeds 1)
+    sets = [make_dataset(0.8, 10.0, eta=0.6, seed=2),
+            make_dataset(0.4, 10.0, eta=0.5, seed=7),
+            make_dataset(0.4, 0.0, eta=1.0, seed=4)]
+    objective = fitting._Objective(sets)
+    solved = objective.solve(np.array([BETA2_REF / 10.0, math.log(RHO_REF)]))
+    assert 0.0 < solved.eta_ps[0] < 1.0 and list(solved.eta_ps[1:]) == [0.0, 1.0]
+    assert list(solved.held) == [False, True, True]
+    scan = np.linspace(0.0, 1.0, 2001)
+    parts = fitting._StackedPass(sets)(BETA2_REF, RHO_REF)
+    for (p, q), ds, w2, r, s, eta_p in zip(parts, sets, objective.weights2, solved.res,
+                                           solved.scales, solved.eta_ps):
+        y = ds.curve.values
+        f = p + scan[:, None] * q
+        scales = (w2 * f) @ y / np.sum(w2 * f * f, axis=1)
+        losses = np.sum(w2 * (scales[:, None] * f - y) ** 2, axis=1)
+        best = int(losses.argmin())
+        assert abs(eta_p - scan[best]) <= scan[1]
+        assert np.dot(w2 * r, r) <= losses[best] * (1.0 + 1e-12)
+        f = p + eta_p * q
+        assert s == pytest.approx(np.dot(w2 * f, y) / np.dot(w2 * f, f), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, eta", [(8, 0.5), (10, 0.52)])
+def test_lm_fit_stops_at_rounding_floor(seed, eta):
+    # from the truth the loss reaches its rounding floor in a few steps; the
+    # fit stops on the predicted decrease there instead of damping trial
+    # steps down to zero, which took 14 and 20 passes over 5 iterations
+    datasets, _ = generate_synthetic(small_campaign(seed=seed, etas=eta))
+    result = lm_fit(datasets, FitParams(BETA2_REF, RHO_REF))
+    assert result.converged
+    assert result.model_passes <= 2 + result.iterations
 
 
 def test_model_passes_counts_kernel_calls(monkeypatch):
