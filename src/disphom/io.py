@@ -6,9 +6,10 @@ with ``#`` are comments) plus a ``<name>.meta.json`` sidecar carrying
 non-integer (rates are allowed).  Every JSON input (sidecars, campaign and
 source configs, fit starts) is read by read_json_object, and dataclasses
 are built from it field by field by from_json_fields.  Synthetic campaigns
-draw Poisson counts from a counter-based generator (Philox) keyed by the
-campaign seed and the dataset index, so identical configurations produce
-identical bytes.
+draw Poisson counts with numpy's sampler (Generator.poisson) on a
+counter-based Philox stream keyed by the campaign seed and the dataset
+index, so the output is fixed per seed for a given numpy version: identical
+configurations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -156,6 +157,8 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(
             f"{path}:{lineno}: expected header 'tau_ps,counts', got {header!r}"
         )
+    if not lines:
+        raise DatasetFormatError(f"{path}: no data lines")
     cells = [line.split(",") for _, line in lines]
     try:
         # every line two numbers, the usual case: one conversion
@@ -187,6 +190,8 @@ def read_dataset(path) -> Dataset:
             raise DatasetFormatError(f"{meta_path}: missing key '{key}'")
     curve = HomCurve(taus, counts)
     window_ps = 1000.0 * _number(meta, "window_half_width_ns", meta_path)
+    if not 0 < window_ps < math.inf:
+        raise DatasetFormatError(f"{meta_path}: window_half_width_ns must be finite and > 0")
     length_km = _number(meta, "fiber_length_km", meta_path)
     try:
         return Dataset(curve, window_ps, length_km, str(meta["label"]))
@@ -216,67 +221,18 @@ def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-# --- Poisson sampling --------------------------------------------------------
-# Counts come from a Philox (counter-based) stream: sequential-search
-# inversion below mean 30 and Hormann's PTRS transformed rejection above.
-# Both consume the generator's uniforms only, which pins the byte-for-byte
-# output across platforms for a given seed.
-
-_PTRS_CUTOFF = 30.0
-
-
-def _poisson_inversion(uniform, lam):
-    u = uniform()
-    p = math.exp(-lam)
-    cdf = p
-    k = 0
-    while u > cdf:
-        k += 1
-        p *= lam / k
-        cdf += p
-        if p < 1e-300 and cdf < u:  # guard against an unreachable tail
-            break
-    return k
-
-
-def _poisson_ptrs(uniform, lam):
-    b = 0.931 + 2.53 * math.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_lam = math.log(lam)
-    while True:
-        u = uniform() - 0.5
-        v = uniform()
-        us = 0.5 - abs(u)
-        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
-        if us >= 0.07 and v <= v_r:
-            return int(k)
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if math.log(v * inv_alpha / (a / (us * us) + b)) <= k * log_lam - lam - math.lgamma(
-            k + 1.0
-        ):
-            return int(k)
-
-
 def poisson_counts(means, seed_key) -> np.ndarray:
-    """Seeded Poisson draw for an array of means (Philox counter stream)."""
+    """Seeded Poisson draw for an array of means, as int64 in the shape of means.
+
+    numpy's Generator.poisson on a Philox stream keyed by seed_key draws the
+    counts, so they are fixed per seed for a given numpy version (numpy does
+    not promise the same stream across versions).
+    """
     means = np.asarray(means, dtype=float)
     if (means < 0).any() or not np.isfinite(means).all():
         raise ValueError("Poisson means must be finite and nonnegative")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed_key)))
-    uniform = gen.random
-    out = np.empty(means.size, dtype=np.int64)
-    flat = means.ravel()
-    for i, lam in enumerate(flat):
-        if lam == 0.0:
-            out[i] = 0
-        elif lam < _PTRS_CUTOFF:
-            out[i] = _poisson_inversion(uniform, lam)
-        else:
-            out[i] = _poisson_ptrs(uniform, lam)
-    return out.reshape(means.shape)
+    return np.asarray(gen.poisson(means), dtype=np.int64)
 
 
 # --- campaign configuration ---------------------------------------------------
@@ -332,12 +288,13 @@ class CampaignConfig:
             if not self.tau_max_ps > self.tau_min_ps:
                 raise ValueError("tau_max_ps must exceed tau_min_ps")
         n = len(self.windows_ns) * len(self.fiber_lengths_km)
-        if isinstance(self.etas, (int, float)):
-            self.etas = [float(self.etas)] * n
+        if isinstance(self.etas, numbers.Real):
+            self.etas = [self.etas] * n
         elif len(self.etas) != n:
             raise ValueError(f"need one eta per dataset ({n}), got {len(self.etas)}")
-        if any(not 0 <= e <= 1 for e in self.etas):
-            raise ValueError("etas must be in [0, 1]")
+        if not all(_finite(e) and 0 <= e <= 1 for e in self.etas):
+            raise ValueError("etas must be numbers in [0, 1]")
+        self.etas = [float(e) for e in self.etas]
 
     @classmethod
     def from_json(cls, path) -> "CampaignConfig":
@@ -356,9 +313,9 @@ def generate_synthetic(config: CampaignConfig):
     """Noisy datasets for every (window, length) pair of the campaign.
 
     The model curve is scaled so its maximum equals peak_counts, then each
-    bin is drawn from a Poisson law with that mean.  The Philox key mixes
-    the campaign seed with the dataset index, so datasets are independent
-    but fully reproducible.
+    bin is drawn from a Poisson law with that mean by poisson_counts.  The
+    Philox key mixes the campaign seed with the dataset index, so datasets
+    are independent but fixed per seed for a given numpy version.
     """
     from .model import derive_spectral
 

@@ -312,10 +312,16 @@ def _gen_with(tmp_path, **fields):
     (lambda tmp: _fit_with_init(tmp, '{"beta2_ps2_per_km": NaN}'), "beta2_ps2_per_km"),
     (lambda tmp: _gen_with(tmp, fiber_lengths_km=[float("nan")]), "fiber_lengths_km"),
     (lambda tmp: _gen_with(tmp, seed=True), "seed"),
+    (lambda tmp: _gen_with(tmp, etas=True), "etas"),
+    (lambda tmp: _gen_with(tmp, etas=[True, 0.5, 0.5, 0.5, 0.5, False]), "etas"),
+    (lambda tmp: _fwhm_with_sidecar(
+        tmp, '{"window_half_width_ns": Infinity, "fiber_length_km": 10.0, "label": "x"}'),
+     "window_half_width_ns"),
 ], ids=["init-list", "init-null-rho", "sidecar-number", "sidecar-null-window",
         "campaign-fractional-tau-points", "campaign-fractional-seed", "campaign-string-seed",
         "campaign-unknown-key", "sidecar-nan-length", "sidecar-infinite-length", "init-nan-beta2",
-        "campaign-nan-length", "campaign-boolean-seed"])
+        "campaign-nan-length", "campaign-boolean-seed", "campaign-boolean-etas",
+        "campaign-boolean-eta-element", "sidecar-infinite-window"])
 def test_malformed_json_input_is_clean_error(tmp_path, capsys, make_args, key):
     args, name = make_args(tmp_path)
     assert run(args) == 2

@@ -88,6 +88,16 @@ def test_wrong_header_rejected(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("text", [
+    "tau_ps,counts\n", "# run 7\ntau_ps,counts\n# no bins kept\n\n",
+], ids=["header-only", "header-and-comments"])
+def test_header_without_data_lines_names_file(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetFormatError, match=r"empty\.csv: no data lines"):
+        read_dataset(path)
+
+
 def test_missing_sidecar(tmp_path):
     path = tmp_path / "lonely.csv"
     path.write_text("tau_ps,counts\n0.0,1\n1.0,2\n")
@@ -117,7 +127,7 @@ def test_poisson_zero_mean():
     assert (poisson_counts(np.zeros(10), 1) == 0).all()
 
 
-@pytest.mark.parametrize("lam", [0.3, 5.0, 29.9, 30.1, 2000.0])
+@pytest.mark.parametrize("lam", [0.3, 5.0, 9.9, 10.1, 29.9, 30.1, 2000.0])
 def test_poisson_moments(lam):
     n = 60000 if lam < 100 else 20000
     draws = poisson_counts(np.full(n, lam), 424242)
