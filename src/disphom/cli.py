@@ -42,6 +42,8 @@ _DEFAULT_INIT = {"beta2_ps2_per_km": 20.0, "rho_ps2_inv": 10.0}
 
 
 def _tau_grid(args):
+    if not (math.isfinite(args.tau_min_ps) and math.isfinite(args.tau_max_ps)):
+        raise ValueError("--tau-min-ps and --tau-max-ps must be finite")
     if not args.tau_max_ps > args.tau_min_ps:
         raise ValueError("--tau-max-ps must exceed --tau-min-ps")
     if args.points < 2:
@@ -50,13 +52,16 @@ def _tau_grid(args):
 
 
 def _model_inputs(args):
-    if not args.window_ns > 0:
-        raise ValueError("--window-ns must be > 0 (half-width of the window)")
+    if not (math.isfinite(args.window_ns) and args.window_ns > 0):
+        raise ValueError("--window-ns must be finite and > 0 (half-width of the window)")
     eta = getattr(args, "eta", 0.5)
     if not 0 <= eta <= 1:
         raise ValueError("--eta must be in [0, 1]")
-    if not args.rho > 0:
-        raise ValueError("--rho must be > 0 (ps^-2)")
+    if not (math.isfinite(args.rho) and args.rho > 0):
+        raise ValueError("--rho must be finite and > 0 (ps^-2)")
+    for flag, value in (("--length-km", args.length_km), ("--beta2", args.beta2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite")
     window_ps = 1000.0 * args.window_ns
     rho_p = broadened_rho(args.rho, ChannelParams(args.length_km, args.beta2))
     return window_ps, rho_p, eta_prime(eta)

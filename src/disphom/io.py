@@ -277,8 +277,9 @@ class CampaignConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.tau_points < 5:
             raise ValueError("tau_points must be >= 5")
-        if not (_finite(self.peak_counts) and self.peak_counts > 0):
-            raise ValueError("peak_counts must be finite and > 0")
+        # numpy's Poisson sampler refuses means above ~9.2e18
+        if not (_finite(self.peak_counts) and 0 < self.peak_counts <= 1e18):
+            raise ValueError("peak_counts must be > 0 and <= 1e18")
         self.seed = int(self.seed)  # a numpy integer would overflow the Philox key arithmetic
         if (self.tau_min_ps is None) != (self.tau_max_ps is None):
             raise ValueError("tau_min_ps and tau_max_ps must be given together")

@@ -86,6 +86,28 @@ def test_oracle_subcommand_matches_closed_form(tmp_path, capsys):
     assert out.exists()
 
 
+_MODEL_FLAGS = {
+    "--rho": "14.53", "--beta2": "21.39", "--length-km": "10", "--window-ns": "0.4",
+    "--tau-min-ps": "-600", "--tau-max-ps": "600", "--points": "11",
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("flag, value", [
+    ("--window-ns", "inf"), ("--tau-max-ps", "inf"), ("--tau-min-ps", "-inf"),
+    ("--beta2", "nan"), ("--length-km", "inf"), ("--rho", "inf"),
+])
+def test_non_finite_model_flag_is_clean_error(tmp_path, capsys, command, flag, value):
+    # the oracle refined forever on such inputs: NaN integrands never converge
+    flags = {**_MODEL_FLAGS, flag: value}
+    out = tmp_path / "x.csv"
+    assert run([command, *(f"{k}={v}" for k, v in flags.items()), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_derive_source_both_conventions(tmp_path):
     out = tmp_path / "derived.json"
     rc = run(["derive-source", "--config", str(source_config(tmp_path)), "--out", str(out)])
@@ -317,11 +339,12 @@ def _gen_with(tmp_path, **fields):
     (lambda tmp: _fwhm_with_sidecar(
         tmp, '{"window_half_width_ns": Infinity, "fiber_length_km": 10.0, "label": "x"}'),
      "window_half_width_ns"),
+    (lambda tmp: _gen_with(tmp, peak_counts=1e19), "peak_counts"),
 ], ids=["init-list", "init-null-rho", "sidecar-number", "sidecar-null-window",
         "campaign-fractional-tau-points", "campaign-fractional-seed", "campaign-string-seed",
         "campaign-unknown-key", "sidecar-nan-length", "sidecar-infinite-length", "init-nan-beta2",
         "campaign-nan-length", "campaign-boolean-seed", "campaign-boolean-etas",
-        "campaign-boolean-eta-element", "sidecar-infinite-window"])
+        "campaign-boolean-eta-element", "sidecar-infinite-window", "campaign-huge-peak-counts"])
 def test_malformed_json_input_is_clean_error(tmp_path, capsys, make_args, key):
     args, name = make_args(tmp_path)
     assert run(args) == 2

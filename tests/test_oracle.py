@@ -3,6 +3,7 @@ single-configuration closed-form comparison (the full grid runs in the
 acceptance suite)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from disphom import (
     sinc_gaussian_check,
     windowed_rate_numeric,
 )
+from disphom.oracle import _adaptive_simpson, _chirp_wavenumber, _folded_rate
 from conftest import BETA2_REF, RHO_REF
 
 
@@ -126,6 +128,84 @@ def test_differential_rate_mirror_symmetry():
         a = differential_rate(tau, sigma, eta, RHO_REF, 10.0, BETA2_REF)
         b = differential_rate(tau, -sigma, 1.0 - eta, RHO_REF, 10.0, BETA2_REF)
         assert b == pytest.approx(a, rel=1e-12, abs=1e-300)
+
+
+def test_folded_rate_matches_mirrored_sum():
+    # the folded integrand is c(t, s) + c(t, -s), also where rho' t s is far
+    # past exp's range (no dispersion, t and s at 600 ps: ~5e6)
+    rng = np.random.default_rng(41)
+    for length in (0.0, 5.0, 29.0):
+        rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
+        k = _chirp_wavenumber(RHO_REF, length, BETA2_REF)
+        peak = math.sqrt(rho_p / (2.0 * math.pi))
+        t = rng.uniform(0.0, 600.0, 600)
+        near = np.abs(t[:300] + rng.uniform(-4.0, 4.0, 300) / math.sqrt(rho_p))
+        sigma = np.concatenate([near, rng.uniform(0.0, 600.0, 300)])
+        t = np.append(t, 600.0)
+        sigma = np.append(sigma, 600.0)
+        for eta in (0.0, 0.5, *rng.uniform(0.0, 1.0, 3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _folded_rate(t, sigma, eta, rho_p, k)
+                reference = differential_rate(
+                    t, sigma, eta, RHO_REF, length, BETA2_REF
+                ) + differential_rate(t, -sigma, eta, RHO_REF, length, BETA2_REF)
+            assert np.abs(got - reference).max() <= 1e-14 * peak
+
+
+def _unfolded_reference(tau, window_t, eta, length):
+    # adaptive Simpson of c(tau, s) over [-T, T] from a dense uniform start
+    # (~100 nodes per chirp period at tau = 1.4 T, L = 5 km) plus both bumps
+    rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
+    width = 1.0 / math.sqrt(rho_p)
+    seeds = np.concatenate([
+        np.linspace(-window_t, window_t, 2**16 + 1),
+        *(c + width * np.linspace(-4.0, 4.0, 33) for c in (-tau, tau)),
+    ])
+    value, _ = _adaptive_simpson(
+        lambda s: differential_rate(tau, s, eta, RHO_REF, length, BETA2_REF),
+        -window_t, window_t, 1e-14, 1e-10, 24, seeds=seeds,
+    )
+    return value
+
+
+@pytest.mark.parametrize("length", [0.0, 5.0, 29.0])
+@pytest.mark.parametrize("eta", [0.3, 0.52])
+def test_windowed_matches_unfolded_reference(eta, length):
+    window_t = 400.0
+    taus = np.array([0.0, 37.0, window_t, 1.4 * window_t])
+    rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
+    grid = np.linspace(-1.5 * window_t, 1.5 * window_t, 201)
+    plateau = coincidence_curve(grid, RHO_REF, rho_p, eta_prime(eta), window_t).values.max()
+    got = windowed_rate_numeric(taus, window_t, eta, RHO_REF, length, BETA2_REF)
+    reference = np.array([_unfolded_reference(t, window_t, eta, length) for t in taus])
+    assert np.abs(got - reference).max() <= 1e-8 * plateau
+
+
+def test_windowed_even_in_tau():
+    for tau in (0.5, 37.0, 399.0, 400.0, 561.3):
+        plus = windowed_rate_numeric(tau, 400.0, 0.3, RHO_REF, 10.0, BETA2_REF)
+        assert windowed_rate_numeric(-tau, 400.0, 0.3, RHO_REF, 10.0, BETA2_REF) == plus
+    taus = np.linspace(-600.0, 600.0, 201)
+    curve = windowed_rate_numeric(taus, 400.0, 0.52, RHO_REF, 10.0, BETA2_REF)
+    assert np.array_equal(curve, curve[::-1])
+
+
+@pytest.mark.parametrize("position, value", [
+    (0, math.nan), (0, math.inf), (1, math.inf), (3, math.inf), (4, math.inf), (4, -math.inf),
+    (5, math.nan), (4, 1e200),
+], ids=["nan-tau", "inf-tau", "inf-window", "inf-rho", "inf-length", "minus-inf-length",
+        "nan-beta2", "rho-prime-underflow"])
+def test_windowed_rejects_non_finite_input(position, value):
+    # non-finite inputs, and an L beta2 rho so large that rho' is 0; at
+    # depth 4 a runaway refinement would end in QuadratureError instead
+    args = [37.0, 400.0, 0.5, RHO_REF, 10.0, BETA2_REF]
+    args[position] = value
+    with pytest.raises(ValueError):
+        windowed_rate_numeric(*args, QuadratureSpec(max_subdivisions=4))
+    args[0] = np.array([0.0, args[0]])
+    with pytest.raises(ValueError):
+        windowed_rate_numeric(*args, QuadratureSpec(max_subdivisions=4))
 
 
 def test_windowed_balanced_zero_delay():
