@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .fitting import Dataset, FitParams, lm_fit
+from .fitting import Dataset, FitParams, lm_fit, profile_scale
 from .model import (
     ChannelParams,
     FilterConvention,
@@ -96,8 +96,7 @@ def _cmd_oracle(args):
         taus, window_ps, args.eta, args.rho, args.length_km, args.beta2, spec
     )
     closed = coincidence_curve(taus, args.rho, rho_p, eta_p, window_ps).values
-    denom = float(np.dot(numeric, numeric))
-    scale = float(np.dot(numeric, closed)) / denom if denom > 0 else 1.0
+    scale = profile_scale(numeric, closed)
     plateau = float(closed.max())
     deviation = np.abs(scale * numeric - closed)
     floor = np.maximum(np.abs(closed), 1e-9 * plateau) if plateau > 0 else 1.0

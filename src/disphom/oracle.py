@@ -2,9 +2,9 @@
 
 Evaluates the time-resolved two-photon rate directly from the dispersed
 difference amplitude and integrates it over the coincidence window with an
-adaptive Simpson rule.  Exists to validate the closed-form model: it shares
-no code with the closed form beyond the broadened-width helper used in its
-own contracts.
+adaptive Gauss-Kronrod (G7-K15) rule.  Exists to validate the closed-form
+model: it shares no code with the closed form beyond the broadened-width
+helper used in its own contracts.
 
 Two exact symmetries halve the work.  Mirroring sigma swaps the splitter
 arms, c(tau, -sigma; eta) = c(tau, sigma; 1 - eta), so the integral over
@@ -19,27 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .model import ChannelParams, broadened_rho
 
 
-class QuadratureMethod(str, Enum):
-    ADAPTIVE_SIMPSON = "adaptive-simpson"
-    FIXED_SIMPSON = "fixed-simpson"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integrator configuration.
+    """Configuration of the adaptive Gauss-Kronrod (G7-K15) integrator.
 
-    For the adaptive rule max_subdivisions is the dyadic refinement depth;
-    for the fixed rule the panel count is 2**max_subdivisions.
+    max_subdivisions is the number of bisection levels a panel may go through.
     """
 
-    method: QuadratureMethod = QuadratureMethod.ADAPTIVE_SIMPSON
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
     max_subdivisions: int = 24
@@ -148,91 +140,67 @@ def _folded_rate(t, sigma, eta, rho_p, k):
     return out
 
 
-def _simpson_panels(lo_edges, hi_edges, f_lo, f_mid, f_hi):
-    width = hi_edges - lo_edges
-    return width / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
+# Gauss-Kronrod G7-K15 on [-1, 1] (QUADPACK's qk15): the Kronrod nodes in
+# ascending order, the K15 weights, and K15 minus G7, whose sum is the
+# rule's error estimate (G7 uses every second node; its weight is 0 elsewhere).
+_GK_HALF_NODES = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_K15_HALF = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_G7_HALF = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+_GK_NODES = np.concatenate([-_GK_HALF_NODES[:-1], _GK_HALF_NODES[::-1]])
+_K15 = np.concatenate([_K15_HALF[:-1], _K15_HALF[::-1]])
+_K15_MINUS_G7 = _K15 - np.concatenate([_G7_HALF[:-1], _G7_HALF[::-1]])
 
 
-def _halves(first, second, keep):
-    """The kept panels' left-half values, then their right-half values."""
-    return np.concatenate([first[keep], second[keep]])
+def _gauss_kronrod(f, breakpoints, abs_tol, rel_tol, max_levels):
+    """Adaptive G7-K15 over [breakpoints[0], breakpoints[-1]]; level-synchronous.
 
-
-def _adaptive_simpson(f, lo, hi, abs_tol, rel_tol, max_levels, seeds=()):
-    """Adaptive Simpson over [lo, hi]; level-synchronous, numpy-batched.
-
-    Returns (integral, error_bound).  seeds are extra initial breakpoints:
-    the error estimator only sees structure its nodes sample, so narrow
-    features and fast oscillations must be resolved by the starting grid
-    (a uniform grid can hit an integer panels-per-period resonance and
-    silently alias an oscillatory integrand).  The oracle integrates the
-    folded density over [0, T], so its seeds cover one bump, at sigma =
-    |tau|, and the chirp on [0, T] only; the mirror-image bump and chirp
-    at negative sigma are folded onto them.
-
-    Each level evaluates f at the quarter points of the open panels only:
-    a panel's halves, as Simpson sums, become the next level's coarse sums,
-    and the accepted panels' integral and bound are kept as running sums.
-    The initial grid's nodes are evaluated once, shared endpoints included.
+    Returns (integral, error_bound).  The panels between the sorted
+    breakpoints are the starting grid: the error estimator only sees
+    structure its nodes sample, so narrow features and fast oscillations
+    must be resolved by the breakpoints.  Each level evaluates f once on an
+    (open panels x 15) node array.  A panel is accepted once
+    |K15 - G7| <= max(abs_tol, rel_tol |estimate|) (width / span); the rest
+    are bisected, at most max_levels times.
     """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=float)).ravel()
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, 65), seeds[(lo < seeds) & (seeds < hi)]]))
-    f_grid = f(grid)
-    a, b = grid[:-1], grid[1:]
-    fa, fb = f_grid[:-1], f_grid[1:]
-    m = 0.5 * (a + b)
-    fm = f(m)
-    coarse = _simpson_panels(a, b, fa, fm, fb)
-
-    total_width = hi - lo
+    a, b = breakpoints[:-1], breakpoints[1:]
+    span = breakpoints[-1] - breakpoints[0]
     integral = 0.0
     bound = 0.0
-    estimate = float(np.sum(coarse))
-    for _level in range(max_levels):
-        ml = 0.5 * (a + m)
-        mr = 0.5 * (m + b)
-        fml = f(ml)
-        fmr = f(mr)
-        left = _simpson_panels(a, m, fa, fml, fm)
-        right = _simpson_panels(m, b, fm, fmr, fb)
-        fine = left + right
-        err = np.abs(fine - coarse) / 15.0
-        tol = max(abs_tol, rel_tol * abs(estimate)) * (b - a) / total_width
-        done = err <= tol
-        if done.any():
-            integral += float(np.sum(fine[done] + (fine[done] - coarse[done]) / 15.0))
-            bound += float(np.sum(err[done]))
+    for level in range(max_levels + 1):
+        centre = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        values = f(centre[:, None] + half[:, None] * _GK_NODES)
+        kronrod = half * (values @ _K15)
+        err = np.abs(half * (values @ _K15_MINUS_G7))
+        estimate = integral + float(np.sum(kronrod))
+        done = err <= max(abs_tol, rel_tol * abs(estimate)) * (b - a) / span
+        integral += float(np.sum(kronrod[done]))
+        bound += float(np.sum(err[done]))
         keep = ~done
         if not keep.any():
             return integral, bound
-        a, m, b = _halves(a, m, keep), _halves(ml, mr, keep), _halves(m, b, keep)
-        fa, fm, fb = _halves(fa, fm, keep), _halves(fml, fmr, keep), _halves(fm, fb, keep)
-        coarse = _halves(left, right, keep)
-        estimate = integral + float(np.sum(coarse))
+        if level < max_levels:
+            mid = centre[keep]
+            a, b = np.concatenate([a[keep], mid]), np.concatenate([mid, b[keep]])
 
     raise QuadratureError(
         f"quadrature did not converge within {max_levels} subdivision levels",
         estimate,
-        bound + float(np.sum(np.abs(coarse))),
+        bound + float(np.sum(err[keep])),
     )
-
-
-def _fixed_simpson(f, lo, hi, abs_tol, rel_tol, depth):
-    """Composite Simpson with 2**depth panels plus a halved-step error check."""
-    n = 2 ** min(depth, 22)
-    grid = np.linspace(lo, hi, 2 * n + 1)
-    fv = f(grid)
-    h = (hi - lo) / (2 * n)
-    fine = h / 3.0 * (fv[0] + fv[-1] + 4.0 * np.sum(fv[1::2]) + 2.0 * np.sum(fv[2:-1:2]))
-    coarse = (2 * h) / 3.0 * (
-        fv[0] + fv[-1] + 4.0 * np.sum(fv[2::4]) + 2.0 * np.sum(fv[4:-1:4])
-    )
-    bound = abs(fine - coarse) / 15.0
-    if bound > max(abs_tol, rel_tol * abs(fine)):
-        raise QuadratureError(
-            f"fixed Simpson with {n} panels did not reach tolerance", float(fine), float(bound)
-        )
-    return float(fine), float(bound)
 
 
 def windowed_rate_numeric(
@@ -278,7 +246,7 @@ def windowed_rate_numeric(
         raise ValueError("rho_prime must be > 0 (L beta2 rho too large)")
     bump_width = 1.0 / math.sqrt(rho_p)
 
-    def _initial_seeds(t):
+    def _breakpoints(t):
         seeds = [t + bump_width * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])]
         wavenumber = 2.0 * t * abs(k)
         # where the interference envelope exp(-rho'(t^2+sigma^2)/2) still matters
@@ -286,31 +254,20 @@ def windowed_rate_numeric(
         if wavenumber > 0.0 and cross_exponent < 50.0:
             sigma_cut = math.sqrt(2.0 * (50.0 - cross_exponent) / rho_p)
             half_span = min(window_t, sigma_cut)
-            # ~6.1 nodes per oscillation period; non-integer to avoid resonance
-            step = 2.0 * math.pi / (wavenumber * 6.1)
+            # ~1.1 panels per oscillation period; non-integer to avoid resonance
+            step = 2.0 * math.pi / (wavenumber * 1.1)
             count = int(min(half_span / step, 1e5))
             if count > 1:
                 seeds.append(np.linspace(0.0, half_span, count))
-        return np.concatenate(seeds)
+        seeds = np.concatenate(seeds)
+        inside = seeds[(0.0 < seeds) & (seeds < window_t)]
+        return np.unique(np.concatenate([np.linspace(0.0, window_t, 65), inside]))
 
     def one(t):
-        def integrand(sigma):
-            return _folded_rate(t, sigma, eta, rho_p, k)
-
-        if spec.method is QuadratureMethod.ADAPTIVE_SIMPSON:
-            value, _ = _adaptive_simpson(
-                integrand,
-                0.0,
-                window_t,
-                spec.abs_tol,
-                spec.rel_tol,
-                spec.max_subdivisions,
-                seeds=_initial_seeds(t),
-            )
-        else:
-            value, _ = _fixed_simpson(
-                integrand, 0.0, window_t, spec.abs_tol, spec.rel_tol, spec.max_subdivisions
-            )
+        value, _ = _gauss_kronrod(
+            lambda sigma: _folded_rate(t, sigma, eta, rho_p, k),
+            _breakpoints(t), spec.abs_tol, spec.rel_tol, spec.max_subdivisions,
+        )
         return value
 
     distinct, inverse = np.unique(np.abs(tau), return_inverse=True)

@@ -11,7 +11,6 @@ import pytest
 from disphom import (
     ChannelParams,
     QuadratureError,
-    QuadratureMethod,
     QuadratureSpec,
     beta_minus_time,
     broadened_rho,
@@ -22,7 +21,7 @@ from disphom import (
     sinc_gaussian_check,
     windowed_rate_numeric,
 )
-from disphom.oracle import _adaptive_simpson, _chirp_wavenumber, _folded_rate
+from disphom.oracle import _chirp_wavenumber, _folded_rate, _gauss_kronrod
 from conftest import BETA2_REF, RHO_REF
 
 
@@ -154,17 +153,17 @@ def test_folded_rate_matches_mirrored_sum():
 
 
 def _unfolded_reference(tau, window_t, eta, length):
-    # adaptive Simpson of c(tau, s) over [-T, T] from a dense uniform start
+    # adaptive G7-K15 of c(tau, s) over [-T, T] from a dense uniform start
     # (~100 nodes per chirp period at tau = 1.4 T, L = 5 km) plus both bumps
     rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
     width = 1.0 / math.sqrt(rho_p)
-    seeds = np.concatenate([
+    breakpoints = np.concatenate([
         np.linspace(-window_t, window_t, 2**16 + 1),
         *(c + width * np.linspace(-4.0, 4.0, 33) for c in (-tau, tau)),
     ])
-    value, _ = _adaptive_simpson(
+    value, _ = _gauss_kronrod(
         lambda s: differential_rate(tau, s, eta, RHO_REF, length, BETA2_REF),
-        -window_t, window_t, 1e-14, 1e-10, 24, seeds=seeds,
+        np.unique(np.clip(breakpoints, -window_t, window_t)), 1e-14, 1e-10, 24,
     )
     return value
 
@@ -251,13 +250,27 @@ def test_windowed_nonconvergence_reports_estimate():
     assert err.value.error_bound > 0
 
 
-def test_fixed_simpson_agrees_with_adaptive():
-    spec = QuadratureSpec(
-        method=QuadratureMethod.FIXED_SIMPSON, rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=14
+def test_windowed_converges_at_nonconvergence_tolerances():
+    # the tolerances above are reachable: only the level limit makes that test raise
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
+    value = windowed_rate_numeric(37.0, 400.0, 0.5, RHO_REF, 0.0, BETA2_REF, spec)
+    closed = coincidence_curve(np.array([37.0]), RHO_REF, RHO_REF, eta_prime(0.5), 400.0)
+    assert closed.values[0] == pytest.approx(0.5, abs=1e-15)
+    assert abs(value - closed.values[0]) <= 1e-12
+
+
+def test_gauss_kronrod_exact_integrals():
+    # K15 is exact to degree 22: one panel, no bisection, every panel accepted
+    poly = np.polynomial.Polynomial(np.random.default_rng(5).standard_normal(23))
+    exact = poly.integ()(1.0) - poly.integ()(-1.0)
+    value, _ = _gauss_kronrod(poly, np.array([-1.0, 1.0]), math.inf, 1e-14, 0)
+    assert abs(value - exact) <= 1e-14 * abs(exact)
+    value, _ = _gauss_kronrod(
+        lambda x: np.exp(-x * x), np.array([0.0, 1.0, 2.0, 3.0]), 1e-15, 1e-14, 24
     )
-    fixed = windowed_rate_numeric(25.0, 300.0, 0.5, RHO_REF, 10.0, BETA2_REF, spec)
-    adaptive = windowed_rate_numeric(25.0, 300.0, 0.5, RHO_REF, 10.0, BETA2_REF)
-    assert fixed == pytest.approx(adaptive, rel=1e-7)
+    assert abs(value - 0.5 * math.sqrt(math.pi) * math.erf(3.0)) <= 1e-13
+    value, _ = _gauss_kronrod(np.cos, np.linspace(0.0, 100.0, 17), 1e-15, 1e-14, 24)
+    assert abs(value - math.sin(100.0)) <= 1e-13
 
 
 def test_quadrature_spec_validation():
