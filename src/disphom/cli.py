@@ -16,16 +16,19 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as dio
-from .fitting import Dataset, FitParams, lm_fit, profile_scale
+from .fitting import FitParams, lm_fit, profile_scale
 from .model import (
     ChannelParams,
+    Dataset,
     FilterConvention,
     FilterParams,
+    HomCurve,
     SourceParams,
     broadened_rho,
     check_epm,
@@ -68,8 +71,6 @@ def _model_inputs(args):
 
 
 def _write_curve(path, taus, values, window_ns, length_km, label):
-    from .model import HomCurve
-
     dataset = Dataset(
         curve=HomCurve(taus, values),
         window_half_width_ps=1000.0 * window_ns,
@@ -114,8 +115,6 @@ def _cmd_derive_source(args):
     filt = dio.from_json_fields(FilterParams, data, args.config, "filter")
     report = {}
     for convention in (FilterConvention.FIELD_LEVEL, FilterConvention.INTENSITY_LEVEL):
-        from dataclasses import replace
-
         derived = derive_spectral(source, replace(filt, convention=convention))
         report[convention.value] = {
             "gamma_signal_ps_per_mm": derived.gamma_signal,
@@ -131,7 +130,7 @@ def _cmd_derive_source(args):
     epm = check_epm(*(report["field"][k] for k in ("gamma_signal_ps_per_mm", "gamma_idler_ps_per_mm")))
     report["epm_mismatch"] = epm.mismatch
     report["epm_within_tolerance"] = epm.within_tolerance
-    Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    dio.write_json_object(args.out, report)
     print(f"wrote {args.out}")
     return 0
 
@@ -145,9 +144,7 @@ def _cmd_gen(args):
         dio.write_dataset(dataset, out_dir / f"ds_{dataset.label}.csv")
     echo = config.to_json_dict()
     echo[dio.DERIVED_RHO_KEY] = rho
-    (out_dir / "campaign.json").write_text(
-        json.dumps(echo, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    dio.write_json_object(out_dir / "campaign.json", echo)
     print(f"wrote {len(datasets)} datasets to {out_dir} (rho={rho:.6g} ps^-2)")
     return 0
 
@@ -165,7 +162,7 @@ def _cmd_fit(args):
     init = dio.from_json_fields(FitParams, start, args.init)
     result = lm_fit(datasets, init)
     report = _fit_report(result, datasets, paths)
-    Path(args.report).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    dio.write_json_object(args.report, report)
     status = "converged" if result.converged else "NOT converged"
     print(
         f"{status} after {result.iterations} iterations: "
@@ -241,7 +238,7 @@ def _cmd_fwhm(args):
         "left_crossing_ps": res.left_crossing_ps,
         "right_crossing_ps": res.right_crossing_ps,
     }
-    Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    dio.write_json_object(args.out, report)
     print(f"wrote {args.out}")
     return 0
 

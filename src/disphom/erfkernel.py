@@ -123,7 +123,7 @@ def _erf_series(z):
 
 
 def _erf_quadrant(x, y):
-    """erf(x+iy) for x > 0, y >= 0, |z| > 2, via 1 - exp(-z^2) w(iz)."""
+    """erf(x+iy) for x >= 0, y >= 0, |z| > 2, via 1 - exp(-z^2) w(iz)."""
     z = x + 1j * y
     return 1.0 - np.exp(-z * z) * _faddeeva_upper(1j * z)
 
@@ -174,14 +174,11 @@ def erf_complex(z):
     ax, ay = abs(x), abs(y)
     if ax * ax + ay * ay <= 4.0:
         base = complex(_erf_series(np.asarray(complex(ax, ay))))
-    elif x == 0.0:
-        # Purely imaginary argument: erf(iy) = i*erfi(y); force exact purity.
-        with np.errstate(under="ignore"):
-            val = 1.0 - math.exp(ay * ay) * complex(_faddeeva_upper(np.asarray(-ay + 0j)))
-        base = complex(0.0, -val.imag)
     else:
         with np.errstate(under="ignore"):
             base = complex(_erf_quadrant(np.asarray(ax), np.asarray(ay)))
+        if x == 0.0:  # erf(iy) = i*erfi(y) is purely imaginary
+            base = complex(0.0, base.imag)
     if x < 0.0:
         base = complex(-base.real, base.imag)
     if y < 0.0:

@@ -1,10 +1,10 @@
 """Global nonlinear least-squares fit of the windowed coincidence model.
 
-All datasets share the fiber dispersion beta2 and the spectral scale rho;
-each dataset gets its own splitter reflectivity eta_i and a profiled
-amplitude s_i, which makes the metric agnostic to the unknown pair rate.
-global_loss is the plain sum E = sum_i |s_i0 f_i - y_i|^2 with the closed
-form s_i0 = (f.y)/(f.f).
+All datasets (model.Dataset) share the fiber dispersion beta2 and the
+spectral scale rho; each gets its own splitter reflectivity eta_i and a
+profiled amplitude s_i, which makes the metric agnostic to the unknown pair
+rate.  global_loss is the plain sum E = sum_i |s_i0 f_i - y_i|^2 with the
+closed form s_i0 = (f.y)/(f.f), which profile_scale gives (unweighted).
 
 lm_fit minimizes a peak-normalized Poisson chi-square instead, by variable
 projection: the model is affine in eta' = (2 eta - 1)^2, so for given
@@ -33,29 +33,14 @@ import numpy as np
 
 from .model import (
     ChannelParams,
-    HomCurve,
+    Dataset,
     broadened_rho,
+    canonical_eta,
     coincidence_curve,
     coincidence_parts,
     coincidence_parts_derivatives,
     eta_prime,
 )
-
-
-@dataclass
-class Dataset:
-    """One measured or synthetic coincidence curve plus its configuration."""
-
-    curve: HomCurve
-    window_half_width_ps: float
-    fiber_length_km: float
-    label: str = ""
-
-    def __post_init__(self):
-        if not 0 < self.window_half_width_ps < math.inf:
-            raise ValueError("window_half_width_ps must be finite and > 0")
-        if not 0 <= self.fiber_length_km < math.inf:
-            raise ValueError("fiber_length_km must be finite and >= 0")
 
 
 @dataclass
@@ -102,22 +87,14 @@ class FitResult:
     model_passes: int
 
 
-def canonical_eta(eta: float) -> float:
-    """Fold eta onto the identifiable representative in [1/2, 1]."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1]")
-    return max(eta, 1.0 - eta)
-
-
-def profile_scale(model_values, data_values, weights=None) -> float:
-    """Closed-form amplitude minimizing sum w |s*f - y|^2 (w = 1 by default)."""
+def profile_scale(model_values, data_values) -> float:
+    """Closed-form amplitude minimizing sum |s*f - y|^2."""
     f = np.asarray(model_values, dtype=float)
     y = np.asarray(data_values, dtype=float)
-    wf = f if weights is None else np.asarray(weights, dtype=float) * f
-    denom = float(np.dot(wf, f))
+    denom = float(np.dot(f, f))
     if denom == 0.0:
         raise ValueError("scale undefined: model values are all zero")
-    return float(np.dot(wf, y)) / denom
+    return float(np.dot(f, y)) / denom
 
 
 def model_values(dataset: Dataset, beta2, rho, eta) -> np.ndarray:

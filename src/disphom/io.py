@@ -3,9 +3,11 @@
 Datasets are CSV files with the exact header ``tau_ps,counts`` (lines starting
 with ``#`` are comments) plus a ``<name>.meta.json`` sidecar carrying
 ``window_half_width_ns``, ``fiber_length_km`` and ``label``.  Counts may be
-non-integer (rates are allowed).  Every JSON input (sidecars, campaign and
-source configs, fit starts) is read by read_json_object, and dataclasses
-are built from it field by field by from_json_fields.  Synthetic campaigns
+non-integer (rates are allowed); model.HomCurve alone decides what a valid
+curve is.  Every JSON input (sidecars, campaign and source configs, fit
+starts) is read by read_json_object, and dataclasses are built from it field
+by field by from_json_fields; every JSON output is written by
+write_json_object.  Synthetic campaigns
 draw Poisson counts with numpy's sampler (Generator.poisson) on a
 counter-based Philox stream keyed by the campaign seed and the dataset
 index, so the output is fixed per seed for a given numpy version: identical
@@ -24,14 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import Dataset
 from .model import (
+    ChannelParams,
+    Dataset,
     FilterParams,
     HomCurve,
     SourceParams,
     broadened_rho,
-    ChannelParams,
     coincidence_curve,
+    derive_spectral,
     eta_prime,
 )
 
@@ -67,6 +70,11 @@ def read_json_object(path) -> dict:
     if not isinstance(data, dict):
         raise DatasetFormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
+
+
+def write_json_object(path, data) -> None:
+    """Write data as sorted, 2-space-indented UTF-8 JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _number(data, key, path) -> float:
@@ -123,26 +131,35 @@ def from_json_fields(cls, data: dict, path, key=None):
         raise DatasetFormatError(f"{path}: bad config ({exc})") from None
 
 
-def _malformed(cells):
-    """Why a data line's cells are not two numbers, or None if they are."""
-    if len(cells) != 2:
-        return "expected two columns"
-    try:
-        float(cells[0]), float(cells[1])
-    except ValueError:
-        return "non-numeric value"
+def _first_bad_line(cells):
+    """(index, reason) of the first bad data line, or None; each line is checked
+    in the order two columns, numeric, finite, increasing tau, nonnegative counts."""
+    previous_tau = -math.inf
+    for k, row in enumerate(cells):
+        if len(row) != 2:
+            return k, "expected two columns"
+        try:
+            tau, count = float(row[0]), float(row[1])
+        except ValueError:
+            return k, "non-numeric value"
+        if not (math.isfinite(tau) and math.isfinite(count)):
+            return k, "non-finite value"
+        if not tau > previous_tau:
+            return k, "tau_ps not strictly increasing"
+        if count < 0:
+            return k, "negative counts"
+        previous_tau = tau
     return None
 
 
 def read_dataset(path) -> Dataset:
     """Parse a dataset CSV and its metadata sidecar.
 
-    Errors name the offending line or key: wrong header, non-monotone tau,
-    negative counts, unparsable numbers, missing sidecar keys.  The text is
-    split and converted once, and the value checks run on whole columns;
-    the line reported is the first bad one, and on it the first failed
-    check in the order two columns, numeric, finite, increasing tau,
-    nonnegative counts.
+    Every error is a DatasetFormatError naming the file and the offending
+    line or key: wrong header, unparsable or non-finite numbers, non-monotone
+    tau, negative counts, missing sidecar keys.  The data lines are converted
+    in one call and built into a HomCurve; only when either step fails does
+    _first_bad_line walk the lines to name the first bad one.
     """
     path = Path(path)
     lines = [
@@ -161,25 +178,14 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{path}: no data lines")
     cells = [line.split(",") for _, line in lines]
     try:
-        # every line two numbers, the usual case: one conversion
         values = np.array(cells, dtype=float).reshape(len(cells), 2)
-        parsed = len(cells)
-    except ValueError:
-        parsed = next(k for k, row in enumerate(cells) if _malformed(row))
-        values = np.array(cells[:parsed], dtype=float).reshape(parsed, 2)
-    taus, counts = np.ascontiguousarray(values.T)
-    failed = np.stack([
-        ~(np.isfinite(taus) & np.isfinite(counts)),
-        np.concatenate(([False], taus[1:] <= taus[:-1])),
-        counts < 0,
-    ])
-    messages = ["non-finite value", "tau_ps not strictly increasing", "negative counts"]
-    bad = failed.any(axis=0)
-    if bad.any():
-        k = int(bad.argmax())
-        raise DatasetFormatError(f"{path}:{lines[k][0]}: {messages[int(failed[:, k].argmax())]}")
-    if parsed < len(cells):
-        raise DatasetFormatError(f"{path}:{lines[parsed][0]}: {_malformed(cells[parsed])}")
+        curve = HomCurve(*np.ascontiguousarray(values.T))
+    except ValueError as exc:
+        bad = _first_bad_line(cells)
+        if bad is None:  # numpy refused what float() accepts
+            raise DatasetFormatError(f"{path}: unreadable data ({exc})") from None
+        k, reason = bad
+        raise DatasetFormatError(f"{path}:{lines[k][0]}: {reason}") from None
 
     meta_path = _meta_path(path)
     if not meta_path.exists():
@@ -188,7 +194,6 @@ def read_dataset(path) -> Dataset:
     for key in ("window_half_width_ns", "fiber_length_km", "label"):
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key '{key}'")
-    curve = HomCurve(taus, counts)
     window_ps = 1000.0 * _number(meta, "window_half_width_ns", meta_path)
     if not 0 < window_ps < math.inf:
         raise DatasetFormatError(f"{meta_path}: window_half_width_ns must be finite and > 0")
@@ -212,9 +217,7 @@ def write_dataset(dataset: Dataset, path) -> None:
         "fiber_length_km": dataset.fiber_length_km,
         "label": dataset.label,
     }
-    _meta_path(path).write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json_object(_meta_path(path), meta)
 
 
 def sha256_of(path) -> str:
@@ -241,13 +244,20 @@ DERIVED_RHO_KEY = "derived_rho_ps2_inv"
 """Key of the derived rho that gen adds to its echo of the campaign config."""
 
 
+def _label(window_ns, length_km) -> str:
+    """A campaign dataset's label, which also names its files."""
+    return f"T{window_ns:g}ns_L{length_km:g}km"
+
+
 @dataclass
 class CampaignConfig:
     """Synthetic measurement campaign over windows x fiber lengths.
 
     etas may be a single float (applied to every dataset) or one value per
     (window, length) pair in row-major order (windows outer).  A null tau
-    range means each dataset scans +-1.5 T on `tau_points` samples.
+    range means each dataset scans +-1.5 T on `tau_points` samples.  Each
+    dataset is labelled T<window>ns_L<length>km with its values in %g form,
+    and no two datasets may share a label, since it names their files.
     """
 
     source: SourceParams
@@ -296,6 +306,10 @@ class CampaignConfig:
         if not all(_finite(e) and 0 <= e <= 1 for e in self.etas):
             raise ValueError("etas must be numbers in [0, 1]")
         self.etas = [float(e) for e in self.etas]
+        labels = [_label(w, length) for w in self.windows_ns for length in self.fiber_lengths_km]
+        for k, label in enumerate(labels):
+            if label in labels[:k]:
+                raise ValueError(f"two datasets share the label {label!r}")
 
     @classmethod
     def from_json(cls, path) -> "CampaignConfig":
@@ -316,10 +330,9 @@ def generate_synthetic(config: CampaignConfig):
     The model curve is scaled so its maximum equals peak_counts, then each
     bin is drawn from a Poisson law with that mean by poisson_counts.  The
     Philox key mixes the campaign seed with the dataset index, so datasets
-    are independent but fixed per seed for a given numpy version.
+    are independent but fixed per seed for a given numpy version.  A model
+    curve that is zero on its whole tau grid is an error naming the dataset.
     """
-    from .model import derive_spectral
-
     rho = derive_spectral(config.source, config.filter).rho
     datasets = []
     index = 0
@@ -333,10 +346,13 @@ def generate_synthetic(config: CampaignConfig):
             eta = config.etas[index]
             rho_p = broadened_rho(rho, ChannelParams(length_km, config.beta2_ps2_per_km))
             curve = coincidence_curve(taus, rho, rho_p, eta_prime(eta), window_ps)
-            means = curve.values / curve.values.max() * config.peak_counts
+            label = _label(window_ns, length_km)
+            peak = curve.values.max()
+            if not peak > 0:
+                raise ValueError(f"dataset {label}: the model curve is zero on its whole tau grid")
+            means = curve.values / peak * config.peak_counts
             key = (config.seed * 0x9E3779B97F4A7C15 + index) % 2**64
             counts = poisson_counts(means, key)
-            label = f"T{window_ns:g}ns_L{length_km:g}km"
             datasets.append(
                 Dataset(
                     curve=HomCurve(taus, counts.astype(float)),

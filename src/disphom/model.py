@@ -169,6 +169,22 @@ class HomCurve:
         return self.tau_ps.size
 
 
+@dataclass
+class Dataset:
+    """One measured or synthetic coincidence curve plus its configuration."""
+
+    curve: HomCurve
+    window_half_width_ps: float
+    fiber_length_km: float
+    label: str = ""
+
+    def __post_init__(self):
+        if not 0 < self.window_half_width_ps < math.inf:
+            raise ValueError("window_half_width_ps must be finite and > 0")
+        if not 0 <= self.fiber_length_km < math.inf:
+            raise ValueError("fiber_length_km must be finite and >= 0")
+
+
 class EpmCheck(NamedTuple):
     mismatch: float
     within_tolerance: bool
@@ -267,15 +283,20 @@ def broadened_rho(rho: float, channel: ChannelParams) -> float:
     return rho / (1.0 + chirp * chirp)
 
 
+def canonical_eta(eta: float) -> float:
+    """Fold eta onto the identifiable representative in [1/2, 1]."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must be in [0, 1]")
+    return max(eta, 1.0 - eta)
+
+
 def eta_prime(eta: float) -> float:
     """Splitter visibility constant (2*eta - 1)^2, symmetric about 1/2.
 
-    eta is folded onto max(eta, 1 - eta) first, so eta and 1 - eta give the
-    same value bit for bit.
+    eta is folded by canonical_eta first, so eta and 1 - eta give the same
+    value bit for bit.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1]")
-    return (2.0 * max(eta, 1.0 - eta) - 1.0) ** 2
+    return (2.0 * canonical_eta(eta) - 1.0) ** 2
 
 
 def _window_and_dip(tau, rho, rho_prime, window_t):

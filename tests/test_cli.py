@@ -174,6 +174,26 @@ def test_gen_deterministic_bytes(tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("windows_ns", [[0.4, 0.4], [0.4, 0.4000001]], ids=["duplicate", "same-to-6-digits"])
+def test_gen_rejects_shared_labels_before_writing(tmp_path, capsys, windows_ns):
+    echo = small_campaign().to_json_dict()
+    echo["windows_ns"] = windows_ns
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(echo))
+    data_dir = tmp_path / "data"
+    assert run(["gen", "--config", str(path), "--out-dir", str(data_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "campaign.json" in err and "'T0.4ns_L1km'" in err
+    assert not data_dir.exists()
+
+
+def test_gen_zero_model_curve_names_dataset(tmp_path, capsys):
+    config = campaign_config(tmp_path, windows_ns=[0.4], fiber_lengths_km=[10.0],
+                             tau_min_ps=1e7, tau_max_ps=2e7)
+    assert run(["gen", "--config", str(config), "--out-dir", str(tmp_path / "data")]) == 2
+    assert "T0.4ns_L10km" in capsys.readouterr().err
+
+
 def test_fwhm_subcommand(tmp_path):
     curve = tmp_path / "dip.csv"
     rc = run(

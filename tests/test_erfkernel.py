@@ -55,6 +55,15 @@ def test_erf_imaginary_unit():
     assert value.imag == pytest.approx(1.6504257587975429, rel=1e-13)
 
 
+@pytest.mark.parametrize("y", [2.5, -2.5, 3.0, -3.0, 10.0, 20.0])
+def test_erf_imaginary_axis_beyond_series_disk(y):
+    # erf(iy) = i*erfi(y): the sign of the imaginary part follows y
+    value = erf_complex(complex(0.0, y))
+    want = mp.erf(mp.mpc(0, y))
+    assert value.real == 0.0
+    assert abs(value - complex(want)) <= 1e-13 * float(abs(want))
+
+
 def test_erf_against_series_oracle_disk():
     rng = np.random.default_rng(42)
     worst = 0.0

@@ -96,14 +96,6 @@ def test_profile_scale_matches_golden_section(rng):
         assert loss(s_closed) <= loss(s_searched) * (1.0 + 4.0 * eps)
 
 
-def test_profile_scale_weighted():
-    f = np.array([1.0, 2.0, 4.0])
-    y = np.array([1.0, 3.0, 2.0])
-    w = np.array([1.0, 0.5, 0.25])
-    assert profile_scale(f, y, w) == pytest.approx(np.dot(w * f, y) / np.dot(w * f, f), rel=1e-15)
-    assert profile_scale(f, y, np.ones(3)) == profile_scale(f, y)
-
-
 def test_profile_scale_all_zero_model():
     with pytest.raises(ValueError, match="scale undefined"):
         profile_scale(np.zeros(5), np.ones(5))

@@ -81,6 +81,37 @@ def test_negative_counts_names_line(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("data, line, reason", [
+    ("0,1\n1,2,3\n", 3, "expected two columns"),
+    ("0,1\n1,abc\n", 3, "non-numeric value"),
+    ("0,1\n1,nan\n", 3, "non-finite value"),
+    ("0,1\ninf,2\n", 3, "non-finite value"),
+    ("0,1\n1,1e400\n", 3, "non-finite value"),
+    ("0,1\n0,2\n", 3, "tau_ps not strictly increasing"),
+    ("0,1\n1,-2\n", 3, "negative counts"),
+    ("0,1\n# a comment\n1,-2\n", 4, "negative counts"),
+    ("0,1\n1,-2\n2,x\n", 3, "negative counts"),
+    ("0,1\n1,x\n2,-2\n", 3, "non-numeric value"),
+    ("0\n1,2\n", 2, "expected two columns"),
+    ("0,1,2,3\n1,2\n", 2, "expected two columns"),
+    ("0,\n1,2\n", 2, "non-numeric value"),
+    ("0x10,1\n1,2\n", 2, "non-numeric value"),
+], ids=[
+    "three-columns", "non-numeric", "nan", "inf", "overflow", "repeated-tau",
+    "negative", "comment-counted", "bad-value-before-malformed",
+    "malformed-before-bad-value", "first-one-column", "first-four-columns",
+    "first-empty-cell", "first-hex",
+])
+def test_bad_data_line_names_file_line_and_reason(tmp_path, data, line, reason):
+    path = tmp_path / "lines.csv"
+    path.write_text("tau_ps,counts\n" + data)
+    (tmp_path / "lines.meta.json").write_text(
+        json.dumps({"window_half_width_ns": 0.4, "fiber_length_km": 1.0, "label": "x"})
+    )
+    with pytest.raises(DatasetFormatError, match=rf"lines\.csv:{line}: {reason}$"):
+        read_dataset(path)
+
+
 def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("tau,counts\n0.0,1\n")
