@@ -138,7 +138,10 @@ def _cmd_derive_source(args):
 def _cmd_gen(args):
     config = dio.CampaignConfig.from_json(args.config)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise dio.DatasetFormatError(f"{out_dir}: cannot write ({exc.strerror})") from None
     datasets, rho = dio.generate_synthetic(config)
     for dataset in datasets:
         dio.write_dataset(dataset, out_dir / f"ds_{dataset.label}.csv")
@@ -230,7 +233,11 @@ def _fit_report(result, datasets, paths):
 
 
 def _cmd_fwhm(args):
-    res = extract_fwhm(dio.read_dataset(args.infile).curve)
+    curve = dio.read_dataset(args.infile).curve
+    try:
+        res = extract_fwhm(curve)
+    except ValueError as exc:
+        raise ValueError(f"{args.infile}: {exc}") from None
     report = {
         "fwhm_ps": res.fwhm_ps,
         "baseline": res.baseline,

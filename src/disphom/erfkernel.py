@@ -11,7 +11,9 @@ the closed upper half plane, so that the physically relevant combination
 
 stays finite and accurate for |y| up to 1e3 and beyond.
 
-Evaluation regions (calibrated against a 60-digit reference):
+On the real axis erf comes from the C library (math.erf), element by
+element; the code below serves only points off the real axis.  Evaluation
+regions there (calibrated against a 60-digit reference):
   * |z| <= 2          Maclaurin series of erf (cancellation growth <= e^4).
   * 2 < |zeta| < 12   Weideman rational approximation of w (N = 48 terms,
                       max relative error ~1e-15 on the upper half plane).
@@ -107,13 +109,7 @@ def _faddeeva_upper(zeta):
 
 
 def _erf_series(z):
-    """Maclaurin series of erf; only well conditioned for |z| <= 2.
-
-    z is a float or complex array.  Float input is summed in float64: on the
-    real axis that is the same arithmetic as the real part of the complex
-    sum, bit for bit.
-    """
-    z = np.asarray(z)
+    """Maclaurin series of erf for a complex array; well conditioned for |z| <= 2."""
     u = z * z
     p = np.full_like(u, _SERIES_COEFFS[0])
     for c in _SERIES_COEFFS[1:]:
@@ -129,24 +125,17 @@ def _erf_quadrant(x, y):
 
 
 def erf_real(x):
-    """Real-axis error function, array valued; shares the kernel's code paths.
+    """Real-axis error function: the C library's erf, element by element.
 
-    Used by the coincidence-rate formula for its window terms so that the
-    tau = 0 cancellation against scaled_dip_term(x, 0) is bit-exact.
+    An array gives a float array of the same shape; a scalar or 0-d array
+    gives a Python float.  The coincidence-rate formula takes its window
+    terms from here, and scaled_dip_term(x, 0) and erf_complex(x + 0j) call
+    this same function, so the tau = 0 cancellation between window and dip
+    is exact.
     """
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-    small = ax <= 2.0
-    if small.any():
-        out[small] = _erf_series(ax[small])
-    if (~small).any():
-        a = ax[~small]
-        with np.errstate(under="ignore"):
-            # w(i*a) is real and positive for real a; imaginary round-off discarded.
-            out[~small] = 1.0 - np.exp(-a * a) * _faddeeva_upper(1j * a).real
-    result = np.copysign(out, x) if out.ndim else math.copysign(float(out), float(x))
-    return result
+    out = np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 def erf_complex(z):

@@ -60,6 +60,14 @@ def _read_text(path) -> str:
         ) from None
 
 
+def _write_text(path, text) -> None:
+    """Write UTF-8 text to a file; errors name the file."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DatasetFormatError(f"{path}: cannot write ({exc.strerror})") from None
+
+
 def read_json_object(path) -> dict:
     """The JSON object in a file; errors name the file."""
     text = _read_text(path)
@@ -74,7 +82,7 @@ def read_json_object(path) -> dict:
 
 def write_json_object(path, data) -> None:
     """Write data as sorted, 2-space-indented UTF-8 JSON with a trailing newline."""
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _number(data, key, path) -> float:
@@ -211,7 +219,7 @@ def write_dataset(dataset: Dataset, path) -> None:
     for tau, value in zip(dataset.curve.tau_ps.tolist(), dataset.curve.values.tolist()):
         value_repr = repr(int(value)) if value.is_integer() else repr(value)
         lines.append(f"{tau!r},{value_repr}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
     meta = {
         "window_half_width_ns": dataset.window_half_width_ps / 1000.0,
         "fiber_length_km": dataset.fiber_length_km,

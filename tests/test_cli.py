@@ -210,6 +210,18 @@ def test_fwhm_subcommand(tmp_path):
     assert report["fwhm_ps"] == pytest.approx(0.617767300869324, rel=1e-3)
 
 
+def test_fwhm_without_dip_names_file(tmp_path, capsys):
+    # at L = 0 the dip is ~0.6 ps wide against a 6 ps grid step, and the
+    # counts are exactly 0 beyond |tau| ~ T: the minimum is the first sample
+    config = campaign_config(tmp_path, fiber_lengths_km=[0.0], windows_ns=[0.4])
+    data_dir = tmp_path / "data"
+    assert run(["gen", "--config", str(config), "--out-dir", str(data_dir)]) == 0
+    csv = data_dir / "ds_T0.4ns_L0km.csv"
+    assert run(["fwhm", "--in", str(csv), "--out", str(tmp_path / "w.json")]) == 2
+    err = capsys.readouterr().err
+    assert "ds_T0.4ns_L0km.csv: no dip found" in err
+
+
 def test_osc_period_subcommand(capsys):
     rc = run(
         ["osc-period", "--rho", "14.53", "--beta2", "21.39", "--length-km", "10",
@@ -273,6 +285,73 @@ def test_fit_reports_etas_held_at_bound(tmp_path):
     for name in held:
         assert report["datasets"][order.index(name) - 2]["eta"] == 0.5
         assert not any(report["covariance"][order.index(name)])
+
+
+def test_fit_report_at_zero_length(tmp_path):
+    # at L = 0, rho' = rho: no side lobes are predicted and no width is measured
+    config = campaign_config(tmp_path, seed=3, fiber_lengths_km=[0.0, 10.0], windows_ns=[0.4])
+    data_dir = tmp_path / "data"
+    assert run(["gen", "--config", str(config), "--out-dir", str(data_dir)]) == 0
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"beta2_ps2_per_km": BETA2_REF, "rho_ps2_inv": RHO_REF}))
+    report_path = tmp_path / "report.json"
+    assert run(["fit", "--data-dir", str(data_dir), "--init", str(init),
+                "--report", str(report_path)]) == 0
+    entries = {e["fiber_length_km"]: e for e in json.loads(report_path.read_text())["datasets"]}
+    assert entries[0.0]["predicted_oscillation_period_ps"] is None
+    assert entries[0.0]["fwhm_ps"] is None
+    assert entries[10.0]["predicted_oscillation_period_ps"] > 0
+    assert entries[10.0]["fwhm_ps"] > 0
+
+
+def _simulate_into_missing_dir(tmp_path):
+    out = str(tmp_path / "missing" / "sim.csv")
+    return ["simulate", "--rho", "14.53", "--beta2", "21.39", "--length-km", "10",
+            "--window-ns", "0.4", "--tau-min-ps", "-600", "--tau-max-ps", "600",
+            "--out", out], out
+
+
+def _fwhm_into_missing_dir(tmp_path):
+    curve = tmp_path / "dip.csv"
+    assert run(["simulate", "--rho", "14.53", "--beta2", "0", "--length-km", "0",
+                "--window-ns", "5", "--tau-min-ps", "-5", "--tau-max-ps", "5",
+                "--points", "2001", "--out", str(curve)]) == 0
+    out = str(tmp_path / "missing" / "fwhm.json")
+    return ["fwhm", "--in", str(curve), "--out", out], out
+
+
+def _derive_source_into_missing_dir(tmp_path):
+    out = str(tmp_path / "missing" / "source.json")
+    return ["derive-source", "--config", str(source_config(tmp_path)), "--out", out], out
+
+
+def _fit_report_into_missing_dir(tmp_path):
+    config = campaign_config(tmp_path, seed=8, windows_ns=[0.4], fiber_lengths_km=[10.0])
+    data_dir = tmp_path / "data"
+    assert run(["gen", "--config", str(config), "--out-dir", str(data_dir)]) == 0
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"beta2_ps2_per_km": BETA2_REF, "rho_ps2_inv": RHO_REF}))
+    out = str(tmp_path / "missing" / "report.json")
+    return ["fit", "--data-dir", str(data_dir), "--init", str(init), "--report", out], out
+
+
+def _gen_into_existing_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    return ["gen", "--config", str(campaign_config(tmp_path)), "--out-dir", str(taken)], str(taken)
+
+
+@pytest.mark.parametrize("make_args", [
+    _simulate_into_missing_dir, _fwhm_into_missing_dir, _derive_source_into_missing_dir,
+    _fit_report_into_missing_dir, _gen_into_existing_file,
+], ids=["simulate", "fwhm", "derive-source", "fit-report", "gen-out-dir-is-file"])
+def test_unwritable_output_is_clean_error(tmp_path, capsys, make_args):
+    args, path = make_args(tmp_path)
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err and "cannot write" in err
+    assert "Traceback" not in err
 
 
 def _dataset_dir(tmp_path, meta=None):

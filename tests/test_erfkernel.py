@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from disphom import erf_complex, erf_real, scaled_dip_term
-from disphom.erfkernel import _erf_series
 
 mp.mp.dps = 60
 
@@ -157,10 +156,30 @@ def test_erf_real_matches_stdlib():
     assert err.max() <= 5e-15
 
 
-def test_erf_real_series_branch_is_complex_series_real_part():
-    # the |x| <= 2 branch sums the series in float64; on the real axis that
-    # is the real part of the complex sum, bit for bit
-    rng = np.random.default_rng(3)
-    x = np.concatenate([np.linspace(0.0, 2.0, 20001), rng.uniform(0.0, 2.0, 20000)])
-    assert np.array_equal(erf_real(x), _erf_series(x + 0j).real)
-    assert np.array_equal(erf_real(-x), -_erf_series(x + 0j).real)
+def test_erf_real_within_two_ulp_odd_and_saturating():
+    # the contract of the real-axis erf: accuracy against 40-digit mpmath,
+    # saturation, oddness, the scalar type and the complex entry point
+    rng = np.random.default_rng(2026)
+    x = np.concatenate([
+        rng.uniform(-6.0, 6.0, 4000),
+        np.linspace(1.99, 2.01, 1001),  # across |x| = 2
+        rng.uniform(0.0, 1e-3, 500),
+        np.geomspace(1e-300, 1e-3, 100),
+    ])
+    got = erf_real(x)
+    worst = 0.0
+    with mp.workdps(40):
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            want = mp.erf(mp.mpf(xi))
+            worst = max(worst, float(abs(mp.mpf(gi) - want)) / math.ulp(float(want)))
+    assert worst <= 2.0
+    for edge in (6.0, 10.0, 30.0, 1e300):
+        assert erf_real(edge) == 1.0
+        assert erf_real(-edge) == -1.0
+    assert np.array_equal(erf_real(-x), -got)
+    assert math.isnan(erf_real(math.nan))
+    assert type(erf_real(0.5)) is float
+    assert type(erf_real(np.float64(0.5))) is float
+    assert type(erf_real(np.array(0.5))) is float
+    for xi in x[::50].tolist():
+        assert erf_complex(complex(xi, 0.0)) == complex(erf_real(xi), 0.0)
