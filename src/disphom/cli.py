@@ -176,6 +176,11 @@ def _cmd_fit(args):
     return 0 if result.converged else 3
 
 
+def _json_number(value):
+    """value, or None (JSON null) where it is not finite: RFC 8259 has no inf or NaN."""
+    return value if math.isfinite(value) else None
+
+
 def _fit_report(result, datasets, paths):
     per_dataset = []
     for dataset, path, eta, scale, err in zip(
@@ -215,12 +220,12 @@ def _fit_report(result, datasets, paths):
         "iterations": result.iterations,
         "loss": result.loss,
         "beta2_ps2_per_km": result.params.beta2_ps2_per_km,
-        "beta2_sigma_ps2_per_km": result.beta2_sigma_ps2_per_km,
+        "beta2_sigma_ps2_per_km": _json_number(result.beta2_sigma_ps2_per_km),
         "rho_ps2_inv": result.params.rho_ps2_inv,
-        "rho_sigma_ps2_inv": result.rho_sigma_ps2_inv,
+        "rho_sigma_ps2_inv": _json_number(result.rho_sigma_ps2_inv),
         "covariance_order": result.covariance_order,
-        "covariance": result.covariance.tolist(),
-        "jtj_condition": result.jtj_condition,
+        "covariance": [[_json_number(v) for v in row] for row in result.covariance.tolist()],
+        "jtj_condition": _json_number(result.jtj_condition),
         "diagnostics": {
             "covariance_pseudo_inverse": result.pseudo_inverse_used,
             "etas_held_at_bound": [

@@ -66,23 +66,14 @@ _WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs(_WEIDEMAN_N)
 
 def _w_weideman(zeta):
     """Faddeeva w on the upper half plane, rational approximation (|zeta| < 12)."""
-    # 2 p(Z) / (L - i zeta)^2 + (1/sqrt(pi)) / (L - i zeta) for
-    # Z = (L + i zeta) / (L - i zeta), reusing buffers wherever that gives
-    # the same result bit for bit
+    # 2 p(Z) / (L - i zeta)^2 + (1/sqrt(pi)) / (L - i zeta) for Z = (L + i zeta) / (L - i zeta)
     izeta = 1j * zeta
     denom = _WEIDEMAN_L - izeta
-    big_z = np.add(_WEIDEMAN_L, izeta, out=izeta)
-    big_z /= denom
+    big_z = (_WEIDEMAN_L + izeta) / denom
     p = np.full_like(big_z, _WEIDEMAN_A[0])
     for a in _WEIDEMAN_A[1:]:
-        # not p *= Z: numpy takes another loop for an in-place complex
-        # product of a one-element array, which can differ in the last bit
-        p = p * big_z
-        p += a
-    p *= 2.0
-    p /= denom**2
-    p += np.divide(1.0 / _SQRT_PI, denom, out=denom)
-    return p
+        p = p * big_z + a
+    return 2.0 * p / denom**2 + (1.0 / _SQRT_PI) / denom
 
 
 def _w_cf(zeta):
@@ -113,8 +104,7 @@ def _erf_series(z):
     u = z * z
     p = np.full_like(u, _SERIES_COEFFS[0])
     for c in _SERIES_COEFFS[1:]:
-        p = p * u  # not in place, as in _w_weideman
-        p += c
+        p = p * u + c
     return _TWO_OVER_SQRT_PI * z * p
 
 
@@ -143,7 +133,10 @@ def erf_complex(z):
 
     Accuracy is ~1e-13 relative or better away from the (isolated) complex
     zeros of erf.  Satisfies erf(-z) = -erf(z) and erf(conj z) = conj(erf z)
-    exactly, by symmetry reduction to the first quadrant.
+    exactly: erf is evaluated at (|x|, |y|) in the first quadrant, and one
+    sign rule maps it back, the real part times sign(x) and the imaginary
+    part times sign(y).  So the real part is exactly 0 at x = 0, where
+    erf(iy) = i erfi(y).
 
     Raises OverflowError once |erf(z)| would exceed the double range
     (Im(z)^2 - Re(z)^2 > 708); callers that only need the damped combination
@@ -166,20 +159,17 @@ def erf_complex(z):
     else:
         with np.errstate(under="ignore"):
             base = complex(_erf_quadrant(np.asarray(ax), np.asarray(ay)))
-        if x == 0.0:  # erf(iy) = i*erfi(y) is purely imaginary
-            base = complex(0.0, base.imag)
-    if x < 0.0:
-        base = complex(-base.real, base.imag)
-    if y < 0.0:
-        base = base.conjugate()
-    return base
+    return complex(np.sign(x) * base.real, np.sign(y) * base.imag)
 
 
 def scaled_dip_term(x, y):
     """exp(-y^2) * Re[erf(x + i*y)], finite and accurate for any finite x, y.
 
     Broadcasts over array input.  Identities honoured exactly:
-    scaled_dip_term(x, 0) = erf(x) and scaled_dip_term(0, y) = 0.
+    scaled_dip_term(x, 0) = erf(x) and scaled_dip_term(0, y) = 0.  Re erf is
+    odd in x and even in y, so off the real axis the term is evaluated at
+    (|x|, |y|) and multiplied by sign(x); at x = 0 that gives a zero of
+    either sign.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -194,29 +184,23 @@ def scaled_dip_term(x, y):
     ax = np.abs(x_b)
     ay = np.abs(y_b)
     on_axis = y_b == 0.0
-    zero_x = x_b == 0.0
-    small = (ax * ax + ay * ay <= 4.0) & ~on_axis & ~zero_x
-    general = ~(on_axis | zero_x | small)
+    small = (ax * ax + ay * ay <= 4.0) & ~on_axis
+    general = ~(on_axis | small)
 
-    if zero_x.any():
-        out[zero_x] = 0.0
-    axis_only = on_axis & ~zero_x
-    if axis_only.any():
-        out[axis_only] = erf_real(x_b[axis_only])
+    if on_axis.any():
+        out[on_axis] = erf_real(x_b[on_axis])
     if small.any():
         with np.errstate(under="ignore"):
             val = _erf_series(ax[small] + 1j * ay[small]).real
-            out[small] = np.exp(-ay[small] ** 2) * val
-            out[small] *= np.where(np.signbit(x_b[small]), -1.0, 1.0)
+            out[small] = np.sign(x_b[small]) * np.exp(-ay[small] ** 2) * val
     if general.any():
         xs, ys = ax[general], ay[general]
         with np.errstate(under="ignore"):
             w = _faddeeva_upper(-ys + 1j * xs)
             phase = 2.0 * xs * ys
-            out[general] = np.exp(-ys * ys) - np.exp(-xs * xs) * (
+            out[general] = np.sign(x_b[general]) * (np.exp(-ys * ys) - np.exp(-xs * xs) * (
                 np.cos(phase) * w.real + np.sin(phase) * w.imag
-            )
-        out[general] *= np.where(np.signbit(x_b[general]), -1.0, 1.0)
+            ))
     if shape == ():
         return float(out[0])
     return out.reshape(shape)

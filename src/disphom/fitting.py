@@ -10,9 +10,10 @@ lm_fit minimizes a peak-normalized Poisson chi-square instead, by variable
 projection: the model is affine in eta' = (2 eta - 1)^2, so for given
 (beta2, rho) each dataset's (s_i, eta'_i) is a bounded 2x2 linear
 least-squares solve, and the Levenberg-Marquardt loop runs over
-x = (beta2/10, log rho) alone.  Its gradient and Newton matrix are exact,
-from model.coincidence_parts_derivatives, and it stops once a full Newton
-step would remove less than its tolerance of the loss.  lm_fit has no
+x = (beta2/10, log rho) alone.  The model sees beta2 only through its
+square, so |beta2| is reported.  The gradient and Newton matrix are exact,
+from model.coincidence_parts_derivatives, and the loop stops once a full
+Newton step would remove less than its tolerance of the loss.  lm_fit has no
 options: it reads beta2 and rho from its init, and its iteration limit,
 tolerance and damping are the module constants below.
 
@@ -45,10 +46,12 @@ from .model import (
 
 @dataclass
 class FitParams:
-    """Shared (beta2, rho) and per-dataset eta, canonicalized to eta >= 1/2.
+    """Shared (beta2, rho) and per-dataset eta, canonicalized to beta2 >= 0
+    and eta >= 1/2.
 
-    eta and 1 - eta are indistinguishable through the model (only
-    (2 eta - 1)^2 enters), so the upper representative is reported.
+    beta2 and -beta2 are indistinguishable through the model (only
+    (L beta2 rho)^2 enters), and so are eta and 1 - eta (only
+    (2 eta - 1)^2 enters), so |beta2| and the upper eta are stored.
     """
 
     beta2_ps2_per_km: float
@@ -60,6 +63,7 @@ class FitParams:
             raise ValueError("beta2_ps2_per_km must be finite")
         if not 0 < self.rho_ps2_inv < math.inf:
             raise ValueError("rho_ps2_inv must be finite and > 0")
+        self.beta2_ps2_per_km = abs(self.beta2_ps2_per_km)
         self.etas = [canonical_eta(e) for e in self.etas]
 
 
@@ -145,14 +149,23 @@ class _StackedPass:
         self._lengths, self._length_index = np.unique(lengths, return_inverse=True)
         self.passes = 0
 
-    def _rho_primes(self, beta2, rho):
-        return np.array([broadened_rho(rho, ChannelParams(length, beta2))
-                         for length in self._lengths])
+    def _chirp(self, beta2, rho):
+        """chi = L beta2 rho and g = 1 + chi^2 per distinct L: rho / g is broadened_rho."""
+        chi = self._lengths * beta2 * rho
+        return chi, 1.0 + chi * chi
 
     def parts(self, beta2, rho):
-        """(p, q) at the distinct points, shape (2, points): one model pass."""
+        """(p, q) at the distinct points, shape (2, points): one model pass.
+
+        None, and no pass, where some rho' = rho / g is not in (0, inf), as
+        for a rho of 0 or inf.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho_p = rho / self._chirp(beta2, rho)[1]
+        if not np.all((rho_p > 0) & (rho_p < math.inf)):
+            return None
         self.passes += 1
-        rho_ps = self._rho_primes(beta2, rho)[self._length_index]
+        rho_ps = rho_p[self._length_index]
         return np.array(coincidence_parts(self._taus, rho, rho_ps, self._windows))
 
     def expand(self, distinct):
@@ -171,9 +184,6 @@ class _StackedPass:
         """Per-dataset values at every point: shape (..., datasets) to (..., points)."""
         return np.repeat(values, self._sizes, axis=-1)
 
-    def __call__(self, beta2, rho):
-        return [tuple(block) for block in self.blocks(self.expand(self.parts(beta2, rho)))]
-
     def derivatives(self, beta2, rho, parts):
         """Derivatives of a pass's (p, q) in x = (beta2/10, log rho), at every point.
 
@@ -183,10 +193,9 @@ class _StackedPass:
         chain rule through rho = e^x1 and, for each fiber length L,
         rho' = rho / g with g = 1 + chi^2 and chi = 10 L x0 rho.
         """
-        rho_p = self._rho_primes(beta2, rho)
-        chi = self._lengths * beta2 * rho
+        chi, g = self._chirp(beta2, rho)
+        rho_p = rho / g
         slope = 10.0 * self._lengths * rho  # d chi / d x0; d chi / d x1 = chi
-        g = 1.0 + chi * chi
         # derivatives of log rho', then of rho' itself
         w_0 = -2.0 * slope * chi / g
         w_1 = (1.0 - chi * chi) / g
@@ -219,7 +228,10 @@ def global_loss(params: FitParams, datasets) -> tuple[float, list[np.ndarray]]:
     if len(params.etas) != len(datasets):
         raise ValueError("need one eta per dataset")
     layout = _StackedPass(datasets)
-    p, q = layout.expand(layout.parts(params.beta2_ps2_per_km, params.rho_ps2_inv))
+    parts = layout.parts(params.beta2_ps2_per_km, params.rho_ps2_inv)
+    if parts is None:
+        raise ValueError("rho' = rho / (1 + (L beta2 rho)^2) is not in (0, inf)")
+    p, q = layout.expand(parts)
     y = np.concatenate([ds.curve.values for ds in datasets])
     f = p + layout.at(np.array([eta_prime(eta) for eta in params.etas])) * q
     ff, fy = layout.sums(np.array([f * f, f * y]))
@@ -260,7 +272,7 @@ class _Solved(NamedTuple):
     """The objective at one x: its value, the residuals and what solved them."""
 
     loss: float
-    res: list  # unweighted residual blocks
+    res: np.ndarray  # unweighted residuals at every point
     scales: np.ndarray
     eta_ps: np.ndarray
     held: np.ndarray  # per dataset: eta' sits at a bound, 0 or 1, where the fit holds it
@@ -270,10 +282,11 @@ class _Solved(NamedTuple):
 class _Objective:
     """lm_fit's loss over x = (beta2/10, log rho), each dataset's s and eta' solved.
 
-    solve evaluates it with one model pass.  derivatives gives its exact
-    gradient and Hessian at a solved point, and covariance_jtj the J^T J of
-    the covariance, from that pass alone.  All of them work on all
-    datasets' points at once, in the model pass's stacked layout.
+    solve evaluates it with one model pass.  per_point takes a solved point
+    to the per-point model derivatives, from that pass alone; from those,
+    derivatives gives the exact gradient and Hessian, and covariance_jtj
+    the J^T J of the covariance.  All of them work on all datasets' points
+    at once, in the model pass's stacked layout.
 
     A dataset's model s (p + eta' q) = s f lies in the span of the basis
     (f, q), with the linear coefficients z = (s, 0) at the solution.  A
@@ -282,11 +295,10 @@ class _Objective:
 
     def __init__(self, datasets):
         self.model_pass = _StackedPass(datasets)
-        self.weights2 = [_poisson_weights(ds.curve.values) for ds in datasets]
-        self._w2 = np.concatenate(self.weights2)
+        self._w2 = np.concatenate([_poisson_weights(ds.curve.values) for ds in datasets])
         self._y = np.concatenate([ds.curve.values for ds in datasets])
 
-    def solve(self, x) -> _Solved:
+    def solve(self, x) -> _Solved | None:
         """The loss at x, with every dataset's s and eta' in [0, 1] minimizing it.
 
         The pair (s, s eta') enters linearly, so one set of sums gives every
@@ -294,10 +306,16 @@ class _Objective:
         solution is taken where s > 0 and its eta' lies in [0, 1]; elsewhere
         eta' sits at whichever bound, 0 or 1, fits better, each bound with
         its own profiled scale.  An eta' of exactly 0 or 1, however it was
-        reached, is held there.
+        reached, is held there.  None where x has no model: where rho = e^x1
+        or some rho' is not in (0, inf).
         """
         layout = self.model_pass
-        parts = layout.parts(10.0 * x[0], math.exp(x[1]))
+        try:
+            parts = layout.parts(10.0 * x[0], math.exp(x[1]))
+        except OverflowError:  # e^x1 is past the double range
+            return None
+        if parts is None:
+            return None
         p, q = layout.expand(parts)
         y, w2 = self._y, self._w2
         wp, wq = w2 * p, w2 * q
@@ -319,8 +337,7 @@ class _Objective:
             s = np.where(interior, s, np.choose(upper, bound_s))
             eta_p[upper] = 1.0
         r = layout.at(s) * (p + layout.at(eta_p) * q) - y
-        return _Solved(float(np.dot(w2 * r, r)), layout.blocks(r), s, eta_p,
-                       np.isin(eta_p, (0.0, 1.0)), parts)
+        return _Solved(float(np.dot(w2 * r, r)), r, s, eta_p, np.isin(eta_p, (0.0, 1.0)), parts)
 
     def _projection(self, basis, d_basis, r, s):
         """Jacobian of the projected residuals, and the terms of their curvature.
@@ -347,18 +364,18 @@ class _Objective:
         dz = -np.moveaxis(np.linalg.solve(gram, np.moveaxis(rhs, -1, 0)), 0, -1)
         return fixed + np.einsum("kmn,kn->mn", layout.at(dz), basis), dz, cross
 
-    def _per_point(self, x, solved):
+    def per_point(self, x, solved):
         """Every point's f = p + eta' q, q, the derivatives of f (5 rows) and of
-        q (first 2), s and residual."""
+        q (first 2), s and residual: what derivatives and covariance_jtj read."""
         layout = self.model_pass
         p, q = layout.expand(solved.parts)
         d_pq = layout.derivatives(10.0 * x[0], math.exp(x[1]), solved.parts)
         s, eta_p = layout.at(np.array([solved.scales, solved.eta_ps]))
         d_f = d_pq[:, 0] + eta_p * d_pq[:, 1]
         # a copy, so that the (5, 2, points) d_pq is freed on return
-        return p + eta_p * q, q, d_f, d_pq[:2, 1].copy(), s, np.concatenate(solved.res)
+        return p + eta_p * q, q, d_f, d_pq[:2, 1].copy(), s, solved.res
 
-    def derivatives(self, x, solved: _Solved):
+    def derivatives(self, point, solved: _Solved):
         """J^T r and N, half the loss's gradient and Hessian, and J^T J.
 
         J is the Jacobian of the weighted projected residuals.  Per dataset,
@@ -366,7 +383,7 @@ class _Objective:
         residuals' curvature at fixed z, plus the terms through which z
         moves with x.
         """
-        f, q, d_f, d_q, s, r = self._per_point(x, solved)
+        f, q, d_f, d_q, s, r = point
         q_in_basis = self.model_pass.at(~solved.held)
         jac, dz, cross = self._projection(
             np.array([f, q_in_basis * q]), np.array([d_f[:2], q_in_basis * d_q]), r, s)
@@ -377,7 +394,7 @@ class _Objective:
         newton = jtj + mixed + mixed.T + np.array([curv[:2], curv[1:]])
         return jac @ wr, jtj, newton
 
-    def covariance_jtj(self, x, solved: _Solved):
+    def covariance_jtj(self, point, solved: _Solved):
         """J^T J of the weighted residuals in (x, eta'_i of each free dataset).
 
         Each eta' is held and only the scales are profiled, so the basis is
@@ -386,7 +403,7 @@ class _Objective:
         column against the shared rows of its own dataset, and the eta'
         diagonal.
         """
-        f, q, d_f, _, s, r = self._per_point(x, solved)
+        f, q, d_f, _, s, r = point
         jac = self._projection(f[None], np.array([[d_f[0], d_f[1], q]]), r, s)[0]
         blocks = self.model_pass.sums(self._w2 * jac[:, None] * jac)
         free = ~solved.held
@@ -440,17 +457,27 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     no trial step can lower the loss, and rejected trials would only grow
     lam.  An accepted step whose relative loss decrease is below 1e-10
     converges too.  After 200 iterations, or once lam passes 1e14, a
-    non-converged result is returned, never an exception.
+    non-converged result is returned, never an exception.  A trial x at
+    which the model does not exist, where rho = e^x1 or some rho' is not in
+    (0, inf), is rejected like a trial that raises the loss.
 
-    FitResult.loss is the weighted objective.  The covariance of (beta2,
-    rho, eta_1..eta_D) is (J^T J)^-1 * loss / (n - p), from the exact
-    Jacobian of the weighted residuals with each eta' held and only the
-    scales profiled, from the final pass's (p, q); J^T J is summed block by
-    block, never forming the n x (2 + D) Jacobian.  A dataset whose eta'
-    sits at a bound is held there: it is listed in etas_held_at_bound, its
-    eta row and column of the covariance are 0, and the rest is inverted
-    without it.  Only a singular remainder (an unidentifiable beta2 at
-    L = 0, say) falls back to the pseudo-inverse, which is flagged.
+    The model sees beta2 only through (L beta2 rho)^2, so the loop may end
+    at x0 < 0; FitParams stores |beta2|, and the covariance's beta2 row
+    takes the sign of x0.  FitResult.loss is the weighted objective.  The
+    covariance of (|beta2|, rho, eta_1..eta_D) is (J^T J)^-1 * loss / (n - p),
+    from the exact Jacobian of the weighted residuals with each eta' held
+    and only the scales profiled.  It reuses the final pass's (p, q) and the
+    per-point derivatives of the Newton check that ended the fit; those are
+    not held through the trials, so a fit that ends another way evaluates
+    them once more.  J^T J is summed block by block, never forming the
+    n x (2 + D) Jacobian.  p counts beta2, rho, and each dataset's eta and
+    scale; a dataset whose counts are all 0 brings neither points nor
+    parameters.  A dataset whose eta' sits at a bound is held there: it is
+    listed in etas_held_at_bound, its eta row and column of the covariance
+    are 0, and the rest is inverted without it.  Only a singular remainder
+    (an unidentifiable beta2 at L = 0, say) falls back to the
+    pseudo-inverse, which is flagged; a parameter whose J^T J column is all
+    zero, as that beta2's is, gets an infinite variance.
     rmsre_per_dataset is computed on the unweighted residuals.
     """
     datasets = list(datasets)
@@ -464,13 +491,16 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     objective = _Objective(datasets)
     x = np.array([init.beta2_ps2_per_km / 10.0, math.log(init.rho_ps2_inv)])
     state = objective.solve(x)
+    if state is None:
+        raise ValueError("init: rho' = rho / (1 + (L beta2 rho)^2) is not in (0, inf)")
     loss = state.loss
     lam = _DAMPING_INIT
     converged = False
     iterations = 0
 
     while iterations < _MAX_ITERATIONS:
-        grad, jtj, newton = objective.derivatives(x, state)
+        point = objective.per_point(x, state)
+        grad, jtj, newton = objective.derivatives(point, state)
         try:  # g^T N^-1 g, the loss a full Newton step would remove
             half_step = np.linalg.solve(np.linalg.cholesky(newton), grad)
             if half_step @ half_step <= _LOSS_REL_TOL * loss:
@@ -478,6 +508,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
                 break
         except np.linalg.LinAlgError:
             pass  # N is not positive definite (at L = 0, say): the trials decide
+        point = None  # not held through the trials
         iterations += 1
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(), 1e-30)
@@ -492,16 +523,15 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
                 continue
             x_new = x + np.linalg.solve(damped, -grad)
             trial = objective.solve(x_new)
-            loss_new = trial.loss
-            if loss_new <= loss:
+            if trial is not None and trial.loss <= loss:
                 accepted = True
                 lam = max(lam / _DAMPING_FACTOR, 1e-14)
                 break
             lam *= _DAMPING_FACTOR
         if not accepted:
             break
-        rel_drop = (loss - loss_new) / max(loss, 1e-300)
-        x, loss, state = x_new, loss_new, trial
+        rel_drop = (loss - trial.loss) / max(loss, 1e-300)
+        x, loss, state = x_new, trial.loss, trial
         if rel_drop < _LOSS_REL_TOL:
             converged = True
             break
@@ -510,27 +540,33 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     etas = 0.5 + 0.5 * np.sqrt(state.eta_ps)  # canonical eta >= 1/2 with (2 eta - 1)^2 = eta'
     params = FitParams(beta2, rho, etas.tolist())
 
-    # Covariance in external units (beta2, rho, eta_1..eta_D): J^T J in x and
-    # each free eta', scaled by d x / d (beta2, rho) = (1/10, 1/rho) and
-    # d eta'/d eta = 4 (2 eta - 1).  An eta' held at a bound has no column
-    # (at eta' = 0 it would be zero).
+    # Covariance in external units (|beta2|, rho, eta_1..eta_D): J^T J in x
+    # and each free eta', scaled by d x / d (|beta2|, rho) = (sign(x0)/10,
+    # 1/rho) and d eta'/d eta = 4 (2 eta - 1).  An eta' held at a bound has
+    # no column (at eta' = 0 it would be zero).
     free = ~state.held
-    units = np.concatenate(([0.1, 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
-    jtj_ext = objective.covariance_jtj(x, state) * np.outer(units, units)
-    dof = max(n_points - n_params, 1)
-    variance = loss / dof
+    units = np.concatenate(([math.copysign(0.1, x[0]), 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
+    if point is None:  # the fit did not end at the Newton check
+        point = objective.per_point(x, state)
+    jtj_ext = objective.covariance_jtj(point, state) * np.outer(units, units)
+    # beta2, rho, and each dataset's eta and scale; an all-zero dataset
+    # brings neither points nor parameters
+    counted = [len(ds.curve) for ds in datasets if ds.curve.values.any()]
+    variance = loss / max(sum(counted) - 2 - 2 * len(counted), 1)
     cond = float(np.linalg.cond(jtj_ext))
     pseudo = not np.isfinite(cond) or cond > 1e12
     if pseudo:
         cov_free = np.linalg.pinv(jtj_ext, rcond=1e-12) * variance
     else:
         cov_free = np.linalg.inv(jtj_ext) * variance
+    unseen = np.flatnonzero(np.diag(jtj_ext) == 0)  # no data point moves with these
+    cov_free[unseen, unseen] = math.inf
     kept = np.concatenate(([0, 1], 2 + np.flatnonzero(free)))
     cov = np.zeros((n_params, n_params))
     cov[np.ix_(kept, kept)] = 0.5 * (cov_free + cov_free.T)
 
     rmsre_list = [rmsre(r, ds.curve.values) if (ds.curve.values > 0).any() else math.nan
-                  for r, ds in zip(state.res, datasets)]
+                  for r, ds in zip(objective.model_pass.blocks(state.res), datasets)]
     order = ["beta2_ps2_per_km", "rho_ps2_inv"] + [f"eta[{i}]" for i in range(len(datasets))]
     return FitResult(
         params=params,

@@ -86,15 +86,13 @@ def write_json_object(path, data) -> None:
 
 
 def _number(data, key, path) -> float:
-    """data[key] as a float; NaN and booleans are not numbers here, infinities are."""
+    """data[key] as a float.  Only a JSON number is one: not a string, not a
+    boolean and not NaN; infinities are."""
     value = data[key]
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if isinstance(value, bool) or math.isnan(number):
+    is_number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not is_number or math.isnan(value):
         raise DatasetFormatError(f"{path}: '{key}' must be a number, got {value!r}")
-    return number
+    return float(value)
 
 
 def _finite(value) -> bool:

@@ -299,22 +299,6 @@ def eta_prime(eta: float) -> float:
     return (2.0 * canonical_eta(eta) - 1.0) ** 2
 
 
-def _window_and_dip(tau, rho, rho_prime, window_t):
-    """The erf window sum, the Gaussian envelope and the damped dip term.
-
-    rho_prime and window_t may be per-point arrays broadcasting against tau;
-    every operation is element by element.
-    """
-    edge = np.sqrt(0.5 * rho_prime)
-    # the dip first: its kernel temporaries are the largest, and no other
-    # per-point result is held while they live
-    dip = scaled_dip_term(edge * window_t, np.sqrt(0.5 * (rho - rho_prime)) * tau)
-    window = erf_real(edge * (window_t + tau)) + erf_real(edge * (window_t - tau))
-    with np.errstate(under="ignore"):
-        envelope = np.exp(-0.5 * rho_prime * tau * tau)
-    return window, envelope, dip
-
-
 def _check_rate_params(rho, rho_prime, window_t):
     """Scalars or arrays; every element must satisfy each condition."""
     if not np.all(np.greater(rho_prime, 0)):
@@ -345,10 +329,15 @@ def coincidence_parts(tau_grid_ps, rho, rho_prime, window_half_width_ps):
     dataset.  The delays need not be increasing.
     """
     _check_rate_params(rho, rho_prime, window_half_width_ps)
-    grid = np.asarray(tau_grid_ps, dtype=float)
-    window, envelope, dip = _window_and_dip(grid, rho, rho_prime, window_half_width_ps)
-    a = 0.25 * window
-    b = 0.5 * envelope * dip
+    tau = np.asarray(tau_grid_ps, dtype=float)
+    window_t = window_half_width_ps
+    edge = np.sqrt(0.5 * rho_prime)
+    # the dip first: its kernel temporaries are the largest, and no other
+    # per-point result is held while they live
+    dip = scaled_dip_term(edge * window_t, np.sqrt(0.5 * (rho - rho_prime)) * tau)
+    a = 0.25 * (erf_real(edge * (window_t + tau)) + erf_real(edge * (window_t - tau)))
+    with np.errstate(under="ignore"):
+        b = 0.5 * np.exp(-0.5 * rho_prime * tau * tau) * dip
     return a - b, a + b
 
 

@@ -304,6 +304,25 @@ def test_fit_report_at_zero_length(tmp_path):
     assert entries[10.0]["fwhm_ps"] > 0
 
 
+def test_fit_report_is_strict_json_when_beta2_is_unidentifiable(tmp_path):
+    # at L = 0 alone no data point moves with beta2: its sigma is infinite,
+    # and the report writes that, like every non-finite number, as null
+    config = campaign_config(tmp_path, seed=3, fiber_lengths_km=[0.0], windows_ns=[0.4],
+                             tau_min_ps=-3.0, tau_max_ps=3.0, tau_points=301)
+    data_dir = tmp_path / "data"
+    assert run(["gen", "--config", str(config), "--out-dir", str(data_dir)]) == 0
+    report_path = tmp_path / "report.json"
+    assert run(["fit", "--data-dir", str(data_dir), "--report", str(report_path)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(report_path.read_text(), parse_constant=refuse)
+    assert report["beta2_sigma_ps2_per_km"] is None
+    assert report["jtj_condition"] is None
+    assert 0 < report["rho_sigma_ps2_inv"] < float("inf")
+
+
 def _simulate_into_missing_dir(tmp_path):
     out = str(tmp_path / "missing" / "sim.csv")
     return ["simulate", "--rho", "14.53", "--beta2", "21.39", "--length-km", "10",
@@ -439,11 +458,17 @@ def _gen_with(tmp_path, **fields):
         tmp, '{"window_half_width_ns": Infinity, "fiber_length_km": 10.0, "label": "x"}'),
      "window_half_width_ns"),
     (lambda tmp: _gen_with(tmp, peak_counts=1e19), "peak_counts"),
+    (lambda tmp: _gen_with(tmp, beta2_ps2_per_km="21.39"), "beta2_ps2_per_km"),
+    (lambda tmp: _fwhm_with_sidecar(
+        tmp, '{"window_half_width_ns": 0.4, "fiber_length_km": "10.0", "label": "x"}'),
+     "fiber_length_km"),
+    (lambda tmp: _fit_with_init(tmp, '{"rho_ps2_inv": "14.53"}'), "rho_ps2_inv"),
 ], ids=["init-list", "init-null-rho", "sidecar-number", "sidecar-null-window",
         "campaign-fractional-tau-points", "campaign-fractional-seed", "campaign-string-seed",
         "campaign-unknown-key", "sidecar-nan-length", "sidecar-infinite-length", "init-nan-beta2",
         "campaign-nan-length", "campaign-boolean-seed", "campaign-boolean-etas",
-        "campaign-boolean-eta-element", "sidecar-infinite-window", "campaign-huge-peak-counts"])
+        "campaign-boolean-eta-element", "sidecar-infinite-window", "campaign-huge-peak-counts",
+        "campaign-string-beta2", "sidecar-string-length", "init-string-rho"])
 def test_malformed_json_input_is_clean_error(tmp_path, capsys, make_args, key):
     args, name = make_args(tmp_path)
     assert run(args) == 2

@@ -21,7 +21,7 @@ from disphom import (
 )
 from disphom import fitting
 from disphom.io import poisson_counts
-from disphom.model import coincidence_parts
+from disphom.model import coincidence_parts, coincidence_parts_derivatives
 from conftest import BETA2_REF, RHO_REF, small_campaign
 
 
@@ -180,7 +180,8 @@ def kernel_points(monkeypatch, datasets, beta2=BETA2_REF, rho=RHO_REF):
         return coincidence_parts(taus, *args)
 
     monkeypatch.setattr(fitting, "coincidence_parts", counted)
-    parts = fitting._StackedPass(datasets)(beta2, rho)
+    layout = fitting._StackedPass(datasets)
+    parts = [tuple(block) for block in layout.blocks(layout.expand(layout.parts(beta2, rho)))]
     assert len(sizes) == 1
     return parts, sizes[0]
 
@@ -219,14 +220,13 @@ def test_objective_derivatives_match_differences():
     x = np.array([BETA2_REF * 1.01 / 10.0, math.log(RHO_REF * 0.99)])
     solved = objective.solve(x)
     assert solved.eta_ps[0] == 0.0 and 0.0 < min(solved.eta_ps[1:])
-    exact = objective.derivatives(x, solved)
+    exact = objective.derivatives(objective.per_point(x, solved), solved)
 
     def half_loss(x):
         return 0.5 * objective.solve(x).loss
 
     def weighted_residuals(x):
-        res = objective.solve(x).res
-        return np.concatenate([np.sqrt(w2) * r for w2, r in zip(objective.weights2, res)])
+        return np.sqrt(objective._w2) * objective.solve(x).res
 
     steps = 2.0 ** -np.arange(10, 19)
     errors = []
@@ -261,9 +261,11 @@ def test_solve_matches_dense_eta_scan():
     assert 0.0 < solved.eta_ps[0] < 1.0 and list(solved.eta_ps[1:]) == [0.0, 1.0]
     assert list(solved.held) == [False, True, True]
     scan = np.linspace(0.0, 1.0, 2001)
-    parts = fitting._StackedPass(sets)(BETA2_REF, RHO_REF)
-    for (p, q), ds, w2, r, s, eta_p in zip(parts, sets, objective.weights2, solved.res,
-                                           solved.scales, solved.eta_ps):
+    layout = objective.model_pass
+    parts = layout.blocks(layout.expand(layout.parts(BETA2_REF, RHO_REF)))
+    for (p, q), ds, w2, r, s, eta_p in zip(parts, sets, layout.blocks(objective._w2),
+                                           layout.blocks(solved.res), solved.scales,
+                                           solved.eta_ps):
         y = ds.curve.values
         f = p + scan[:, None] * q
         scales = (w2 * f) @ y / np.sum(w2 * f * f, axis=1)
@@ -303,6 +305,23 @@ def test_model_passes_counts_kernel_calls(monkeypatch):
         assert result.converged
         assert result.model_passes == len(calls)
         assert result.model_passes <= 1 + 2 * result.iterations
+
+
+def test_newton_check_derivatives_serve_the_covariance(monkeypatch):
+    # the per-point derivatives of the Newton check that ends a fit also give
+    # its covariance: one evaluation per iteration and one more, not two
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return coincidence_parts_derivatives(*args)
+
+    monkeypatch.setattr(fitting, "coincidence_parts_derivatives", counted)
+    for seed0, eta in ((100, 0.52), (700, 0.5)):
+        calls.clear()
+        result = lm_fit(standard_sets(seed0=seed0, eta=eta), FitParams(20.0, 13.0))
+        assert result.converged
+        assert len(calls) == result.iterations + 1
 
 
 # --- rmsre ----------------------------------------------------------------------
@@ -443,6 +462,39 @@ def test_lm_fit_l0_beta2_unidentifiable():
     assert result.params.rho_ps2_inv == pytest.approx(RHO_REF, rel=1e-6)
 
 
+@pytest.mark.parametrize("seed, beta2, rho", [(3, 3.0, 1.0), (3, 5.0, 10.0), (5, 0.2, 30.0)])
+def test_lm_fit_rejects_trial_steps_without_a_model(seed, beta2, rho):
+    # from these starts a trial step overflowed rho = e^x1 or rho' = rho / g
+    # and escaped as an exception; such a step is rejected like a loss rise
+    datasets, _ = generate_synthetic(small_campaign(seed=seed))
+    result = lm_fit(datasets, FitParams(beta2, rho))
+    assert isinstance(result, fitting.FitResult)
+    assert math.isfinite(result.loss)
+
+
+def test_lm_fit_all_zero_dataset_leaves_sigma():
+    # an all-zero dataset brings neither points nor parameters to the
+    # degrees of freedom, so the covariance does not shrink
+    datasets, _ = generate_synthetic(small_campaign(seed=3))
+    taus = datasets[0].curve.tau_ps
+    blank = Dataset(HomCurve(taus, np.zeros_like(taus)), 400.0, 10.0)
+    base = lm_fit(datasets, FitParams(BETA2_REF, RHO_REF))
+    padded = lm_fit(datasets + [blank], FitParams(BETA2_REF, RHO_REF))
+    assert padded.beta2_sigma_ps2_per_km == pytest.approx(base.beta2_sigma_ps2_per_km, rel=1e-12)
+    assert padded.rho_sigma_ps2_inv == pytest.approx(base.rho_sigma_ps2_inv, rel=1e-12)
+
+
+def test_lm_fit_folds_beta2_sign():
+    # the model sees beta2 only through (L beta2 rho)^2: both signs of the
+    # start give the same fit, reported at beta2 > 0
+    datasets, _ = generate_synthetic(small_campaign(seed=3))
+    plus = lm_fit(datasets, FitParams(20.0, 10.0))
+    minus = lm_fit(datasets, FitParams(-20.0, 10.0))
+    assert plus.params.beta2_ps2_per_km > 0
+    assert minus.params == plus.params
+    assert np.array_equal(minus.covariance, plus.covariance)
+
+
 def test_lm_fit_sigma_shrinks_with_replicas():
     small = [make_dataset(0.4, 10.0, seed=9000 + i) for i in range(4)]
     large = small + [make_dataset(0.4, 10.0, seed=9100 + i) for i in range(12)]
@@ -476,5 +528,6 @@ def test_lm_fit_input_validation():
 def test_fit_params_canonicalize():
     params = FitParams(BETA2_REF, RHO_REF, [0.3, 0.5, 0.9])
     assert params.etas == [0.7, 0.5, 0.9]
+    assert FitParams(-BETA2_REF, RHO_REF).beta2_ps2_per_km == BETA2_REF
     with pytest.raises(ValueError):
         FitParams(BETA2_REF, -1.0, [])
