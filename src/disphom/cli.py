@@ -161,8 +161,9 @@ def _cmd_fit(args):
         raise ValueError(f"{data_dir}: no .csv datasets found")
     datasets = [dio.read_dataset(p) for p in paths]
     given = {} if args.init is None else dio.read_json_object(args.init)
-    start = {key: given.get(key, value) for key, value in _DEFAULT_INIT.items()}
-    init = dio.from_json_fields(FitParams, start, args.init)
+    # the fit solves every eta: an eta or etas entry is accepted and not read
+    start = {key: value for key, value in given.items() if key not in ("eta", "etas")}
+    init = dio.from_json_fields(FitParams, {**_DEFAULT_INIT, **start}, args.init)
     result = lm_fit(datasets, init)
     report = _fit_report(result, datasets, paths)
     dio.write_json_object(args.report, report)
@@ -311,7 +312,8 @@ def build_parser():
         "--init",
         default=None,
         help="JSON object with the starting beta2_ps2_per_km and rho_ps2_inv "
-        "(defaults 20 and 10); etas are solved per dataset, so other keys are not used",
+        "(defaults 20 and 10); etas are solved per dataset, so an eta or etas key "
+        "is not read, and any other key is an error",
     )
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=_cmd_fit)

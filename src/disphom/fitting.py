@@ -4,7 +4,8 @@ All datasets (model.Dataset) share the fiber dispersion beta2 and the
 spectral scale rho; each gets its own splitter reflectivity eta_i and a
 profiled amplitude s_i, which makes the metric agnostic to the unknown pair
 rate.  global_loss is the plain sum E = sum_i |s_i0 f_i - y_i|^2 with the
-closed form s_i0 = (f.y)/(f.f), which profile_scale gives (unweighted).
+closed form s_i0 = (f.y)/(f.f), dataset by dataset: model_values gives f_i
+and profile_scale s_i0 (unweighted).
 
 lm_fit minimizes a peak-normalized Poisson chi-square instead, by variable
 projection: the model is affine in eta' = (2 eta - 1)^2, so for given
@@ -17,11 +18,10 @@ Newton step would remove less than its tolerance of the loss.  lm_fit has no
 options: it reads beta2 and rho from its init, and its iteration limit,
 tolerance and damping are the module constants below.
 
-Every model evaluation, in lm_fit and global_loss, is one stacked pass
-over all datasets (_StackedPass), and every per-dataset step of the fit
-(the 2x2 solves, the scales, the derivative and covariance sums) runs on
-that pass's stacked layout as whole-array operations, with no loop over
-datasets.
+Every model evaluation in lm_fit is one stacked pass over all datasets
+(_StackedPass), and every per-dataset step of the fit (the 2x2 solves, the
+scales, the derivative and covariance sums) runs on that pass's stacked
+layout as whole-array operations, with no loop over datasets.
 """
 
 from __future__ import annotations
@@ -122,10 +122,11 @@ class _StackedPass:
     grid cost nothing more.  The expanded (p, q) equal per-dataset calls
     bit for bit.  passes counts the coincidence_parts calls.
 
-    It is also the one owner of the stacked layout: all datasets' points
-    concatenated in order.  blocks splits a per-point array into datasets,
-    sums adds it up per dataset, and at gives per-dataset values at every
-    point, so the fit's per-dataset steps need no loop over datasets.
+    It is also the one owner of lm_fit's stacked layout: all datasets'
+    points concatenated in order.  blocks splits a per-point array into
+    datasets, sums adds it up per dataset, and at gives per-dataset values
+    at every point, so the fit's per-dataset steps need no loop over
+    datasets.
     """
 
     def __init__(self, datasets):
@@ -218,27 +219,19 @@ class _StackedPass:
 
 
 def global_loss(params: FitParams, datasets) -> tuple[float, list[np.ndarray]]:
-    """Total scale-agnostic loss E = sum_i sum_x |s_i0 f(x) - y_x|^2.
+    """Total scale-agnostic loss E = sum_i sum_x |s_i0 f_i(x) - y_x|^2.
 
-    f_i = p_i + eta'_i q_i is the model of lm_fit, from one stacked pass,
-    and every s_i0 comes from one set of per-dataset sums.
+    Per dataset, f_i is model_values at its eta_i and s_i0 is
+    profile_scale of f_i against the data.  Returns E and each dataset's
+    residuals s_i0 f_i - y.
     """
-    if len(datasets) == 0:
-        return 0.0, []
     if len(params.etas) != len(datasets):
         raise ValueError("need one eta per dataset")
-    layout = _StackedPass(datasets)
-    parts = layout.parts(params.beta2_ps2_per_km, params.rho_ps2_inv)
-    if parts is None:
-        raise ValueError("rho' = rho / (1 + (L beta2 rho)^2) is not in (0, inf)")
-    p, q = layout.expand(parts)
-    y = np.concatenate([ds.curve.values for ds in datasets])
-    f = p + layout.at(np.array([eta_prime(eta) for eta in params.etas])) * q
-    ff, fy = layout.sums(np.array([f * f, f * y]))
-    if not ff.all():
-        raise ValueError("scale undefined: model values are all zero")
-    r = layout.at(fy / ff) * f - y
-    return float(np.dot(r, r)), layout.blocks(r)
+    residuals = []
+    for ds, eta in zip(datasets, params.etas):
+        f = model_values(ds, params.beta2_ps2_per_km, params.rho_ps2_inv, eta)
+        residuals.append(profile_scale(f, ds.curve.values) * f - ds.curve.values)
+    return float(sum(np.dot(r, r) for r in residuals)), residuals
 
 
 def rmsre(residuals, data_values) -> float:
@@ -305,9 +298,12 @@ class _Objective:
         dataset's 2x2 weighted least-squares problem.  Its unconstrained
         solution is taken where s > 0 and its eta' lies in [0, 1]; elsewhere
         eta' sits at whichever bound, 0 or 1, fits better, each bound with
-        its own profiled scale.  An eta' of exactly 0 or 1, however it was
-        reached, is held there.  None where x has no model: where rho = e^x1
-        or some rho' is not in (0, inf).
+        its own profiled scale.  The same sums choose the bound: a bound's
+        model g = p + eta' q has the scale g.Wy / g.Wg, and y.Wy less its
+        loss is its moment g.Wy times that scale.  An eta' of exactly 0 or
+        1, however it was reached, is held there.  The residuals are formed
+        once, for the chosen solution.  None where x has no model: where
+        rho = e^x1 or some rho' is not in (0, inf).
         """
         layout = self.model_pass
         try:
@@ -327,13 +323,13 @@ class _Objective:
         interior = (s > 0) & (0 <= t) & (t <= s)
         eta_p = np.divide(t, s, out=np.zeros_like(s), where=interior)
         if not interior.all():
+            moments = np.array([py, py + qy])
             norms = np.array([pp, pp + 2.0 * pq + qq])
             if not norms.all():
                 raise ValueError("scale undefined: model values are all zero")
-            bound_s = np.array([py, py + qy]) / norms
-            r = layout.at(bound_s) * (p + np.array([[0.0], [1.0]]) * q) - y
-            loss_0, loss_1 = layout.sums(w2 * r * r)
-            upper = ~interior & (loss_1 < loss_0)
+            bound_s = moments / norms
+            # y.Wy less each bound's loss is its moment times its scale
+            upper = ~interior & (moments[1] * bound_s[1] > moments[0] * bound_s[0])
             s = np.where(interior, s, np.choose(upper, bound_s))
             eta_p[upper] = 1.0
         r = layout.at(s) * (p + layout.at(eta_p) * q) - y
@@ -433,8 +429,8 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     datasets; its (p, q), expanded to every point, equal per-dataset calls
     bit for bit.  That call is the only model pass: a fit makes one per
     trial point, and model_passes counts them.  All datasets' (s_i, eta'_i)
-    follow from one set of per-dataset sums (_Objective.solve), with one
-    more sweep over the points where an eta' must go to a bound.
+    follow from one set of per-dataset sums (_Objective.solve), and so do
+    the bound, 0 or 1, where an eta' must go to one.
 
     The derivatives are exact and cost no pass: the model's
     coincidence_parts_derivatives turns a pass's (p, q) into their first
@@ -472,7 +468,8 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     them once more.  J^T J is summed block by block, never forming the
     n x (2 + D) Jacobian.  p counts beta2, rho, and each dataset's eta and
     scale; a dataset whose counts are all 0 brings neither points nor
-    parameters.  A dataset whose eta' sits at a bound is held there: it is
+    parameters.  The same n and p make the input check: a fit needs
+    n >= p + 1.  A dataset whose eta' sits at a bound is held there: it is
     listed in etas_held_at_bound, its eta row and column of the covariance
     are 0, and the rest is inverted without it.  Only a singular remainder
     (an unidentifiable beta2 at L = 0, say) falls back to the
@@ -483,8 +480,11 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     datasets = list(datasets)
     if len(datasets) == 0:
         raise ValueError("need at least one dataset")
-    n_points = sum(len(ds.curve) for ds in datasets)
-    n_params = 2 + len(datasets)
+    # beta2, rho, and each dataset's eta and scale; an all-zero dataset
+    # brings neither points nor parameters
+    has_counts = [ds.curve.values.any() for ds in datasets]
+    n_points = sum(len(ds.curve) for ds, c in zip(datasets, has_counts) if c)
+    n_params = 2 + 2 * sum(has_counts)
     if n_points < n_params + 1:
         raise ValueError("need at least p + 1 data points for p parameters")
 
@@ -549,10 +549,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     if point is None:  # the fit did not end at the Newton check
         point = objective.per_point(x, state)
     jtj_ext = objective.covariance_jtj(point, state) * np.outer(units, units)
-    # beta2, rho, and each dataset's eta and scale; an all-zero dataset
-    # brings neither points nor parameters
-    counted = [len(ds.curve) for ds in datasets if ds.curve.values.any()]
-    variance = loss / max(sum(counted) - 2 - 2 * len(counted), 1)
+    variance = loss / (n_points - n_params)
     cond = float(np.linalg.cond(jtj_ext))
     pseudo = not np.isfinite(cond) or cond > 1e12
     if pseudo:
@@ -562,12 +559,12 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     unseen = np.flatnonzero(np.diag(jtj_ext) == 0)  # no data point moves with these
     cov_free[unseen, unseen] = math.inf
     kept = np.concatenate(([0, 1], 2 + np.flatnonzero(free)))
-    cov = np.zeros((n_params, n_params))
+    order = ["beta2_ps2_per_km", "rho_ps2_inv"] + [f"eta[{i}]" for i in range(len(datasets))]
+    cov = np.zeros((len(order), len(order)))
     cov[np.ix_(kept, kept)] = 0.5 * (cov_free + cov_free.T)
 
-    rmsre_list = [rmsre(r, ds.curve.values) if (ds.curve.values > 0).any() else math.nan
-                  for r, ds in zip(objective.model_pass.blocks(state.res), datasets)]
-    order = ["beta2_ps2_per_km", "rho_ps2_inv"] + [f"eta[{i}]" for i in range(len(datasets))]
+    rmsre_list = [rmsre(r, ds.curve.values) if counts else math.nan for r, ds, counts
+                  in zip(objective.model_pass.blocks(state.res), datasets, has_counts)]
     return FitResult(
         params=params,
         beta2_sigma_ps2_per_km=float(np.sqrt(max(cov[0, 0], 0.0))),

@@ -130,8 +130,8 @@ def test_global_loss_scale_invariant_value():
 
 
 def test_global_loss_sums_over_mixed_datasets():
-    # one stacked pass over unequal grids, windows, lengths (L = 0 among
-    # them) and etas gives each dataset's own loss
+    # over unequal grids, windows, lengths (L = 0 among them) and etas, the
+    # loss is the sum of each dataset's own loss, residuals and all
     sets = [
         make_dataset(0.4, 10.0, seed=11),
         make_dataset(0.8, 0.0, eta=0.6, points=57, seed=12),
@@ -517,12 +517,18 @@ def test_lm_fit_input_validation():
     with_etas = lm_fit(sets, FitParams(BETA2_REF, RHO_REF, [0.9]))
     assert with_etas.params == result.params and with_etas.loss == result.loss
     tiny = make_dataset(0.4, 10.0, points=5)
-    # 5 points but p + 1 = 4 needed -> fine; shrink below the limit
+    # one dataset brings p = 4 parameters (beta2, rho, its eta and its
+    # scale), so p + 1 = 5 points are needed; 3 are too few
     with pytest.raises(ValueError, match="p \\+ 1"):
         lm_fit(
             [Dataset(HomCurve(tiny.curve.tau_ps[:3], tiny.curve.values[:3]), 400.0, 10.0)],
             FitParams(20.0, 14.0, [0.501]),
         )
+    # two datasets of 3 points: 6 points for 6 parameters leave no degree
+    # of freedom for the covariance
+    pair = [make_dataset(0.4, 10.0, points=3), make_dataset(0.8, 20.0, points=3)]
+    with pytest.raises(ValueError, match="p \\+ 1"):
+        lm_fit(pair, FitParams(20.0, 14.0))
 
 
 def test_fit_params_canonicalize():
