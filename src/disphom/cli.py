@@ -116,7 +116,7 @@ def _cmd_derive_source(args):
     report = {}
     for convention in (FilterConvention.FIELD_LEVEL, FilterConvention.INTENSITY_LEVEL):
         derived = derive_spectral(source, replace(filt, convention=convention))
-        report[convention.value] = {
+        values = {
             "gamma_signal_ps_per_mm": derived.gamma_signal,
             "gamma_idler_ps_per_mm": derived.gamma_idler,
             "gamma_tilde_signal": derived.gamma_tilde_signal,
@@ -127,6 +127,8 @@ def _cmd_derive_source(args):
             "s_ps2_inv": derived.s,
             "rho_ps2_inv": derived.rho,
         }
+        # at the EPM limit sigma_pm and the gamma_tilde are infinite: JSON has no inf
+        report[convention.value] = {key: _json_number(value) for key, value in values.items()}
     epm = check_epm(*(report["field"][k] for k in ("gamma_signal_ps_per_mm", "gamma_idler_ps_per_mm")))
     report["epm_mismatch"] = epm.mismatch
     report["epm_within_tolerance"] = epm.within_tolerance

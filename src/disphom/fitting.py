@@ -18,10 +18,17 @@ Newton step would remove less than its tolerance of the loss.  lm_fit has no
 options: it reads beta2 and rho from its init, and its iteration limit,
 tolerance and damping are the module constants below.
 
+One Jacobian serves both the step and the covariance.  _Objective.blocks
+gives each dataset's J^T r, J^T J and half-Hessian in (x0, x1, eta'), with
+only its scale projected out.  For the step, _eliminate takes each free
+eta' out of its dataset's blocks by a Schur complement and sums the
+datasets; for the covariance, the blocks' J^T J is the arrowhead over x and
+the free eta'.
+
 Every model evaluation in lm_fit is one stacked pass over all datasets
 (_StackedPass), and every per-dataset step of the fit (the 2x2 solves, the
-scales, the derivative and covariance sums) runs on that pass's stacked
-layout as whole-array operations, with no loop over datasets.
+scales, the derivative blocks) runs on that pass's stacked layout as
+whole-array operations, with no loop over datasets.
 """
 
 from __future__ import annotations
@@ -275,15 +282,11 @@ class _Solved(NamedTuple):
 class _Objective:
     """lm_fit's loss over x = (beta2/10, log rho), each dataset's s and eta' solved.
 
-    solve evaluates it with one model pass.  per_point takes a solved point
-    to the per-point model derivatives, from that pass alone; from those,
-    derivatives gives the exact gradient and Hessian, and covariance_jtj
-    the J^T J of the covariance.  All of them work on all datasets' points
-    at once, in the model pass's stacked layout.
-
-    A dataset's model s (p + eta' q) = s f lies in the span of the basis
-    (f, q), with the linear coefficients z = (s, 0) at the solution.  A
-    dataset whose eta' is held at a bound, 0 or 1, has the basis f alone.
+    solve evaluates it with one model pass.  blocks takes a solved point to
+    each dataset's derivative sums in theta = (x0, x1, eta'), from that pass
+    alone, with only the scale s projected out.  Both work on all datasets'
+    points at once, in the model pass's stacked layout; _eliminate then
+    takes each free eta' out of the blocks.
     """
 
     def __init__(self, datasets):
@@ -335,81 +338,54 @@ class _Objective:
         r = layout.at(s) * (p + layout.at(eta_p) * q) - y
         return _Solved(float(np.dot(w2 * r, r)), r, s, eta_p, np.isin(eta_p, (0.0, 1.0)), parts)
 
-    def _projection(self, basis, d_basis, r, s):
-        """Jacobian of the projected residuals, and the terms of their curvature.
+    def blocks(self, x, solved: _Solved):
+        """Each dataset's J^T r (3, D), J^T J (3, 3, D) and N (3, 3, D) in
+        theta = (x0, x1, eta').
 
-        basis (k, points) holds each dataset's linear basis functions and
-        d_basis (k, m, points) their derivatives in m parameters; r are the
-        residuals at the optimal coefficients z = (s, 0, ...).  Moving a
-        parameter moves z by dz = -G^-1 (B^T W J_z + C), with the Gram matrix
-        G = B^T W B, the Jacobian J_z = s d_basis[0] at fixed z and the cross
-        term C = sum w2 r d_basis, per dataset.  A basis row that is zero on
-        a dataset is absent from it: a unit diagonal in G keeps its
-        coefficient at rest.  Returns the Jacobian J_z + B^T dz
-        (m, points), and dz and C, both (k, m, datasets).
+        J is the Jacobian of the weighted residuals r = s f - y, f = p + eta' q,
+        with the scale s kept at its optimum for every theta, and N is half
+        the Hessian of the loss so projected.  Moving theta moves s by
+        ds = -(f.W s df + C) / f.Wf, with the cross term C = sum w r df, so
+        J = s df + f ds and N = J^T J + C ds^T + ds C^T + s sum w r d2f.  In
+        eta', df = q, d2f / dx deta' = dq / dx and d2f / deta'^2 = 0.
         """
-        layout = self.model_pass
-        wr = self._w2 * r
-        fixed = s * d_basis[0]
-        weighted = self._w2 * basis
-        gram = np.moveaxis(layout.sums(weighted[:, None] * basis), -1, 0)
-        diagonal = np.arange(len(basis))
-        gram[:, diagonal, diagonal] += gram[:, diagonal, diagonal] == 0
-        cross = layout.sums(wr * d_basis)
-        rhs = layout.sums(weighted[:, None] * fixed) + cross
-        dz = -np.moveaxis(np.linalg.solve(gram, np.moveaxis(rhs, -1, 0)), 0, -1)
-        return fixed + np.einsum("kmn,kn->mn", layout.at(dz), basis), dz, cross
-
-    def per_point(self, x, solved):
-        """Every point's f = p + eta' q, q, the derivatives of f (5 rows) and of
-        q (first 2), s and residual: what derivatives and covariance_jtj read."""
         layout = self.model_pass
         p, q = layout.expand(solved.parts)
         d_pq = layout.derivatives(10.0 * x[0], math.exp(x[1]), solved.parts)
         s, eta_p = layout.at(np.array([solved.scales, solved.eta_ps]))
-        d_f = d_pq[:, 0] + eta_p * d_pq[:, 1]
-        # a copy, so that the (5, 2, points) d_pq is freed on return
-        return p + eta_p * q, q, d_f, d_pq[:2, 1].copy(), s, solved.res
+        f = p + eta_p * q
+        d_f = d_pq[:, 0] + eta_p * d_pq[:, 1]  # in x0, x1, x0 x0, x0 x1 and x1 x1
+        first = np.array([d_f[0], d_f[1], q])  # df / dtheta
+        w2, wr = self._w2, self._w2 * solved.res
+        fixed = s * first  # J at fixed s
+        cross = layout.sums(wr * first)
+        ds = -(layout.sums(w2 * f * fixed) + cross) / layout.sums(w2 * f * f)
+        jac = fixed + layout.at(ds) * f
+        jtj = layout.sums(w2 * jac[:, None] * jac)
+        # s sum w r d2f: f's second derivatives in x, and q's first in x
+        c00, c01, c11 = solved.scales * layout.sums(wr * d_f[2:])
+        c0e, c1e = solved.scales * layout.sums(wr * d_pq[:2, 1])
+        curv = np.array([[c00, c01, c0e], [c01, c11, c1e], [c0e, c1e, np.zeros_like(c00)]])
+        mixed = cross[:, None] * ds
+        return layout.sums(jac * wr), jtj, jtj + mixed + mixed.swapaxes(0, 1) + curv
 
-    def derivatives(self, point, solved: _Solved):
-        """J^T r and N, half the loss's gradient and Hessian, and J^T J.
 
-        J is the Jacobian of the weighted projected residuals.  Per dataset,
-        N = f_xx - f_xz f_zz^-1 f_zx for half its loss f: J^T J, plus the
-        residuals' curvature at fixed z, plus the terms through which z
-        moves with x.
-        """
-        f, q, d_f, d_q, s, r = point
-        q_in_basis = self.model_pass.at(~solved.held)
-        jac, dz, cross = self._projection(
-            np.array([f, q_in_basis * q]), np.array([d_f[:2], q_in_basis * d_q]), r, s)
-        wr = self._w2 * r
-        curv = (s * d_f[2:]) @ wr
-        jtj = (self._w2 * jac) @ jac.T
-        mixed = np.einsum("kmd,kld->ml", cross, dz)
-        newton = jtj + mixed + mixed.T + np.array([curv[:2], curv[1:]])
-        return jac @ wr, jtj, newton
+def _eliminate(blocks, free):
+    """lm_fit's J^T r, J^T J and N in x alone, from _Objective.blocks.
 
-    def covariance_jtj(self, point, solved: _Solved):
-        """J^T J of the weighted residuals in (x, eta'_i of each free dataset).
-
-        Each eta' is held and only the scales are profiled, so the basis is
-        f alone and eta'_i is one more parameter, in which f moves by q.
-        J^T J is summed block by block: the shared 2 x 2, each free eta'
-        column against the shared rows of its own dataset, and the eta'
-        diagonal.
-        """
-        f, q, d_f, _, s, r = point
-        jac = self._projection(f[None], np.array([[d_f[0], d_f[1], q]]), r, s)[0]
-        blocks = self.model_pass.sums(self._w2 * jac[:, None] * jac)
-        free = ~solved.held
-        n_free = int(free.sum())
-        jtj = np.empty((2 + n_free, 2 + n_free))
-        jtj[:2, :2] = blocks[:2, :2].sum(axis=-1)
-        jtj[2:, :2] = blocks[2, :2, free]
-        jtj[:2, 2:] = jtj[2:, :2].T
-        jtj[2:, 2:] = np.diag(blocks[2, 2, free])
-        return jtj
+    A free eta' sits at the loss's minimum, so it moves with x by
+    d eta' = -k . dx with k = N_x,eta' / N_eta',eta': its dataset's Jacobian
+    in x is J_x - k J_eta', and its N the Schur complement
+    N_xx - k N_eta',x.  J^T r and J^T J so stay those of the residuals with
+    s and eta' both projected out.  A held eta' does not move, and its
+    dataset brings its x block alone.  free is per dataset.
+    """
+    jtr, jtj, newton = blocks
+    k = np.divide(newton[:2, 2], newton[2, 2], out=np.zeros_like(jtr[:2]), where=free)
+    kj = k[:, None] * jtj[2, :2]  # k J_eta'^T J_x
+    return ((jtr[:2] - k * jtr[2]).sum(axis=-1),
+            (jtj[:2, :2] - kj - kj.swapaxes(0, 1) + k[:, None] * k * jtj[2, 2]).sum(axis=-1),
+            (newton[:2, :2] - k[:, None] * newton[2, :2]).sum(axis=-1))
 
 
 def lm_fit(datasets, init: FitParams) -> FitResult:
@@ -434,13 +410,17 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
 
     The derivatives are exact and cost no pass: the model's
     coincidence_parts_derivatives turns a pass's (p, q) into their first
-    and second derivatives, which the chain rule carries to x.  With z the
-    linear coefficients, z = (s, s eta'), or z = s alone for a dataset whose
-    eta' is held at a bound, 0 or 1, the projected loss F(x) = min_z f(x, z)
-    has the gradient f_x and the Hessian f_xx - f_xz f_zz^-1 f_zx, both
-    summed from dot products per dataset (_Objective.derivatives).  Each step
-    solves (N + lam diag(J^T J)) dx = -J^T r, where J is the Jacobian of the
-    projected residuals, J^T r half the gradient and N half the Hessian.
+    and second derivatives, which the chain rule carries to x.  Per
+    dataset, _Objective.blocks sums J^T r, J^T J and N, half the gradient
+    and Hessian, in theta = (x0, x1, eta') of the loss with the scale
+    projected out.  A free eta' sits at its minimum, so _eliminate projects
+    it out too, by one Schur complement per dataset: with
+    k = N_x,eta' / N_eta',eta' the Jacobian in x is J_x - k J_eta' and N is
+    N_xx - k N_eta',x.  A dataset whose eta' is held at a bound, 0 or 1,
+    brings its x block alone.  The projected loss F(x) then has the
+    gradient 2 J^T r and the Hessian 2 N, summed over the datasets.  Each
+    step solves (N + lam diag(J^T J)) dx = -J^T r, where J is the Jacobian
+    of the projected residuals.
     N is J^T J plus the residuals' own curvature; at a converged campaign
     fit the curvature was 0.7 of J^T J in the beta2 entry, and Gauss-Newton
     steps without it overshot in beta2 and took 50-200 iterations.  The
@@ -461,17 +441,18 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     at x0 < 0; FitParams stores |beta2|, and the covariance's beta2 row
     takes the sign of x0.  FitResult.loss is the weighted objective.  The
     covariance of (|beta2|, rho, eta_1..eta_D) is (J^T J)^-1 * loss / (n - p),
-    from the exact Jacobian of the weighted residuals with each eta' held
-    and only the scales profiled.  It reuses the final pass's (p, q) and the
-    per-point derivatives of the Newton check that ended the fit; those are
-    not held through the trials, so a fit that ends another way evaluates
-    them once more.  J^T J is summed block by block, never forming the
-    n x (2 + D) Jacobian.  p counts beta2, rho, and each dataset's eta and
-    scale; a dataset whose counts are all 0 brings neither points nor
-    parameters.  The same n and p make the input check: a fit needs
-    n >= p + 1.  A dataset whose eta' sits at a bound is held there: it is
-    listed in etas_held_at_bound, its eta row and column of the covariance
-    are 0, and the rest is inverted without it.  Only a singular remainder
+    from the exact Jacobian of the weighted residuals in x and each free
+    eta', with only the scales profiled: the blocks' J^T J, in which each
+    eta' meets only x and itself, an arrowhead.  So the step and the
+    covariance read one Jacobian and one held mask.  The covariance reuses
+    the blocks of the Newton check that ended the fit; a fit that ends
+    another way evaluates them once more.  J^T J is summed block by block,
+    never forming the n x (2 + D) Jacobian.  p counts beta2, rho, and each
+    dataset's eta and scale; a dataset whose counts are all 0 brings
+    neither points nor parameters.  The same n and p make the input check:
+    a fit needs n >= p + 1.  A dataset whose eta' sits at a bound is held
+    there: it is listed in etas_held_at_bound, its eta row and column of the
+    covariance are 0, and the rest is inverted without it.  Only a singular remainder
     (an unidentifiable beta2 at L = 0, say) falls back to the
     pseudo-inverse, which is flagged; a parameter whose J^T J column is all
     zero, as that beta2's is, gets an infinite variance.
@@ -499,8 +480,8 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     iterations = 0
 
     while iterations < _MAX_ITERATIONS:
-        point = objective.per_point(x, state)
-        grad, jtj, newton = objective.derivatives(point, state)
+        blocks = objective.blocks(x, state)
+        grad, jtj, newton = _eliminate(blocks, ~state.held)
         try:  # g^T N^-1 g, the loss a full Newton step would remove
             half_step = np.linalg.solve(np.linalg.cholesky(newton), grad)
             if half_step @ half_step <= _LOSS_REL_TOL * loss:
@@ -508,7 +489,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
                 break
         except np.linalg.LinAlgError:
             pass  # N is not positive definite (at L = 0, say): the trials decide
-        point = None  # not held through the trials
+        blocks = None  # they are of x before the trials
         iterations += 1
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(), 1e-30)
@@ -540,15 +521,21 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     etas = 0.5 + 0.5 * np.sqrt(state.eta_ps)  # canonical eta >= 1/2 with (2 eta - 1)^2 = eta'
     params = FitParams(beta2, rho, etas.tolist())
 
-    # Covariance in external units (|beta2|, rho, eta_1..eta_D): J^T J in x
-    # and each free eta', scaled by d x / d (|beta2|, rho) = (sign(x0)/10,
-    # 1/rho) and d eta'/d eta = 4 (2 eta - 1).  An eta' held at a bound has
-    # no column (at eta' = 0 it would be zero).
+    # Covariance in external units (|beta2|, rho, eta_1..eta_D): the arrowhead
+    # J^T J in x and each free eta' from the blocks' J^T J, scaled by
+    # d x / d (|beta2|, rho) = (sign(x0)/10, 1/rho) and d eta'/d eta =
+    # 4 (2 eta - 1).  An eta' held at a bound has no column (at eta' = 0 it
+    # would be zero).
     free = ~state.held
+    if blocks is None:  # the fit did not end at the Newton check
+        blocks = objective.blocks(x, state)
+    per_set = blocks[1]
+    arrowhead = np.diag(np.concatenate(([0.0, 0.0], per_set[2, 2, free])))
+    arrowhead[:2, :2] = per_set[:2, :2].sum(axis=-1)
+    arrowhead[2:, :2] = per_set[2, :2, free]
+    arrowhead[:2, 2:] = arrowhead[2:, :2].T
     units = np.concatenate(([math.copysign(0.1, x[0]), 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
-    if point is None:  # the fit did not end at the Newton check
-        point = objective.per_point(x, state)
-    jtj_ext = objective.covariance_jtj(point, state) * np.outer(units, units)
+    jtj_ext = arrowhead * np.outer(units, units)
     variance = loss / (n_points - n_params)
     cond = float(np.linalg.cond(jtj_ext))
     pseudo = not np.isfinite(cond) or cond > 1e12

@@ -239,7 +239,9 @@ def windowed_rate_numeric(
     # Feature scales of the folded integrand: the pair-amplitude intensity
     # has a bump of width 1/sqrt(rho') centered at sigma = |tau|, and the
     # interference term carries a chirp phase whose local wavenumber in sigma
-    # is 2|tau| |k|.  Both must be resolved by the initial grid.
+    # is 2|tau| |k|.  Both must be resolved by the initial grid.  The seeds
+    # reach 8 widths out, so that the bump's tails hold nodes even where the
+    # window is so much wider than the bump that the uniform panels miss it.
     k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
     if not rho_p > 0:
@@ -247,7 +249,7 @@ def windowed_rate_numeric(
     bump_width = 1.0 / math.sqrt(rho_p)
 
     def _breakpoints(t):
-        seeds = [t + bump_width * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])]
+        seeds = [t + bump_width * np.array([-8.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0])]
         wavenumber = 2.0 * t * abs(k)
         # where the interference envelope exp(-rho'(t^2+sigma^2)/2) still matters
         cross_exponent = 0.5 * rho_p * t * t

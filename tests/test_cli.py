@@ -125,6 +125,27 @@ def test_derive_source_both_conventions(tmp_path):
             )
 
 
+def test_derive_source_is_strict_json_at_the_epm_limit(tmp_path):
+    # the reference source meets extended phase matching exactly: sigma_pm
+    # and the gamma_tilde are infinite and must be written as null
+    config = tmp_path / "source.json"
+    config.write_text(json.dumps({"source": small_campaign().to_json_dict()["source"],
+                                  "filter": {"center_wavelength_nm": 1550.0, "fwhm_nm": 12.0}}))
+    out = tmp_path / "derived.json"
+    assert run(["derive-source", "--config", str(config), "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"derive-source wrote {constant}, which is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    for block in ("field", "intensity"):
+        assert report[block]["sigma_pm_radps"] is None
+        assert report[block]["gamma_tilde_signal"] is None
+        assert report[block]["gamma_tilde_idler"] is None
+        assert report[block]["rho_ps2_inv"] > 0
+    assert report["field"]["rho_ps2_inv"] == pytest.approx(RHO_REF, rel=1e-12)
+
+
 def test_gen_fit_end_to_end(tmp_path, capsys):
     data_dir = tmp_path / "data"
     rc = run(["gen", "--config", str(campaign_config(tmp_path, seed=2024)), "--out-dir", str(data_dir)])

@@ -16,6 +16,7 @@ from disphom import (
     generate_synthetic,
     global_loss,
     lm_fit,
+    model_values,
     profile_scale,
     rmsre,
 )
@@ -211,16 +212,18 @@ def test_stacked_pass_evaluates_each_distinct_point_once(monkeypatch):
 
 def test_objective_derivatives_match_differences():
     # lm_fit's gradient, Newton matrix and J^T J are exact derivatives of the
-    # projected loss, for datasets with eta' free and held at the bound 0
+    # projected loss, for datasets with eta' free and held at the bounds 0 and 1
     sets = [make_dataset(0.4, 10.0, eta=0.5, seed=7),
             make_dataset(0.8, 0.0, eta=0.6, points=57, seed=2),
             make_dataset(0.3, 29.0, eta=0.55, points=130, seed=3),
-            make_dataset(1.0, 4.0, seed=4)]
+            make_dataset(1.0, 4.0, seed=4),
+            make_dataset(0.4, 0.0, eta=1.0, seed=4)]
     objective = fitting._Objective(sets)
     x = np.array([BETA2_REF * 1.01 / 10.0, math.log(RHO_REF * 0.99)])
     solved = objective.solve(x)
     assert solved.eta_ps[0] == 0.0 and 0.0 < min(solved.eta_ps[1:])
-    exact = objective.derivatives(objective.per_point(x, solved), solved)
+    assert solved.eta_ps[4] == 1.0
+    exact = fitting._eliminate(objective.blocks(x, solved), ~solved.held)
 
     def half_loss(x):
         return 0.5 * objective.solve(x).loss
@@ -493,6 +496,38 @@ def test_lm_fit_folds_beta2_sign():
     assert plus.params.beta2_ps2_per_km > 0
     assert minus.params == plus.params
     assert np.array_equal(minus.covariance, plus.covariance)
+
+
+def test_lm_fit_covariance_matches_differences():
+    # the covariance is (J^T J)^-1 loss / (n - p) for the Jacobian of the
+    # weighted residuals in (|beta2|, rho, eta_1..eta_D), each scale profiled:
+    # here J is taken by central differences of model_values
+    datasets, _ = generate_synthetic(small_campaign(seed=3, etas=0.55))
+    result = lm_fit(datasets, FitParams(BETA2_REF, RHO_REF))
+    assert result.converged and result.etas_held_at_bound == []
+    weights = [np.sqrt(fitting._poisson_weights(ds.curve.values)) for ds in datasets]
+
+    def weighted_residuals(theta):
+        out = []
+        for ds, w, eta in zip(datasets, weights, theta[2:]):
+            f, y = w * model_values(ds, theta[0], theta[1], eta), w * ds.curve.values
+            out.append(np.dot(f, y) / np.dot(f, f) * f - y)
+        return np.concatenate(out)
+
+    theta = np.array([result.params.beta2_ps2_per_km, result.params.rho_ps2_inv,
+                      *result.params.etas])
+    jac = []
+    for i, h in enumerate(1e-6 * theta):
+        e = np.zeros_like(theta)
+        e[i] = h
+        jac.append((weighted_residuals(theta + e) - weighted_residuals(theta - e)) / (2 * h))
+    jac = np.array(jac)
+    n_points, n_params = jac.shape[1], 2 + 2 * len(datasets)
+    expected = np.linalg.inv(jac @ jac.T) * result.loss / (n_points - n_params)
+    sigma = np.sqrt(np.diag(expected))
+    assert result.covariance_order == (["beta2_ps2_per_km", "rho_ps2_inv"]
+                                       + [f"eta[{i}]" for i in range(len(datasets))])
+    assert np.all(np.abs(result.covariance - expected) <= 1e-5 * np.outer(sigma, sigma))
 
 
 def test_lm_fit_sigma_shrinks_with_replicas():

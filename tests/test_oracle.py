@@ -225,6 +225,17 @@ def test_windowed_matches_closed_form_reference_config():
     assert (deviation <= np.maximum(1e-6 * np.abs(closed), 1e-9 * plateau)).all()
 
 
+@pytest.mark.parametrize("length", [0.0, 0.001])
+def test_windowed_matches_closed_form_in_a_wide_window(length):
+    # T = 100 ns: the uniform panels are wider than the ~0.5 ps bump, so the
+    # quadrature must find the bump's tails from its own seeds
+    taus = np.linspace(-600.0, 600.0, 121)
+    numeric = windowed_rate_numeric(taus, 1e5, 0.52, RHO_REF, length, BETA2_REF)
+    rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
+    closed = coincidence_curve(taus, RHO_REF, rho_p, eta_prime(0.52), 1e5).values
+    assert np.abs(numeric - closed).max() <= 1e-12 * closed.max()
+
+
 def test_windowed_monotone_in_window():
     for tau in (0.0, 120.0, 500.0):
         small = windowed_rate_numeric(tau, 200.0, 0.45, RHO_REF, 10.0, BETA2_REF)
