@@ -246,14 +246,7 @@ def _cmd_fwhm(args):
         res = extract_fwhm(curve)
     except ValueError as exc:
         raise ValueError(f"{args.infile}: {exc}") from None
-    report = {
-        "fwhm_ps": res.fwhm_ps,
-        "baseline": res.baseline,
-        "minimum": res.minimum,
-        "left_crossing_ps": res.left_crossing_ps,
-        "right_crossing_ps": res.right_crossing_ps,
-    }
-    dio.write_json_object(args.out, report)
+    dio.write_json_object(args.out, res._asdict())
     print(f"wrote {args.out}")
     return 0
 

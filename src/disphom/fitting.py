@@ -11,24 +11,24 @@ lm_fit minimizes a peak-normalized Poisson chi-square instead, by variable
 projection: the model is affine in eta' = (2 eta - 1)^2, so for given
 (beta2, rho) each dataset's (s_i, eta'_i) is a bounded 2x2 linear
 least-squares solve, and the Levenberg-Marquardt loop runs over
-x = (beta2/10, log rho) alone.  The model sees beta2 only through its
-square, so |beta2| is reported.  The gradient and Newton matrix are exact,
-from model.coincidence_parts_derivatives, and the loop stops once a full
-Newton step would remove less than its tolerance of the loss.  lm_fit has no
+x = (beta2, log rho) alone.  The model sees beta2 only through its square,
+so |beta2| is reported.  The gradient and Newton matrix are exact, from
+model.coincidence_parts_derivatives, and the loop stops once a full Newton
+step would remove less than its tolerance of the loss.  lm_fit has no
 options: it reads beta2 and rho from its init, and its iteration limit,
 tolerance and damping are the module constants below.
 
-One Jacobian serves both the step and the covariance.  _Objective.blocks
-gives each dataset's J^T r, J^T J and half-Hessian in (x0, x1, eta'), with
-only its scale projected out.  For the step, _eliminate takes each free
-eta' out of its dataset's blocks by a Schur complement and sums the
-datasets; for the covariance, the blocks' J^T J is the arrowhead over x and
-the free eta'.
-
-Every model evaluation in lm_fit is one stacked pass over all datasets
-(_StackedPass), and every per-dataset step of the fit (the 2x2 solves, the
-scales, the derivative blocks) runs on that pass's stacked layout as
-whole-array operations, with no loop over datasets.
+One object, _Objective, owns lm_fit's stacked problem: all datasets'
+points in one layout, each distinct (T, L, |tau|) evaluated once per model
+pass, the data and weights, the solve at one x and the derivative blocks
+there.  Every per-dataset step of the fit (the 2x2 solves, the scales, the
+derivative sums) runs on that layout as whole-array operations, with no
+loop over datasets.  One Jacobian serves both the step and the covariance:
+_Objective.blocks gives each dataset's J^T r, J^T J and half-Hessian in
+(x0, x1, eta'), with only its scale projected out.  For the step,
+_eliminate takes each free eta' out of its dataset's blocks by a Schur
+complement and sums the datasets; for the covariance, the blocks' J^T J is
+the arrowhead over x and the free eta'.
 """
 
 from __future__ import annotations
@@ -117,114 +117,6 @@ def model_values(dataset: Dataset, beta2, rho, eta) -> np.ndarray:
     return curve.values
 
 
-class _StackedPass:
-    """Every dataset's (p, q) at one (beta2, rho) from one coincidence_parts call.
-
-    The rate depends on a point only through its window half-width T, its
-    fiber length L and its delay, and it is even in the delay, bit for bit.
-    So the distinct (T, L, |tau|) over all datasets' points are found once;
-    each pass evaluates only those, with one broadened rho per distinct L,
-    and expand takes a result back to every point.  A grid symmetric about
-    tau = 0 costs half its points, and datasets that repeat a (T, L) and
-    grid cost nothing more.  The expanded (p, q) equal per-dataset calls
-    bit for bit.  passes counts the coincidence_parts calls.
-
-    It is also the one owner of lm_fit's stacked layout: all datasets'
-    points concatenated in order.  blocks splits a per-point array into
-    datasets, sums adds it up per dataset, and at gives per-dataset values
-    at every point, so the fit's per-dataset steps need no loop over
-    datasets.
-    """
-
-    def __init__(self, datasets):
-        self._sizes = [len(ds.curve) for ds in datasets]
-        if 0 in self._sizes:  # reduceat cannot sum an empty block
-            raise ValueError("every dataset needs at least one point")
-        self._starts = np.cumsum([0] + self._sizes[:-1])
-        keys = np.vstack([
-            self.at(np.array([[ds.window_half_width_ps, ds.fiber_length_km]
-                              for ds in datasets]).T),
-            np.abs(np.concatenate([ds.curve.tau_ps for ds in datasets])),
-        ])
-        # one lexsort: np.unique over rows sorts them some 30 times slower
-        order = np.lexsort(keys[::-1])
-        keys = keys[:, order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-        self._inverse = np.empty(order.size, dtype=np.intp)
-        self._inverse[order] = np.cumsum(first) - 1
-        self._windows, lengths, self._taus = np.ascontiguousarray(keys[:, first])
-        self._lengths, self._length_index = np.unique(lengths, return_inverse=True)
-        self.passes = 0
-
-    def _chirp(self, beta2, rho):
-        """chi = L beta2 rho and g = 1 + chi^2 per distinct L: rho / g is broadened_rho."""
-        chi = self._lengths * beta2 * rho
-        return chi, 1.0 + chi * chi
-
-    def parts(self, beta2, rho):
-        """(p, q) at the distinct points, shape (2, points): one model pass.
-
-        None, and no pass, where some rho' = rho / g is not in (0, inf), as
-        for a rho of 0 or inf.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho_p = rho / self._chirp(beta2, rho)[1]
-        if not np.all((rho_p > 0) & (rho_p < math.inf)):
-            return None
-        self.passes += 1
-        rho_ps = rho_p[self._length_index]
-        return np.array(coincidence_parts(self._taus, rho, rho_ps, self._windows))
-
-    def expand(self, distinct):
-        """A per-distinct-point array, along its last axis, at every point."""
-        return distinct[..., self._inverse]
-
-    def blocks(self, values):
-        """Per-dataset blocks of a per-point array, along its last axis."""
-        return np.split(values, self._starts[1:], axis=-1)
-
-    def sums(self, values):
-        """Per-dataset sums of a per-point array: shape (..., points) to (..., datasets)."""
-        return np.add.reduceat(values, self._starts, axis=-1)
-
-    def at(self, values):
-        """Per-dataset values at every point: shape (..., datasets) to (..., points)."""
-        return np.repeat(values, self._sizes, axis=-1)
-
-    def derivatives(self, beta2, rho, parts):
-        """Derivatives of a pass's (p, q) in x = (beta2/10, log rho), at every point.
-
-        parts is parts(beta2, rho).  The result has shape (5, 2, points): the
-        derivatives in x0, x1, x0 x0, x0 x1 and x1 x1 of p and of q.  They
-        come from model.coincidence_parts_derivatives in (rho, rho') by the
-        chain rule through rho = e^x1 and, for each fiber length L,
-        rho' = rho / g with g = 1 + chi^2 and chi = 10 L x0 rho.
-        """
-        chi, g = self._chirp(beta2, rho)
-        rho_p = rho / g
-        slope = 10.0 * self._lengths * rho  # d chi / d x0; d chi / d x1 = chi
-        # derivatives of log rho', then of rho' itself
-        w_0 = -2.0 * slope * chi / g
-        w_1 = (1.0 - chi * chi) / g
-        w_00 = -2.0 * slope * slope / g + w_0 * w_0
-        w_01 = -4.0 * slope * chi / (g * g)
-        w_11 = -4.0 * chi * chi / (g * g)
-        rp_0, rp_1, rp_00, rp_01, rp_11 = (
-            (rho_p * w)[self._length_index]
-            for w in (w_0, w_1, w_00 + w_0 * w_0, w_01 + w_0 * w_1, w_11 + w_1 * w_1)
-        )
-        (f_r, f_p), (f_rr, f_rp, f_pp) = coincidence_parts_derivatives(
-            self._taus, rho, rho_p[self._length_index], self._windows, *parts)
-        out = np.empty((5,) + parts.shape)
-        out[0] = f_p * rp_0
-        out[1] = f_r * rho + f_p * rp_1
-        out[2] = f_pp * rp_0 * rp_0 + f_p * rp_00
-        out[3] = f_rp * rho * rp_0 + f_pp * rp_0 * rp_1 + f_p * rp_01
-        out[4] = (f_rr * rho + 2.0 * f_rp * rp_1 + f_r) * rho + f_pp * rp_1 * rp_1 + f_p * rp_11
-        return self.expand(out)
-
-
 def global_loss(params: FitParams, datasets) -> tuple[float, list[np.ndarray]]:
     """Total scale-agnostic loss E = sum_i sum_x |s_i0 f_i(x) - y_x|^2.
 
@@ -280,19 +172,119 @@ class _Solved(NamedTuple):
 
 
 class _Objective:
-    """lm_fit's loss over x = (beta2/10, log rho), each dataset's s and eta' solved.
+    """lm_fit's stacked problem: its loss over x = (beta2, log rho), each
+    dataset's s and eta' solved, and the derivative blocks there.
 
-    solve evaluates it with one model pass.  blocks takes a solved point to
-    each dataset's derivative sums in theta = (x0, x1, eta'), from that pass
-    alone, with only the scale s projected out.  Both work on all datasets'
-    points at once, in the model pass's stacked layout; _eliminate then
-    takes each free eta' out of the blocks.
+    All datasets' points are concatenated in order, and every per-dataset
+    step of the fit runs on that layout as whole-array operations: split
+    cuts a per-point array into datasets, sums adds it up per dataset, and
+    at gives per-dataset values at every point.
+
+    The rate depends on a point only through its window half-width T, its
+    fiber length L and its delay, and it is even in the delay, bit for bit.
+    So the distinct (T, L, |tau|) over all datasets' points are found once;
+    parts evaluates only those in one coincidence_parts call, the model
+    pass, with one broadened rho per distinct L, and expand takes a result
+    back to every point.  A grid symmetric about tau = 0 costs half its
+    points, and datasets that repeat a (T, L) and grid cost nothing more.
+    The expanded (p, q) equal per-dataset calls bit for bit.  passes counts
+    the model passes.
+
+    solve evaluates the loss at x with one model pass.  blocks takes a
+    solved point to each dataset's derivative sums in theta = (x0, x1, eta')
+    from that pass alone, with only the scale s projected out; _eliminate
+    then takes each free eta' out of them.
     """
 
     def __init__(self, datasets):
-        self.model_pass = _StackedPass(datasets)
+        self._sizes = [len(ds.curve) for ds in datasets]
+        if 0 in self._sizes:  # reduceat cannot sum an empty block
+            raise ValueError("every dataset needs at least one point")
+        self._starts = np.cumsum([0] + self._sizes[:-1])
+        keys = np.vstack([
+            self.at(np.array([[ds.window_half_width_ps, ds.fiber_length_km]
+                              for ds in datasets]).T),
+            np.abs(np.concatenate([ds.curve.tau_ps for ds in datasets])),
+        ])
+        # one lexsort: np.unique over rows sorts them some 30 times slower
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        self._inverse = np.empty(order.size, dtype=np.intp)
+        self._inverse[order] = np.cumsum(first) - 1
+        self._windows, lengths, self._taus = np.ascontiguousarray(keys[:, first])
+        self._lengths, self._length_index = np.unique(lengths, return_inverse=True)
         self._w2 = np.concatenate([_poisson_weights(ds.curve.values) for ds in datasets])
         self._y = np.concatenate([ds.curve.values for ds in datasets])
+        self.passes = 0
+
+    def _chirp(self, beta2, rho):
+        """chi = L beta2 rho and g = 1 + chi^2 per distinct L: rho / g is broadened_rho."""
+        chi = self._lengths * beta2 * rho
+        return chi, 1.0 + chi * chi
+
+    def parts(self, beta2, rho):
+        """(p, q) at the distinct points, shape (2, points): one model pass.
+
+        None, and no pass, where some rho' = rho / g is not in (0, inf), as
+        for a rho of 0 or inf.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho_p = rho / self._chirp(beta2, rho)[1]
+        if not np.all((rho_p > 0) & (rho_p < math.inf)):
+            return None
+        self.passes += 1
+        rho_ps = rho_p[self._length_index]
+        return np.array(coincidence_parts(self._taus, rho, rho_ps, self._windows))
+
+    def expand(self, distinct):
+        """A per-distinct-point array, along its last axis, at every point."""
+        return distinct[..., self._inverse]
+
+    def split(self, values):
+        """A per-point array, along its last axis, cut into its datasets."""
+        return np.split(values, self._starts[1:], axis=-1)
+
+    def sums(self, values):
+        """Per-dataset sums of a per-point array: shape (..., points) to (..., datasets)."""
+        return np.add.reduceat(values, self._starts, axis=-1)
+
+    def at(self, values):
+        """Per-dataset values at every point: shape (..., datasets) to (..., points)."""
+        return np.repeat(values, self._sizes, axis=-1)
+
+    def derivatives(self, beta2, rho, parts):
+        """Derivatives of a pass's (p, q) in x = (beta2, log rho), at every point.
+
+        parts is parts(beta2, rho).  The result has shape (5, 2, points): the
+        derivatives in x0, x1, x0 x0, x0 x1 and x1 x1 of p and of q.  They
+        come from model.coincidence_parts_derivatives in (rho, rho') by the
+        chain rule through rho = e^x1 and, for each fiber length L,
+        rho' = rho / g with g = 1 + chi^2 and chi = L x0 rho.
+        """
+        chi, g = self._chirp(beta2, rho)
+        rho_p = rho / g
+        slope = self._lengths * rho  # d chi / d x0; d chi / d x1 = chi
+        # derivatives of log rho', then of rho' itself
+        w_0 = -2.0 * slope * chi / g
+        w_1 = (1.0 - chi * chi) / g
+        w_00 = -2.0 * slope * slope / g + w_0 * w_0
+        w_01 = -4.0 * slope * chi / (g * g)
+        w_11 = -4.0 * chi * chi / (g * g)
+        rp_0, rp_1, rp_00, rp_01, rp_11 = (
+            (rho_p * w)[self._length_index]
+            for w in (w_0, w_1, w_00 + w_0 * w_0, w_01 + w_0 * w_1, w_11 + w_1 * w_1)
+        )
+        (f_r, f_p), (f_rr, f_rp, f_pp) = coincidence_parts_derivatives(
+            self._taus, rho, rho_p[self._length_index], self._windows, *parts)
+        out = np.empty((5,) + parts.shape)
+        out[0] = f_p * rp_0
+        out[1] = f_r * rho + f_p * rp_1
+        out[2] = f_pp * rp_0 * rp_0 + f_p * rp_00
+        out[3] = f_rp * rho * rp_0 + f_pp * rp_0 * rp_1 + f_p * rp_01
+        out[4] = (f_rr * rho + 2.0 * f_rp * rp_1 + f_r) * rho + f_pp * rp_1 * rp_1 + f_p * rp_11
+        return self.expand(out)
 
     def solve(self, x) -> _Solved | None:
         """The loss at x, with every dataset's s and eta' in [0, 1] minimizing it.
@@ -308,17 +300,16 @@ class _Objective:
         once, for the chosen solution.  None where x has no model: where
         rho = e^x1 or some rho' is not in (0, inf).
         """
-        layout = self.model_pass
         try:
-            parts = layout.parts(10.0 * x[0], math.exp(x[1]))
+            parts = self.parts(x[0], math.exp(x[1]))
         except OverflowError:  # e^x1 is past the double range
             return None
         if parts is None:
             return None
-        p, q = layout.expand(parts)
+        p, q = self.expand(parts)
         y, w2 = self._y, self._w2
         wp, wq = w2 * p, w2 * q
-        pp, pq, qq, py, qy = layout.sums(np.array([wp * p, wp * q, wq * q, wp * y, wq * y]))
+        pp, pq, qq, py, qy = self.sums(np.array([wp * p, wp * q, wq * q, wp * y, wq * y]))
         det = pp * qq - pq * pq
         det[det <= 0] = np.nan  # no unconstrained solution
         s = (qq * py - pq * qy) / det
@@ -335,7 +326,7 @@ class _Objective:
             upper = ~interior & (moments[1] * bound_s[1] > moments[0] * bound_s[0])
             s = np.where(interior, s, np.choose(upper, bound_s))
             eta_p[upper] = 1.0
-        r = layout.at(s) * (p + layout.at(eta_p) * q) - y
+        r = self.at(s) * (p + self.at(eta_p) * q) - y
         return _Solved(float(np.dot(w2 * r, r)), r, s, eta_p, np.isin(eta_p, (0.0, 1.0)), parts)
 
     def blocks(self, x, solved: _Solved):
@@ -349,25 +340,24 @@ class _Objective:
         J = s df + f ds and N = J^T J + C ds^T + ds C^T + s sum w r d2f.  In
         eta', df = q, d2f / dx deta' = dq / dx and d2f / deta'^2 = 0.
         """
-        layout = self.model_pass
-        p, q = layout.expand(solved.parts)
-        d_pq = layout.derivatives(10.0 * x[0], math.exp(x[1]), solved.parts)
-        s, eta_p = layout.at(np.array([solved.scales, solved.eta_ps]))
+        p, q = self.expand(solved.parts)
+        d_pq = self.derivatives(x[0], math.exp(x[1]), solved.parts)
+        s, eta_p = self.at(np.array([solved.scales, solved.eta_ps]))
         f = p + eta_p * q
         d_f = d_pq[:, 0] + eta_p * d_pq[:, 1]  # in x0, x1, x0 x0, x0 x1 and x1 x1
         first = np.array([d_f[0], d_f[1], q])  # df / dtheta
         w2, wr = self._w2, self._w2 * solved.res
         fixed = s * first  # J at fixed s
-        cross = layout.sums(wr * first)
-        ds = -(layout.sums(w2 * f * fixed) + cross) / layout.sums(w2 * f * f)
-        jac = fixed + layout.at(ds) * f
-        jtj = layout.sums(w2 * jac[:, None] * jac)
+        cross = self.sums(wr * first)
+        ds = -(self.sums(w2 * f * fixed) + cross) / self.sums(w2 * f * f)
+        jac = fixed + self.at(ds) * f
+        jtj = self.sums(w2 * jac[:, None] * jac)
         # s sum w r d2f: f's second derivatives in x, and q's first in x
-        c00, c01, c11 = solved.scales * layout.sums(wr * d_f[2:])
-        c0e, c1e = solved.scales * layout.sums(wr * d_pq[:2, 1])
+        c00, c01, c11 = solved.scales * self.sums(wr * d_f[2:])
+        c0e, c1e = solved.scales * self.sums(wr * d_pq[:2, 1])
         curv = np.array([[c00, c01, c0e], [c01, c11, c1e], [c0e, c1e, np.zeros_like(c00)]])
         mixed = cross[:, None] * ds
-        return layout.sums(jac * wr), jtj, jtj + mixed + mixed.swapaxes(0, 1) + curv
+        return self.sums(jac * wr), jtj, jtj + mixed + mixed.swapaxes(0, 1) + curv
 
 
 def _eliminate(blocks, free):
@@ -398,13 +388,13 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     is s_i (p_i + eta'_i q_i) for eta' = (2 eta - 1)^2, so for given
     (beta2, rho) its amplitude s_i and its eta'_i in [0, 1] follow from a
     2x2 linear least-squares problem (variable projection).  The LM loop
-    therefore runs over x = (beta2/10, log rho) alone, whatever the number
-    of datasets; it starts from init's beta2 and rho, and init's etas are
-    not read.  Each evaluation at one (beta2, rho) is a single stacked call
-    of model.coincidence_parts over the distinct (T, L, |tau|) points of all
-    datasets; its (p, q), expanded to every point, equal per-dataset calls
-    bit for bit.  That call is the only model pass: a fit makes one per
-    trial point, and model_passes counts them.  All datasets' (s_i, eta'_i)
+    therefore runs over x = (beta2, log rho) alone, whatever the number of
+    datasets; it starts from init's beta2 and rho, and init's etas are not
+    read.  Each evaluation at one (beta2, rho) is a single stacked call of
+    model.coincidence_parts over the distinct (T, L, |tau|) points of all
+    datasets (_Objective.parts); its (p, q), expanded to every point, equal
+    per-dataset calls bit for bit.  That call is the only model pass: a fit
+    makes one per trial point, and model_passes counts them.  All datasets' (s_i, eta'_i)
     follow from one set of per-dataset sums (_Objective.solve), and so do
     the bound, 0 or 1, where an eta' must go to one.
 
@@ -420,7 +410,9 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     brings its x block alone.  The projected loss F(x) then has the
     gradient 2 J^T r and the Hessian 2 N, summed over the datasets.  Each
     step solves (N + lam diag(J^T J)) dx = -J^T r, where J is the Jacobian
-    of the projected residuals.
+    of the projected residuals.  Damping by diag(J^T J) makes the step the
+    same under any rescaling of x0 or x1 (Marquardt 1963), so x0 is beta2
+    in its own units.
     N is J^T J plus the residuals' own curvature; at a converged campaign
     fit the curvature was 0.7 of J^T J in the beta2 entry, and Gauss-Newton
     steps without it overshot in beta2 and took 50-200 iterations.  The
@@ -439,7 +431,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
 
     The model sees beta2 only through (L beta2 rho)^2, so the loop may end
     at x0 < 0; FitParams stores |beta2|, and the covariance's beta2 row
-    takes the sign of x0.  FitResult.loss is the weighted objective.  The
+    takes d x0 / d|beta2| = sign(x0).  FitResult.loss is the weighted objective.  The
     covariance of (|beta2|, rho, eta_1..eta_D) is (J^T J)^-1 * loss / (n - p),
     from the exact Jacobian of the weighted residuals in x and each free
     eta', with only the scales profiled: the blocks' J^T J, in which each
@@ -470,7 +462,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         raise ValueError("need at least p + 1 data points for p parameters")
 
     objective = _Objective(datasets)
-    x = np.array([init.beta2_ps2_per_km / 10.0, math.log(init.rho_ps2_inv)])
+    x = np.array([init.beta2_ps2_per_km, math.log(init.rho_ps2_inv)])
     state = objective.solve(x)
     if state is None:
         raise ValueError("init: rho' = rho / (1 + (L beta2 rho)^2) is not in (0, inf)")
@@ -517,13 +509,13 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
             converged = True
             break
 
-    beta2, rho = 10.0 * x[0], math.exp(x[1])
+    beta2, rho = x[0], math.exp(x[1])
     etas = 0.5 + 0.5 * np.sqrt(state.eta_ps)  # canonical eta >= 1/2 with (2 eta - 1)^2 = eta'
     params = FitParams(beta2, rho, etas.tolist())
 
     # Covariance in external units (|beta2|, rho, eta_1..eta_D): the arrowhead
     # J^T J in x and each free eta' from the blocks' J^T J, scaled by
-    # d x / d (|beta2|, rho) = (sign(x0)/10, 1/rho) and d eta'/d eta =
+    # d x / d (|beta2|, rho) = (sign(x0), 1/rho) and d eta'/d eta =
     # 4 (2 eta - 1).  An eta' held at a bound has no column (at eta' = 0 it
     # would be zero).
     free = ~state.held
@@ -534,7 +526,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     arrowhead[:2, :2] = per_set[:2, :2].sum(axis=-1)
     arrowhead[2:, :2] = per_set[2, :2, free]
     arrowhead[:2, 2:] = arrowhead[2:, :2].T
-    units = np.concatenate(([math.copysign(0.1, x[0]), 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
+    units = np.concatenate(([math.copysign(1.0, x[0]), 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
     jtj_ext = arrowhead * np.outer(units, units)
     variance = loss / (n_points - n_params)
     cond = float(np.linalg.cond(jtj_ext))
@@ -551,7 +543,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     cov[np.ix_(kept, kept)] = 0.5 * (cov_free + cov_free.T)
 
     rmsre_list = [rmsre(r, ds.curve.values) if counts else math.nan for r, ds, counts
-                  in zip(objective.model_pass.blocks(state.res), datasets, has_counts)]
+                  in zip(objective.split(state.res), datasets, has_counts)]
     return FitResult(
         params=params,
         beta2_sigma_ps2_per_km=float(np.sqrt(max(cov[0, 0], 0.0))),
@@ -566,5 +558,5 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         pseudo_inverse_used=bool(pseudo),
         jtj_condition=cond,
         etas_held_at_bound=np.flatnonzero(state.held).tolist(),
-        model_passes=objective.model_pass.passes,
+        model_passes=objective.passes,
     )

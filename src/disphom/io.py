@@ -95,6 +95,13 @@ def _number(data, key, path) -> float:
     return float(value)
 
 
+def _refuse_unknown_keys(data, known, path) -> None:
+    """An error naming the file and every key of data that is not in known."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise DatasetFormatError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def _finite(value) -> bool:
     """Whether a JSON value is a finite number; booleans are not numbers here."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
@@ -115,9 +122,7 @@ def from_json_fields(cls, data: dict, path, key=None):
         data = data[key]
         if not isinstance(data, dict):
             raise DatasetFormatError(f"{path}: '{key}' must be a JSON object")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
-    if unknown:
-        raise DatasetFormatError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
+    _refuse_unknown_keys(data, [f.name for f in fields(cls)], path)
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
@@ -163,9 +168,10 @@ def read_dataset(path) -> Dataset:
 
     Every error is a DatasetFormatError naming the file and the offending
     line or key: wrong header, unparsable or non-finite numbers, non-monotone
-    tau, negative counts, missing sidecar keys.  The data lines are converted
-    in one call and built into a HomCurve; only when either step fails does
-    _first_bad_line walk the lines to name the first bad one.
+    tau, negative counts, missing or unknown sidecar keys, a label that is
+    not a string.  The data lines are converted in one call and built into
+    a HomCurve; only when either step fails does _first_bad_line walk the
+    lines to name the first bad one.
     """
     path = Path(path)
     lines = [
@@ -197,15 +203,19 @@ def read_dataset(path) -> Dataset:
     if not meta_path.exists():
         raise DatasetFormatError(f"{meta_path}: missing metadata sidecar")
     meta = read_json_object(meta_path)
-    for key in ("window_half_width_ns", "fiber_length_km", "label"):
+    keys = ("window_half_width_ns", "fiber_length_km", "label")
+    _refuse_unknown_keys(meta, keys, meta_path)
+    for key in keys:
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key '{key}'")
+    if not isinstance(meta["label"], str):
+        raise DatasetFormatError(f"{meta_path}: 'label' must be a string, got {meta['label']!r}")
     window_ps = 1000.0 * _number(meta, "window_half_width_ns", meta_path)
     if not 0 < window_ps < math.inf:
         raise DatasetFormatError(f"{meta_path}: window_half_width_ns must be finite and > 0")
     length_km = _number(meta, "fiber_length_km", meta_path)
     try:
-        return Dataset(curve, window_ps, length_km, str(meta["label"]))
+        return Dataset(curve, window_ps, length_km, meta["label"])
     except ValueError as exc:
         raise DatasetFormatError(f"{meta_path}: {exc}") from None
 

@@ -97,20 +97,6 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
-class DetectionParams:
-    """Coincidence window half-width T of [-T, T] and splitter reflectivity."""
-
-    window_half_width_ps: float
-    eta: float = 0.5
-
-    def __post_init__(self):
-        if not self.window_half_width_ps > 0:
-            raise ValueError("window_half_width_ps must be > 0")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class DerivedSpectral:
     """Spectral quantities derived from crystal, pump and filter.
 

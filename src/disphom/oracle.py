@@ -239,9 +239,10 @@ def windowed_rate_numeric(
     # Feature scales of the folded integrand: the pair-amplitude intensity
     # has a bump of width 1/sqrt(rho') centered at sigma = |tau|, and the
     # interference term carries a chirp phase whose local wavenumber in sigma
-    # is 2|tau| |k|.  Both must be resolved by the initial grid.  The seeds
-    # reach 8 widths out, so that the bump's tails hold nodes even where the
-    # window is so much wider than the bump that the uniform panels miss it.
+    # is 2|tau| |k|.  The initial panels over [0, T] are cut only at the
+    # bump's seeds and on the chirp grid; the adaptive rule refines the rest.
+    # The seeds reach 8 widths out, so that the bump's tails hold nodes even
+    # where the window is far wider than the bump.
     k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
     if not rho_p > 0:
@@ -263,7 +264,7 @@ def windowed_rate_numeric(
                 seeds.append(np.linspace(0.0, half_span, count))
         seeds = np.concatenate(seeds)
         inside = seeds[(0.0 < seeds) & (seeds < window_t)]
-        return np.unique(np.concatenate([np.linspace(0.0, window_t, 65), inside]))
+        return np.unique(np.concatenate([[0.0, window_t], inside]))
 
     def one(t):
         value, _ = _gauss_kronrod(

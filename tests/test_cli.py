@@ -486,13 +486,20 @@ def _gen_with(tmp_path, **fields):
     (lambda tmp: _fit_with_init(tmp, '{"rho_ps2_inv": "14.53"}'), "rho_ps2_inv"),
     (lambda tmp: _fit_with_init(tmp, '{"beta2_ps2_per_km": 60, "rho_ps2_inv_typo": 30}'),
      "rho_ps2_inv_typo"),
+    (lambda tmp: _fwhm_with_sidecar(
+        tmp, '{"window_half_width_ns": 0.4, "fiber_length_km": 10.0, "label": "x", '
+             '"jitter_ps": 20}'),
+     "jitter_ps"),
+    (lambda tmp: _fwhm_with_sidecar(
+        tmp, '{"window_half_width_ns": 0.4, "fiber_length_km": 10.0, "label": null}'),
+     "label"),
 ], ids=["init-list", "init-null-rho", "sidecar-number", "sidecar-null-window",
         "campaign-fractional-tau-points", "campaign-fractional-seed", "campaign-string-seed",
         "campaign-unknown-key", "sidecar-nan-length", "sidecar-infinite-length", "init-nan-beta2",
         "campaign-nan-length", "campaign-boolean-seed", "campaign-boolean-etas",
         "campaign-boolean-eta-element", "sidecar-infinite-window", "campaign-huge-peak-counts",
         "campaign-string-beta2", "sidecar-string-length", "init-string-rho",
-        "init-unknown-key"])
+        "init-unknown-key", "sidecar-unknown-key", "sidecar-null-label"])
 def test_malformed_json_input_is_clean_error(tmp_path, capsys, make_args, key):
     args, name = make_args(tmp_path)
     assert run(args) == 2

@@ -173,7 +173,7 @@ STACKED_CASES = {
 
 
 def kernel_points(monkeypatch, datasets, beta2=BETA2_REF, rho=RHO_REF):
-    """One stacked pass's (p, q) blocks and the number of points it evaluated."""
+    """One model pass's (p, q) per dataset and the number of points it evaluated."""
     sizes = []
 
     def counted(taus, *args):
@@ -181,8 +181,9 @@ def kernel_points(monkeypatch, datasets, beta2=BETA2_REF, rho=RHO_REF):
         return coincidence_parts(taus, *args)
 
     monkeypatch.setattr(fitting, "coincidence_parts", counted)
-    layout = fitting._StackedPass(datasets)
-    parts = [tuple(block) for block in layout.blocks(layout.expand(layout.parts(beta2, rho)))]
+    objective = fitting._Objective(datasets)
+    distinct = objective.parts(beta2, rho)
+    parts = [tuple(block) for block in objective.split(objective.expand(distinct))]
     assert len(sizes) == 1
     return parts, sizes[0]
 
@@ -219,7 +220,7 @@ def test_objective_derivatives_match_differences():
             make_dataset(1.0, 4.0, seed=4),
             make_dataset(0.4, 0.0, eta=1.0, seed=4)]
     objective = fitting._Objective(sets)
-    x = np.array([BETA2_REF * 1.01 / 10.0, math.log(RHO_REF * 0.99)])
+    x = np.array([BETA2_REF * 1.01, math.log(RHO_REF * 0.99)])
     solved = objective.solve(x)
     assert solved.eta_ps[0] == 0.0 and 0.0 < min(solved.eta_ps[1:])
     assert solved.eta_ps[4] == 1.0
@@ -260,14 +261,13 @@ def test_solve_matches_dense_eta_scan():
             make_dataset(0.4, 10.0, eta=0.5, seed=7),
             make_dataset(0.4, 0.0, eta=1.0, seed=4)]
     objective = fitting._Objective(sets)
-    solved = objective.solve(np.array([BETA2_REF / 10.0, math.log(RHO_REF)]))
+    solved = objective.solve(np.array([BETA2_REF, math.log(RHO_REF)]))
     assert 0.0 < solved.eta_ps[0] < 1.0 and list(solved.eta_ps[1:]) == [0.0, 1.0]
     assert list(solved.held) == [False, True, True]
     scan = np.linspace(0.0, 1.0, 2001)
-    layout = objective.model_pass
-    parts = layout.blocks(layout.expand(layout.parts(BETA2_REF, RHO_REF)))
-    for (p, q), ds, w2, r, s, eta_p in zip(parts, sets, layout.blocks(objective._w2),
-                                           layout.blocks(solved.res), solved.scales,
+    parts = objective.split(objective.expand(objective.parts(BETA2_REF, RHO_REF)))
+    for (p, q), ds, w2, r, s, eta_p in zip(parts, sets, objective.split(objective._w2),
+                                           objective.split(solved.res), solved.scales,
                                            solved.eta_ps):
         y = ds.curve.values
         f = p + scan[:, None] * q
@@ -496,6 +496,27 @@ def test_lm_fit_folds_beta2_sign():
     assert plus.params.beta2_ps2_per_km > 0
     assert minus.params == plus.params
     assert np.array_equal(minus.covariance, plus.covariance)
+
+
+def test_lm_fit_dataset_order_invariance():
+    # the fit sums over datasets, so their order changes it at rounding level
+    # only, and every per-dataset output follows its dataset
+    datasets, _ = generate_synthetic(small_campaign(seed=3))
+    order = [4, 1, 5, 0, 3, 2]
+    base = lm_fit(datasets, FitParams(BETA2_REF, RHO_REF))
+    permuted = lm_fit([datasets[i] for i in order], FitParams(BETA2_REF, RHO_REF))
+    for field in ("beta2_ps2_per_km", "rho_ps2_inv"):
+        assert getattr(permuted.params, field) == pytest.approx(
+            getattr(base.params, field), rel=1e-12)
+    assert permuted.loss == pytest.approx(base.loss, rel=1e-12)
+    assert permuted.iterations == base.iterations
+    for got, want in ((permuted.params.etas, base.params.etas),
+                      (permuted.scales, base.scales),
+                      (permuted.rmsre_per_dataset, base.rmsre_per_dataset)):
+        assert got == pytest.approx([want[i] for i in order], rel=1e-9)
+    index = [0, 1] + [2 + i for i in order]
+    expected = base.covariance[np.ix_(index, index)]
+    assert np.abs(permuted.covariance - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_lm_fit_covariance_matches_differences():

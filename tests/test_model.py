@@ -572,13 +572,3 @@ def test_source_params_validation():
         SourceParams(0.1, -0.1, -1.0, 775.0, 1.0)
     with pytest.raises(ValueError):
         SourceParams(0.1, -0.1, 1.0, 775.0, -1.0)
-
-
-def test_detection_params_validation():
-    from disphom import DetectionParams
-
-    with pytest.raises(ValueError):
-        DetectionParams(window_half_width_ps=0.0)
-    with pytest.raises(ValueError):
-        DetectionParams(window_half_width_ps=10.0, eta=1.5)
-    assert DetectionParams(10.0, 0.5).eta == 0.5

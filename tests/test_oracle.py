@@ -227,7 +227,7 @@ def test_windowed_matches_closed_form_reference_config():
 
 @pytest.mark.parametrize("length", [0.0, 0.001])
 def test_windowed_matches_closed_form_in_a_wide_window(length):
-    # T = 100 ns: the uniform panels are wider than the ~0.5 ps bump, so the
+    # T = 100 ns: the window is some 10^5 bump widths (~0.5 ps) wide, so the
     # quadrature must find the bump's tails from its own seeds
     taus = np.linspace(-600.0, 600.0, 121)
     numeric = windowed_rate_numeric(taus, 1e5, 0.52, RHO_REF, length, BETA2_REF)
