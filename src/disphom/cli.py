@@ -254,7 +254,7 @@ def _cmd_fwhm(args):
 def _cmd_osc_period(args):
     window_ps, rho_p, _ = _model_inputs(args)
     period = oscillation_period(args.rho, rho_p, window_ps)
-    print(json.dumps({"oscillation_period_ps": period}))
+    print(json.dumps({"oscillation_period_ps": _json_number(period)}))
     return 0
 
 

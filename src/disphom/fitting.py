@@ -436,10 +436,11 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     from the exact Jacobian of the weighted residuals in x and each free
     eta', with only the scales profiled: the blocks' J^T J, in which each
     eta' meets only x and itself, an arrowhead.  So the step and the
-    covariance read one Jacobian and one held mask.  The covariance reuses
-    the blocks of the Newton check that ended the fit; a fit that ends
-    another way evaluates them once more.  J^T J is summed block by block,
-    never forming the n x (2 + D) Jacobian.  p counts beta2, rho, and each
+    covariance read one Jacobian and one held mask.  The blocks are taken
+    once per accepted state, at the start and after each accepted step, so
+    at most iterations + 1 times per fit; the Newton check, the damped step
+    and the covariance all read that one evaluation.  J^T J is summed
+    block by block, never forming the n x (2 + D) Jacobian.  p counts beta2, rho, and each
     dataset's eta and scale; a dataset whose counts are all 0 brings
     neither points nor parameters.  The same n and p make the input check:
     a fit needs n >= p + 1.  A dataset whose eta' sits at a bound is held
@@ -466,26 +467,23 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     state = objective.solve(x)
     if state is None:
         raise ValueError("init: rho' = rho / (1 + (L beta2 rho)^2) is not in (0, inf)")
-    loss = state.loss
     lam = _DAMPING_INIT
     converged = False
     iterations = 0
+    blocks = objective.blocks(x, state)
 
     while iterations < _MAX_ITERATIONS:
-        blocks = objective.blocks(x, state)
         grad, jtj, newton = _eliminate(blocks, ~state.held)
         try:  # g^T N^-1 g, the loss a full Newton step would remove
             half_step = np.linalg.solve(np.linalg.cholesky(newton), grad)
-            if half_step @ half_step <= _LOSS_REL_TOL * loss:
+            if half_step @ half_step <= _LOSS_REL_TOL * state.loss:
                 converged = True
                 break
         except np.linalg.LinAlgError:
             pass  # N is not positive definite (at L = 0, say): the trials decide
-        blocks = None  # they are of x before the trials
         iterations += 1
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(), 1e-30)
-        accepted = False
         while lam < 1e14:
             damped = newton + lam * np.diag(diag)
             try:
@@ -496,15 +494,15 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
                 continue
             x_new = x + np.linalg.solve(damped, -grad)
             trial = objective.solve(x_new)
-            if trial is not None and trial.loss <= loss:
-                accepted = True
+            if trial is not None and trial.loss <= state.loss:
                 lam = max(lam / _DAMPING_FACTOR, 1e-14)
                 break
             lam *= _DAMPING_FACTOR
-        if not accepted:
+        else:  # the damping is exhausted
             break
-        rel_drop = (loss - trial.loss) / max(loss, 1e-300)
-        x, loss, state = x_new, trial.loss, trial
+        rel_drop = (state.loss - trial.loss) / max(state.loss, 1e-300)
+        x, state = x_new, trial
+        blocks = objective.blocks(x, state)
         if rel_drop < _LOSS_REL_TOL:
             converged = True
             break
@@ -519,8 +517,6 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     # 4 (2 eta - 1).  An eta' held at a bound has no column (at eta' = 0 it
     # would be zero).
     free = ~state.held
-    if blocks is None:  # the fit did not end at the Newton check
-        blocks = objective.blocks(x, state)
     per_set = blocks[1]
     arrowhead = np.diag(np.concatenate(([0.0, 0.0], per_set[2, 2, free])))
     arrowhead[:2, :2] = per_set[:2, :2].sum(axis=-1)
@@ -528,7 +524,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     arrowhead[:2, 2:] = arrowhead[2:, :2].T
     units = np.concatenate(([math.copysign(1.0, x[0]), 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
     jtj_ext = arrowhead * np.outer(units, units)
-    variance = loss / (n_points - n_params)
+    variance = state.loss / (n_points - n_params)
     cond = float(np.linalg.cond(jtj_ext))
     pseudo = not np.isfinite(cond) or cond > 1e12
     if pseudo:
@@ -552,7 +548,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         rmsre_per_dataset=rmsre_list,
         covariance=cov,
         covariance_order=order,
-        loss=loss,
+        loss=state.loss,
         iterations=iterations,
         converged=converged,
         pseudo_inverse_used=bool(pseudo),

@@ -25,9 +25,9 @@ C_MM_PER_PS = 0.299792458
 C_NM_PER_PS = 299792.458
 """Vacuum speed of light in nm/ps."""
 
-EPM_REL_TOL_DEFAULT = 0.15
-"""Default tolerance for extended-phase-matching warnings; a real ppKTP
-source with mismatch ~0.12 still counts as approximately phase matched."""
+EPM_REL_TOL = 0.15
+"""check_epm's tolerance on the relative mismatch; a real ppKTP source with
+mismatch ~0.12 still counts as approximately phase matched."""
 
 
 class FilterConvention(str, Enum):
@@ -192,19 +192,17 @@ def derive_gammas(source: SourceParams) -> tuple[float, float]:
     )
 
 
-def check_epm(gamma_signal, gamma_idler, rel_tol=EPM_REL_TOL_DEFAULT) -> EpmCheck:
+def check_epm(gamma_signal, gamma_idler) -> EpmCheck:
     """Extended-phase-matching check: how far gamma_idler is from -gamma_signal.
 
     Returns the relative mismatch |gamma_i + gamma_s| / max(|gamma_i|, |gamma_s|)
-    and whether it is within rel_tol.
+    and whether it is within EPM_REL_TOL.
     """
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be > 0")
     scale = max(abs(gamma_signal), abs(gamma_idler))
     if scale == 0.0:
         raise ValueError("degenerate phase matching: both gammas are zero")
     mismatch = abs(gamma_idler + gamma_signal) / scale
-    return EpmCheck(mismatch, mismatch <= rel_tol)
+    return EpmCheck(mismatch, mismatch <= EPM_REL_TOL)
 
 
 def filter_variance(filt: FilterParams) -> float:

@@ -243,14 +243,25 @@ def test_fwhm_without_dip_names_file(tmp_path, capsys):
     assert "ds_T0.4ns_L0km.csv: no dip found" in err
 
 
-def test_osc_period_subcommand(capsys):
+@pytest.mark.parametrize(
+    "length_km, window_ns, expected",
+    [("10", "0.4", pytest.approx(3.3599336908529556, rel=1e-9)),
+     # a period past the double range is written as null, never as Infinity
+     ("1e10", "1e-300", None)],
+    ids=["finite", "past-double-range"],
+)
+def test_osc_period_subcommand(capsys, length_km, window_ns, expected):
     rc = run(
-        ["osc-period", "--rho", "14.53", "--beta2", "21.39", "--length-km", "10",
-         "--window-ns", "0.4"]
+        ["osc-period", "--rho", "14.53", "--beta2", "21.39", "--length-km", length_km,
+         "--window-ns", window_ns]
     )
     assert rc == 0
-    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert out["oscillation_period_ps"] == pytest.approx(3.3599336908529556, rel=1e-9)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1], parse_constant=refuse)
+    assert out["oscillation_period_ps"] == expected
 
 
 

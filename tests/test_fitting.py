@@ -519,13 +519,21 @@ def test_lm_fit_dataset_order_invariance():
     assert np.abs(permuted.covariance - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_lm_fit_covariance_matches_differences():
+@pytest.mark.parametrize(
+    "cap, init",
+    [(None, (BETA2_REF, RHO_REF)), (2, (20.0, 10.0)), (5, (20.0, 10.0))],
+    ids=["converged", "capped-2", "capped-5"],
+)
+def test_lm_fit_covariance_matches_differences(monkeypatch, cap, init):
     # the covariance is (J^T J)^-1 loss / (n - p) for the Jacobian of the
     # weighted residuals in (|beta2|, rho, eta_1..eta_D), each scale profiled:
-    # here J is taken by central differences of model_values
+    # here J is taken by central differences of model_values.  A fit cut at
+    # the iteration limit must take it at its last point, as a converged one does.
+    if cap is not None:
+        monkeypatch.setattr(fitting, "_MAX_ITERATIONS", cap)
     datasets, _ = generate_synthetic(small_campaign(seed=3, etas=0.55))
-    result = lm_fit(datasets, FitParams(BETA2_REF, RHO_REF))
-    assert result.converged and result.etas_held_at_bound == []
+    result = lm_fit(datasets, FitParams(*init))
+    assert result.converged == (cap is None) and result.etas_held_at_bound == []
     weights = [np.sqrt(fitting._poisson_weights(ds.curve.values)) for ds in datasets]
 
     def weighted_residuals(theta):
