@@ -230,7 +230,6 @@ def _fit_report(result, datasets, paths):
         "covariance": [[_json_number(v) for v in row] for row in result.covariance.tolist()],
         "jtj_condition": _json_number(result.jtj_condition),
         "diagnostics": {
-            "covariance_pseudo_inverse": result.pseudo_inverse_used,
             "etas_held_at_bound": [
                 result.covariance_order[2 + i] for i in result.etas_held_at_bound
             ],

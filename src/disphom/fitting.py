@@ -82,6 +82,43 @@ _DAMPING_FACTOR = 10.0
 
 @dataclass
 class FitResult:
+    """What lm_fit found, and how.
+
+    params: the fitted |beta2|, rho and each dataset's canonical eta >= 1/2.
+    beta2_sigma_ps2_per_km, rho_sigma_ps2_inv: square roots of the
+        covariance's first two diagonal entries.  Infinite for a parameter
+        no data point moves with, as beta2 when every dataset has L = 0.
+    scales: each dataset's profiled amplitude s_i.
+    rmsre_per_dataset: each dataset's rmsre of the unweighted residuals
+        s_i f_i - y; NaN for a dataset whose counts are all 0.
+    covariance: (J^T J)^-1 loss / (n - p) in the external parameters,
+        ordered as covariance_order.  J is the Jacobian of the weighted
+        residuals in (|beta2|, rho) and each free eta, with the scales
+        profiled.  J^T J is inverted in correlation form: each row and
+        column is divided by the square root of its diagonal, the result is
+        inverted, and the inverse is scaled back.  A parameter whose J^T J
+        diagonal is 0 is unseen: it is left out of the inversion, and its
+        variance is infinite with covariances 0.  The row and column of an
+        eta held at a bound are 0.
+    covariance_order: the covariance's row names, "beta2_ps2_per_km",
+        "rho_ps2_inv", then "eta[0]" .. "eta[D-1]" in dataset order.
+    loss: the weighted objective at the result.
+    iterations: the LM iterations, each one damped step however many trials
+        it took; the Newton check that ends a fit is not one.
+    converged: the Newton check or a negligible loss decrease ended the
+        fit, not the iteration limit or exhausted damping.
+    jtj_condition: the 2-norm condition number of J^T J in correlation form
+        over the parameters that are neither unseen nor held.  It does not
+        depend on the parameters' units: 1 where they are uncorrelated, and
+        large where the data see a combination of them rather than each.
+        Infinite where that block is exactly singular, whose variances are
+        then infinite too.
+    etas_held_at_bound: the datasets whose eta' = (2 eta - 1)^2 sits at 0
+        or 1, where the fit holds it; their etas have no covariance.
+    model_passes: the model passes the fit made, one stacked
+        coincidence_parts call per point at which the loss was taken.
+    """
+
     params: FitParams
     beta2_sigma_ps2_per_km: float
     rho_sigma_ps2_inv: float
@@ -92,7 +129,6 @@ class FitResult:
     loss: float
     iterations: int
     converged: bool
-    pseudo_inverse_used: bool
     jtj_condition: float
     etas_held_at_bound: list[int]
     model_passes: int
@@ -430,26 +466,18 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     (0, inf), is rejected like a trial that raises the loss.
 
     The model sees beta2 only through (L beta2 rho)^2, so the loop may end
-    at x0 < 0; FitParams stores |beta2|, and the covariance's beta2 row
-    takes d x0 / d|beta2| = sign(x0).  FitResult.loss is the weighted objective.  The
-    covariance of (|beta2|, rho, eta_1..eta_D) is (J^T J)^-1 * loss / (n - p),
-    from the exact Jacobian of the weighted residuals in x and each free
-    eta', with only the scales profiled: the blocks' J^T J, in which each
-    eta' meets only x and itself, an arrowhead.  So the step and the
-    covariance read one Jacobian and one held mask.  The blocks are taken
-    once per accepted state, at the start and after each accepted step, so
-    at most iterations + 1 times per fit; the Newton check, the damped step
-    and the covariance all read that one evaluation.  J^T J is summed
-    block by block, never forming the n x (2 + D) Jacobian.  p counts beta2, rho, and each
-    dataset's eta and scale; a dataset whose counts are all 0 brings
-    neither points nor parameters.  The same n and p make the input check:
-    a fit needs n >= p + 1.  A dataset whose eta' sits at a bound is held
-    there: it is listed in etas_held_at_bound, its eta row and column of the
-    covariance are 0, and the rest is inverted without it.  Only a singular remainder
-    (an unidentifiable beta2 at L = 0, say) falls back to the
-    pseudo-inverse, which is flagged; a parameter whose J^T J column is all
-    zero, as that beta2's is, gets an infinite variance.
-    rmsre_per_dataset is computed on the unweighted residuals.
+    at x0 < 0; FitParams stores |beta2|.  The covariance is taken from the
+    blocks' J^T J, the Jacobian of the weighted residuals in x and each
+    free eta' with only the scales profiled: an arrowhead, as each eta'
+    meets only x and itself, summed block by block without forming the
+    n x (2 + D) Jacobian.  So the step and the covariance read one Jacobian
+    and one held mask.  The blocks are taken once per accepted state, at
+    the start and after each accepted step, so at most iterations + 1 times
+    per fit.  p counts beta2, rho, and each dataset's eta and scale; a
+    dataset whose counts are all 0 brings neither points nor parameters.
+    The same n and p give the covariance's loss / (n - p) and the input
+    check: a fit needs n >= p + 1.  FitResult says how the covariance is
+    inverted and what each of its fields holds.
     """
     datasets = list(datasets)
     if len(datasets) == 0:
@@ -512,27 +540,28 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     params = FitParams(beta2, rho, etas.tolist())
 
     # Covariance in external units (|beta2|, rho, eta_1..eta_D): the arrowhead
-    # J^T J in x and each free eta' from the blocks' J^T J, scaled by
-    # d x / d (|beta2|, rho) = (sign(x0), 1/rho) and d eta'/d eta =
-    # 4 (2 eta - 1).  An eta' held at a bound has no column (at eta' = 0 it
-    # would be zero).
+    # J^T J in x and each free eta' from the blocks' J^T J, inverted in
+    # correlation form and scaled by d x / d (|beta2|, rho) = (sign(x0), 1/rho)
+    # and d eta'/d eta = 4 (2 eta - 1).  An eta' held at a bound has no column
+    # (at eta' = 0 it would be zero).
     free = ~state.held
     per_set = blocks[1]
     arrowhead = np.diag(np.concatenate(([0.0, 0.0], per_set[2, 2, free])))
     arrowhead[:2, :2] = per_set[:2, :2].sum(axis=-1)
     arrowhead[2:, :2] = per_set[2, :2, free]
     arrowhead[:2, 2:] = arrowhead[2:, :2].T
+    root = np.sqrt(np.diag(arrowhead))
+    seen = np.flatnonzero(root)  # no data point moves with an unseen parameter
+    corr = arrowhead[np.ix_(seen, seen)] / np.outer(root[seen], root[seen])
     units = np.concatenate(([math.copysign(1.0, x[0]), 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
-    jtj_ext = arrowhead * np.outer(units, units)
-    variance = state.loss / (n_points - n_params)
-    cond = float(np.linalg.cond(jtj_ext))
-    pseudo = not np.isfinite(cond) or cond > 1e12
-    if pseudo:
-        cov_free = np.linalg.pinv(jtj_ext, rcond=1e-12) * variance
-    else:
-        cov_free = np.linalg.inv(jtj_ext) * variance
-    unseen = np.flatnonzero(np.diag(jtj_ext) == 0)  # no data point moves with these
-    cov_free[unseen, unseen] = math.inf
+    scale = (units * root)[seen]
+    cov_free = np.diag(np.full(root.size, math.inf))
+    try:  # an exactly singular block keeps its infinite variances
+        cov_free[np.ix_(seen, seen)] = (np.linalg.inv(corr) / np.outer(scale, scale)
+                                        * state.loss / (n_points - n_params))
+        cond = float(np.linalg.cond(corr))
+    except np.linalg.LinAlgError:
+        cond = math.inf
     kept = np.concatenate(([0, 1], 2 + np.flatnonzero(free)))
     order = ["beta2_ps2_per_km", "rho_ps2_inv"] + [f"eta[{i}]" for i in range(len(datasets))]
     cov = np.zeros((len(order), len(order)))
@@ -551,7 +580,6 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         loss=state.loss,
         iterations=iterations,
         converged=converged,
-        pseudo_inverse_used=bool(pseudo),
         jtj_condition=cond,
         etas_held_at_bound=np.flatnonzero(state.held).tolist(),
         model_passes=objective.passes,

@@ -162,6 +162,7 @@ _G7_HALF = np.array([
 _GK_NODES = np.concatenate([-_GK_HALF_NODES[:-1], _GK_HALF_NODES[::-1]])
 _K15 = np.concatenate([_K15_HALF[:-1], _K15_HALF[::-1]])
 _K15_MINUS_G7 = _K15 - np.concatenate([_G7_HALF[:-1], _G7_HALF[::-1]])
+_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 
 
 def _gauss_kronrod(f, breakpoints, abs_tol, rel_tol, max_levels):
@@ -172,8 +173,14 @@ def _gauss_kronrod(f, breakpoints, abs_tol, rel_tol, max_levels):
     structure its nodes sample, so narrow features and fast oscillations
     must be resolved by the breakpoints.  Each level evaluates f once on an
     (open panels x 15) node array.  A panel is accepted once
-    |K15 - G7| <= max(abs_tol, rel_tol |estimate|) (width / span); the rest
-    are bisected, at most max_levels times.
+    |K15 - G7| <= max(abs_tol, rel_tol |estimate|) (width / span), or once
+    |K15 - G7| is at the rounding floor of the panel's own K15 sum,
+    50 eps |K15|: a panel far narrower than the span, as a bump's in a wide
+    window, is given a share of the tolerance below that floor, and
+    bisecting it would not lower its error.  QUADPACK's floor takes the
+    integral of |f| in place of |K15|; the two agree for the non-negative
+    rate, and |K15| is never the larger.  The rest are bisected, at most
+    max_levels times.
     """
     a, b = breakpoints[:-1], breakpoints[1:]
     span = breakpoints[-1] - breakpoints[0]
@@ -186,7 +193,8 @@ def _gauss_kronrod(f, breakpoints, abs_tol, rel_tol, max_levels):
         kronrod = half * (values @ _K15)
         err = np.abs(half * (values @ _K15_MINUS_G7))
         estimate = integral + float(np.sum(kronrod))
-        done = err <= max(abs_tol, rel_tol * abs(estimate)) * (b - a) / span
+        share = half * (2.0 * max(abs_tol, rel_tol * abs(estimate)) / span)
+        done = err <= np.maximum(share, _ROUNDING_FLOOR * np.abs(kronrod))
         integral += float(np.sum(kronrod[done]))
         bound += float(np.sum(err[done]))
         keep = ~done
@@ -243,10 +251,11 @@ def windowed_rate_numeric(
     # bump's seeds and on the chirp grid; the adaptive rule refines the rest.
     # The seeds reach 8 widths out, so that the bump's tails hold nodes even
     # where the window is far wider than the bump.
-    k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
+    # rho' first: it refuses a rho <= 0, at which the chirp wavenumber divides by 0
     rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
     if not rho_p > 0:
         raise ValueError("rho_prime must be > 0 (L beta2 rho too large)")
+    k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     bump_width = 1.0 / math.sqrt(rho_p)
 
     def _breakpoints(t):

@@ -310,7 +310,7 @@ def test_fit_reports_etas_held_at_bound(tmp_path):
                 "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     held = report["diagnostics"]["etas_held_at_bound"]
-    assert held and not report["diagnostics"]["covariance_pseudo_inverse"]
+    assert held
     # the start and at least one trial point per iteration, one model pass each
     assert report["diagnostics"]["model_passes"] >= 1 + report["iterations"]
     order = report["covariance_order"]
@@ -351,7 +351,8 @@ def test_fit_report_is_strict_json_when_beta2_is_unidentifiable(tmp_path):
 
     report = json.loads(report_path.read_text(), parse_constant=refuse)
     assert report["beta2_sigma_ps2_per_km"] is None
-    assert report["jtj_condition"] is None
+    # the condition number is that of the parameters the data see, without beta2
+    assert 1 <= report["jtj_condition"] < float("inf")
     assert 0 < report["rho_sigma_ps2_inv"] < float("inf")
 
 

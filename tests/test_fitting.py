@@ -446,7 +446,6 @@ def test_lm_fit_balanced_splitter_converges():
     # the datasets held at eta = 1/2 leave the covariance, which inverts the rest
     held = [i for i, eta in enumerate(result.params.etas) if eta == 0.5]
     assert result.etas_held_at_bound == held
-    assert not result.pseudo_inverse_used
     assert math.isfinite(result.jtj_condition)
     rows = [2 + i for i in held]
     assert not result.covariance[rows].any() and not result.covariance[:, rows].any()
@@ -460,9 +459,29 @@ def test_lm_fit_l0_beta2_unidentifiable():
     ds = Dataset(HomCurve(taus, 1e4 * model), 400.0, 0.0)
     result = lm_fit([ds], FitParams(20.0, 14.0, [0.501]))
     assert result.converged
-    assert result.pseudo_inverse_used
-    assert result.jtj_condition > 1e12
+    # no data point moves with beta2: it is left out of the inverted block
+    # with an infinite variance, and what the data see is well conditioned
+    assert result.beta2_sigma_ps2_per_km == math.inf
+    assert 0 < result.rho_sigma_ps2_inv < math.inf
+    assert 1 <= result.jtj_condition < 1e3
     assert result.params.rho_ps2_inv == pytest.approx(RHO_REF, rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("overrides", [
+    dict(fiber_lengths_km=[0.0]),
+    dict(beta2_ps2_per_km=0.0, fiber_lengths_km=[10.0, 20.0]),
+], ids=["zero-length", "zero-beta2"])
+def test_lm_fit_sigma_covers_truth_on_degenerate_campaigns(seed, overrides):
+    # at L = 0, or at beta2 = 0, the dip is far narrower than the 6 ps delay
+    # step, so the data barely see rho: its sigma must be large, not 0, and
+    # the truth must lie within 3 sigma of each estimate
+    config = small_campaign(seed=seed, windows_ns=[0.4], tau_points=201, **overrides)
+    datasets, _ = generate_synthetic(config)
+    result = lm_fit(datasets, FitParams(20.0, 10.0))
+    assert abs(result.params.rho_ps2_inv - RHO_REF) <= 3.0 * result.rho_sigma_ps2_inv
+    beta2 = config.beta2_ps2_per_km
+    assert abs(result.params.beta2_ps2_per_km - beta2) <= 3.0 * result.beta2_sigma_ps2_per_km
 
 
 @pytest.mark.parametrize("seed, beta2, rho", [(3, 3.0, 1.0), (3, 5.0, 10.0), (5, 0.2, 30.0)])
