@@ -6,8 +6,9 @@ deviation report), derive-source (crystal/filter to spectral scales), gen
 osc-period.  Windows are given in ns on the command line (half-width of the
 symmetric coincidence window) and converted to ps internally; all JSON
 output carries unit-suffixed keys.  User errors are ValueErrors, raised where
-the input enters; main alone turns them into `error: ...` on stderr and exit
-code 2, never a traceback.  `fit` exits 0 only when the optimizer converged.
+the input enters; main alone turns them, and an oracle that cannot reach its
+tolerance (QuadratureError), into `error: ...` on stderr and exit code 2,
+never a traceback.  `fit` exits 0 only when the optimizer converged.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .model import (
     extract_fwhm,
     oscillation_period,
 )
-from .oracle import QuadratureSpec, windowed_rate_numeric
+from .oracle import QuadratureError, QuadratureSpec, windowed_rate_numeric
 
 _DEFAULT_INIT = {"beta2_ps2_per_km": 20.0, "rho_ps2_inv": 10.0}
 """The fit's start where --init is not given or lacks a key."""
@@ -328,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -128,13 +128,20 @@ def _folded_rate(t, sigma, eta, rho_p, k):
     sqrt(rho'/2pi) exp(-rho' (t - sigma)^2 / 2)
     * [(eta^2 + (1-eta)^2)(1 + u^2) - 4 eta (1-eta) u cos(2 k t sigma)];
     for non-negative t and sigma no factor can overflow (a cosh form would,
-    as rho' t sigma reaches ~1e6 without dispersion).
+    as rho' t sigma reaches ~1e6 without dispersion).  The bracket is
+    evaluated as a (1-u)^2 + 2 eta' u + 4 b u sin^2(k t sigma), with
+    a = eta^2 + (1-eta)^2, b = 2 eta (1-eta), eta' = (1 - 2 eta)^2 and
+    1 - u = -expm1(-rho' t sigma): every term is non-negative, so the
+    bracket keeps its digits where u -> 1 and k t sigma -> 0 (a long fiber
+    at a small delay), where the expanded form cancels to 0.
     """
+    eta_p = (1.0 - 2.0 * eta) ** 2
     with np.errstate(under="ignore"):
-        u = np.exp(-rho_p * t * sigma)
+        one_minus_u = -np.expm1(-rho_p * t * sigma)
+        u = 1.0 - one_minus_u
         out = np.exp(-0.5 * rho_p * (t - sigma) ** 2) * (
-            (eta * eta + (1.0 - eta) * (1.0 - eta)) * (1.0 + u * u)
-            - (4.0 * eta * (1.0 - eta)) * u * np.cos(2.0 * k * t * sigma)
+            (eta * eta + (1.0 - eta) * (1.0 - eta)) * one_minus_u**2
+            + u * (2.0 * eta_p + (8.0 * eta * (1.0 - eta)) * np.sin(k * t * sigma) ** 2)
         )
     out *= math.sqrt(rho_p / (2.0 * math.pi))
     return out
@@ -163,6 +170,12 @@ _GK_NODES = np.concatenate([-_GK_HALF_NODES[:-1], _GK_HALF_NODES[::-1]])
 _K15 = np.concatenate([_K15_HALF[:-1], _K15_HALF[::-1]])
 _K15_MINUS_G7 = _K15 - np.concatenate([_G7_HALF[:-1], _G7_HALF[::-1]])
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
+# G7's error on cos(w s) over a panel of width h is at most C h (w h)^14, with
+# C = (7!)^4 / (15 (14!)^3) ~ 6.49e-20 the n = 7 Gauss-Legendre constant
+_G7_COS_ERROR = math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
+# open panels a level may hold: a full 1e5-panel chirp grid can still be
+# bisected once, and a (panels x 15) node array stays near 30 MB
+_MAX_OPEN_PANELS = 2**18
 
 
 def _gauss_kronrod(f, breakpoints, abs_tol, rel_tol, max_levels):
@@ -180,7 +193,11 @@ def _gauss_kronrod(f, breakpoints, abs_tol, rel_tol, max_levels):
     bisecting it would not lower its error.  QUADPACK's floor takes the
     integral of |f| in place of |K15|; the two agree for the non-negative
     rate, and |K15| is never the larger.  The rest are bisected, at most
-    max_levels times.
+    max_levels times, and while no more than 2^18 panels would be open:
+    past either limit QuadratureError reports the estimate and its bound.
+    The panel cap bounds memory where rounding keeps |K15 - G7| above the
+    floor on ever more panels, as for a cosine at a phase of thousands of
+    radians.
     """
     a, b = breakpoints[:-1], breakpoints[1:]
     span = breakpoints[-1] - breakpoints[0]
@@ -198,14 +215,17 @@ def _gauss_kronrod(f, breakpoints, abs_tol, rel_tol, max_levels):
         integral += float(np.sum(kronrod[done]))
         bound += float(np.sum(err[done]))
         keep = ~done
-        if not keep.any():
+        still_open = int(np.count_nonzero(keep))
+        if not still_open:
             return integral, bound
-        if level < max_levels:
-            mid = centre[keep]
-            a, b = np.concatenate([a[keep], mid]), np.concatenate([mid, b[keep]])
+        if level == max_levels or 2 * still_open > _MAX_OPEN_PANELS:
+            break
+        mid = centre[keep]
+        a, b = np.concatenate([a[keep], mid]), np.concatenate([mid, b[keep]])
 
     raise QuadratureError(
-        f"quadrature did not converge within {max_levels} subdivision levels",
+        f"quadrature did not converge: {still_open} panels open after {level} "
+        f"subdivision levels (limits: {max_levels} levels, {_MAX_OPEN_PANELS} panels)",
         estimate,
         bound + float(np.sum(err[keep])),
     )
@@ -247,16 +267,24 @@ def windowed_rate_numeric(
     # Feature scales of the folded integrand: the pair-amplitude intensity
     # has a bump of width 1/sqrt(rho') centered at sigma = |tau|, and the
     # interference term carries a chirp phase whose local wavenumber in sigma
-    # is 2|tau| |k|.  The initial panels over [0, T] are cut only at the
+    # is w = 2|tau| |k|.  The initial panels over [0, T] are cut only at the
     # bump's seeds and on the chirp grid; the adaptive rule refines the rest.
     # The seeds reach 8 widths out, so that the bump's tails hold nodes even
     # where the window is far wider than the bump.
+    # The chirp grid's panels are sized to be accepted at the first level.
+    # A panel of width h is given h rel_tol mean(f) of the tolerance, and
+    # G7's error on an oscillation of amplitude A is at most A C h (w h)^14;
+    # with A up to 3 mean(f), w h = (rel_tol / (3 C))^(1/14) meets the share
+    # (1.27 panels per period at rel_tol = 1e-9).  A loose rel_tol still
+    # gets at least 1.1 panels per period: the error estimate only sees
+    # oscillations that its nodes resolve.
     # rho' first: it refuses a rho <= 0, at which the chirp wavenumber divides by 0
     rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
     if not rho_p > 0:
         raise ValueError("rho_prime must be > 0 (L beta2 rho too large)")
     k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     bump_width = 1.0 / math.sqrt(rho_p)
+    phase_step = min(2.0 * math.pi / 1.1, (spec.rel_tol / (3.0 * _G7_COS_ERROR)) ** (1.0 / 14.0))
 
     def _breakpoints(t):
         seeds = [t + bump_width * np.array([-8.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0])]
@@ -266,11 +294,9 @@ def windowed_rate_numeric(
         if wavenumber > 0.0 and cross_exponent < 50.0:
             sigma_cut = math.sqrt(2.0 * (50.0 - cross_exponent) / rho_p)
             half_span = min(window_t, sigma_cut)
-            # ~1.1 panels per oscillation period; non-integer to avoid resonance
-            step = 2.0 * math.pi / (wavenumber * 1.1)
-            count = int(min(half_span / step, 1e5))
+            count = min(math.ceil(half_span * wavenumber / phase_step), 100_000)
             if count > 1:
-                seeds.append(np.linspace(0.0, half_span, count))
+                seeds.append(np.linspace(0.0, half_span, count + 1))
         seeds = np.concatenate(seeds)
         inside = seeds[(0.0 < seeds) & (seeds < window_t)]
         return np.unique(np.concatenate([[0.0, window_t], inside]))

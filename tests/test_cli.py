@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from disphom import CampaignConfig, Dataset, HomCurve, read_dataset, write_dataset
+from disphom import (
+    CampaignConfig, Dataset, HomCurve, QuadratureError, cli, read_dataset, write_dataset,
+)
 from disphom.cli import main
 from conftest import BETA2_REF, DN_ENGINEERED, RHO_REF, small_campaign
 
@@ -84,6 +86,20 @@ def test_oracle_subcommand_matches_closed_form(tmp_path, capsys):
     deviation = float(stdout.split("max_scale_matched_relative_deviation=")[1].split()[0])
     assert deviation <= 1e-6
     assert out.exists()
+
+
+def test_oracle_nonconvergence_is_clean_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise QuadratureError("quadrature did not converge", 0.5, 1e-3)
+
+    monkeypatch.setattr(cli, "windowed_rate_numeric", refuse)
+    flags = [f"{k}={v}" for k, v in _MODEL_FLAGS.items()]
+    out = tmp_path / "x.csv"
+    assert run(["oracle", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: quadrature did not converge")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 _MODEL_FLAGS = {

@@ -3,8 +3,14 @@ single-configuration closed-form comparison (the full grid runs in the
 acceptance suite)."""
 
 import math
+import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +27,7 @@ from disphom import (
     sinc_gaussian_check,
     windowed_rate_numeric,
 )
+from disphom import oracle
 from disphom.oracle import _chirp_wavenumber, _folded_rate, _gauss_kronrod
 from conftest import BETA2_REF, RHO_REF
 
@@ -237,6 +244,91 @@ def test_windowed_matches_closed_form_in_a_wide_window(length, window):
     rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
     closed = coincidence_curve(taus, RHO_REF, rho_p, eta_prime(0.52), window).values
     assert np.abs(numeric - closed).max() <= 1e-12 * closed.max()
+
+
+def _mpmath_windowed_rate(tau, window_t, eta, length, pieces):
+    # int_{-T}^{T} |eta b((tau+s)/sqrt2) - (1-eta) b((tau-s)/sqrt2)|^2 / sqrt2 ds in
+    # 40-digit arithmetic, from the complex amplitude b(t) = (rho'/pi)^(1/4)
+    # exp(-q t^2), q = 1/(2 (1/rho + i L beta2)): no cancellation is lost at
+    # this precision.  Each span between the cuts at 0 and +-tau is split into
+    # `pieces` intervals, enough to follow the chirp's oscillations
+    with mp.workdps(40):
+        q = 1 / (2 * (1 / mp.mpf(RHO_REF) + 1j * mp.mpf(length) * mp.mpf(BETA2_REF)))
+        norm = (2 * q.real / mp.pi) ** mp.mpf(0.25)
+        tau, eta, window_t = mp.mpf(tau), mp.mpf(eta), mp.mpf(window_t)
+
+        def density(s):
+            plus, minus = (tau + s) / mp.sqrt(2), (tau - s) / mp.sqrt(2)
+            amplitude = eta * mp.exp(-q * plus**2) - (1 - eta) * mp.exp(-q * minus**2)
+            return (norm * abs(amplitude)) ** 2 / mp.sqrt(2)
+
+        cuts = sorted({-window_t, mp.mpf(0), window_t, *(x for x in (-tau, tau) if abs(x) < window_t)})
+        points = [lo + (hi - lo) * i / pieces for lo, hi in zip(cuts, cuts[1:]) for i in range(pieces)]
+        return float(mp.quad(density, [*points, window_t]))
+
+
+@pytest.mark.parametrize("length, window, tau, pieces", [
+    (1e10, 400.0, 5.0, 1), (1e10, 400.0, 50.0, 1), (1e10, 400.0, 600.0, 1),
+    (29.0, 1e-3, 5.0, 1), (29.0, 1e-3, 50.0, 1), (29.0, 400.0, 5.0, 8), (29.0, 400.0, 600.0, 8),
+])
+def test_windowed_matches_mpmath_where_the_expanded_density_cancels(length, window, tau, pieces):
+    # at eta = 1/2 the density's two intensities and its interference term
+    # cancel to ~1e-27 of each at L = 1e10 km (where the expanded integrand
+    # summed to 0.0) and to ~1e-16 in a 1 fs window; the 400 ps rows cross
+    # the chirp's oscillations
+    reference = _mpmath_windowed_rate(tau, window, 0.5, length, pieces)
+    got = windowed_rate_numeric(tau, window, 0.5, RHO_REF, length, BETA2_REF)
+    assert abs(got - reference) <= 1e-8 * reference
+
+
+def test_chirp_grid_panels_are_accepted_unbisected(monkeypatch):
+    # the chirp grid's panel width comes from G7's own error bound, so at
+    # the reference configuration the first level accepts nearly every panel
+    sizes = []
+    folded = oracle._folded_rate
+
+    def counted(t, sigma, *args):
+        sizes.append(np.size(sigma))
+        return folded(t, sigma, *args)
+
+    monkeypatch.setattr(oracle, "_folded_rate", counted)
+    taus = np.linspace(-600.0, 600.0, 201)
+    windowed_rate_numeric(taus, 400.0, 0.52, RHO_REF, 10.0, BETA2_REF)
+    distinct = np.unique(np.abs(taus)).size
+    assert sum(sizes) <= 2200 * distinct
+    assert len(sizes) <= 1.2 * distinct
+
+
+_RUNAWAY = """
+import resource, sys
+limit = 2_500_000 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import numpy as np
+from disphom import QuadratureError, windowed_rate_numeric
+try:
+    windowed_rate_numeric(np.array([0.0, 5.0, 50.0, 600.0]), 1e9, 0.52, 14.53, 29.0, 21.39)
+except QuadratureError:
+    sys.exit(0)
+sys.exit("converged")
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_windowed_runaway_ends_in_quadrature_error_under_a_memory_cap():
+    # T = 1 ms at L = 29 km: at tau = 600 ps rounding of the chirp's phase
+    # keeps ever more panels above their rounding floor.  The panel cap must
+    # end the refinement with QuadratureError within 20 s; without it the
+    # open panels grow until memory runs out, so this runs only in a child
+    # process whose address space is capped at 2.5 GB
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", _RUNAWAY], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert time.perf_counter() - start <= 20.0
 
 
 def test_windowed_monotone_in_window():
