@@ -2,7 +2,7 @@
 
 Evaluates the time-resolved two-photon rate directly from the dispersed
 difference amplitude and integrates it over the coincidence window with an
-adaptive Gauss-Kronrod (G7-K15) rule.  Exists to validate the closed-form
+adaptive Gauss-Kronrod (G15-K31) rule.  Exists to validate the closed-form
 model: it shares no code with the closed form beyond the broadened-width
 helper used in its own contracts.
 
@@ -12,7 +12,9 @@ the symmetric window [-T, T] is the integral over [0, T] of the folded
 density c(tau, sigma) + c(tau, -sigma), which holds one bump (at
 sigma = |tau|) where the unfolded density holds two.  The folded density
 depends on tau through |tau| alone, so the windowed rate is even in tau and
-each distinct |tau| of a grid is integrated once.
+each distinct |tau| of a grid is integrated once.  The distinct delays are
+integrated together, a memory-bounded group of them per adaptive pass, and
+each one's result does not depend on the group it falls in.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .model import ChannelParams, broadened_rho
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Configuration of the adaptive Gauss-Kronrod (G7-K15) integrator.
+    """Configuration of the adaptive Gauss-Kronrod (G15-K31) integrator.
 
     max_subdivisions is the number of bisection levels a panel may go through.
     """
@@ -46,7 +48,8 @@ class QuadratureSpec:
 class QuadratureError(RuntimeError):
     """Raised when the integrator cannot reach the requested tolerance.
 
-    Carries the achieved estimate and its error bound.
+    Carries the achieved estimate and its error bound: those of the first
+    integral left open, where several are integrated together.
     """
 
     def __init__(self, message, estimate, error_bound):
@@ -56,7 +59,7 @@ class QuadratureError(RuntimeError):
 
 
 def max_workers() -> int:
-    """Threads the oracle uses: one, as delays are integrated one after another.
+    """Threads the oracle uses: one, as groups of delays are integrated one after another.
 
     perfbench records this figure with every run."""
     return 1
@@ -147,73 +150,107 @@ def _folded_rate(t, sigma, eta, rho_p, k):
     return out
 
 
-# Gauss-Kronrod G7-K15 on [-1, 1] (QUADPACK's qk15): the Kronrod nodes in
-# ascending order, the K15 weights, and K15 minus G7, whose sum is the
-# rule's error estimate (G7 uses every second node; its weight is 0 elsewhere).
+# Gauss-Kronrod G15-K31 on [-1, 1] (QUADPACK's qk31): the Kronrod nodes in
+# ascending order, the K31 weights, and K31 minus G15, whose sum is the
+# rule's error estimate (G15 uses every second node; its weight is 0 elsewhere).
 _GK_HALF_NODES = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0,
+    0.998002298693397060285172840152271, 0.987992518020485428489565718586613,
+    0.967739075679139134257347978784337, 0.937273392400705904307758947710209,
+    0.897264532344081900882509656454496, 0.848206583410427216200648320774217,
+    0.790418501442465932967649294817947, 0.724417731360170047416186054613938,
+    0.650996741297416970533735895313275, 0.570972172608538847537226737253911,
+    0.485081863640239680693655740232351, 0.394151347077563369897207370981045,
+    0.299180007153168812166780024266389, 0.201194093997434522300628303394596,
+    0.101142066918717499027074231447392, 0.0,
 ])
-_K15_HALF = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+_K31_HALF = np.array([
+    0.005377479872923348987792051430128, 0.015007947329316122538374763075807,
+    0.025460847326715320186874001019653, 0.035346360791375846222037948478360,
+    0.044589751324764876608227299373280, 0.053481524690928087265343147239430,
+    0.062009567800670640285139230960803, 0.069854121318728258709520077099147,
+    0.076849680757720378894432777482659, 0.083080502823133021038289247286104,
+    0.088564443056211770647275443693774, 0.093126598170825321225486872747346,
+    0.096642726983623678505179907627589, 0.099173598721791959332393173484603,
+    0.100769845523875595044946662617570, 0.101330007014791549017374792767493,
 ])
-_G7_HALF = np.array([
-    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+_G15_HALF = np.array([
+    0.0, 0.030753241996117268354628393577204, 0.0, 0.070366047488108124709267416450667,
+    0.0, 0.107159220467171935011869546685869, 0.0, 0.139570677926154314447804794511028,
+    0.0, 0.166269205816993933553200860481209, 0.0, 0.186161000015562211026800561866423,
+    0.0, 0.198431485327111576456118326443839, 0.0, 0.202578241925561272880620199967519,
 ])
 _GK_NODES = np.concatenate([-_GK_HALF_NODES[:-1], _GK_HALF_NODES[::-1]])
-_K15 = np.concatenate([_K15_HALF[:-1], _K15_HALF[::-1]])
-_K15_MINUS_G7 = _K15 - np.concatenate([_G7_HALF[:-1], _G7_HALF[::-1]])
+_K31 = np.concatenate([_K31_HALF[:-1], _K31_HALF[::-1]])
+_K31_MINUS_G15 = _K31 - np.concatenate([_G15_HALF[:-1], _G15_HALF[::-1]])
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
-# G7's error on cos(w s) over a panel of width h is at most C h (w h)^14, with
-# C = (7!)^4 / (15 (14!)^3) ~ 6.49e-20 the n = 7 Gauss-Legendre constant
-_G7_COS_ERROR = math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
+# G15's error on cos(w s) over a panel of width h is at most C h (w h)^30, with
+# C = (15!)^4 / (31 (30!)^3) ~ 5.05e-51 the n = 15 Gauss-Legendre constant
+_G15_COS_ERROR = math.factorial(15) ** 4 / (31 * math.factorial(30) ** 3)
+# K31's counterpart, C h (w h)^48: K31 is exact to degree 47, and
+# C = |2/49 - sum_i w_i x_i^48| / (48! 2^49), with 2/49 - sum_i w_i x_i^48 =
+# -5.17e-17 taken from the table above in 80-digit arithmetic
+_K31_COS_ERROR = 7.40156e-93
 # open panels a level may hold: a full 1e5-panel chirp grid can still be
-# bisected once, and a (panels x 15) node array stays near 30 MB
+# bisected once, and a (panels x 31) node array stays near 65 MB
 _MAX_OPEN_PANELS = 2**18
+# start panels of the delays integrated together, so that a group's
+# (panels x 31) node array holds at most 27k nodes.  Wider groups save
+# little more per-level overhead (groups of 512 to 2048 panels time within
+# 6% on 201-delay curves) and raise peak memory
+_GROUP_PANELS = 870
+# the bump's seeds, in widths 1/sqrt(rho') from sigma = |tau|
+_BUMP_SEEDS = np.array([-8.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0])
 
 
-def _gauss_kronrod(f, breakpoints, abs_tol, rel_tol, max_levels):
-    """Adaptive G7-K15 over [breakpoints[0], breakpoints[-1]]; level-synchronous.
+def _gauss_kronrod(f, breakpoints, owner, abs_tol, rel_tol, max_levels, name="integral {}".format):
+    """Adaptive G15-K31 over several integrals at once; level-synchronous.
 
-    Returns (integral, error_bound).  The panels between the sorted
-    breakpoints are the starting grid: the error estimator only sees
-    structure its nodes sample, so narrow features and fast oscillations
-    must be resolved by the breakpoints.  Each level evaluates f once on an
-    (open panels x 15) node array.  A panel is accepted once
-    |K15 - G7| <= max(abs_tol, rel_tol |estimate|) (width / span), or once
-    |K15 - G7| is at the rounding floor of the panel's own K15 sum,
-    50 eps |K15|: a panel far narrower than the span, as a bump's in a wide
-    window, is given a share of the tolerance below that floor, and
-    bisecting it would not lower its error.  QUADPACK's floor takes the
-    integral of |f| in place of |K15|; the two agree for the non-negative
-    rate, and |K15| is never the larger.  The rest are bisected, at most
-    max_levels times, and while no more than 2^18 panels would be open:
-    past either limit QuadratureError reports the estimate and its bound.
-    The panel cap bounds memory where rounding keeps |K15 - G7| above the
-    floor on ever more panels, as for a cosine at a phase of thousands of
-    radians.
+    Integral i runs over breakpoints[owner == i]: owner is sorted, counts
+    0, 1, 2, ..., and each integral's breakpoints are ascending.  Returns
+    (integrals, error_bounds), one entry of each per integral.  The panels
+    between an integral's breakpoints are its starting grid: the error
+    estimator only sees structure its nodes sample, so narrow features and
+    fast oscillations must be resolved by the breakpoints.  Each level
+    evaluates f(x, own) once on an (open panels x 31) node array x, whose
+    row j belongs to integral own[j].  A panel is accepted once
+    |K31 - G15| <= max(abs_tol, rel_tol |estimate|) (width / span), with its
+    own integral's estimate and span, or once |K31 - G15| is at the rounding
+    floor of the panel's own K31 sum, 50 eps |K31|: a panel far narrower
+    than the span, as a bump's in a wide window, is given a share of the
+    tolerance below that floor, and bisecting it would not lower its error.
+    QUADPACK's floor takes the integral of |f| in place of |K31|; the two
+    agree for the non-negative rate, and |K31| is never the larger.  The
+    rest are bisected, at most max_levels times, and while no more than
+    2^18 panels would be open: past either limit QuadratureError names the
+    first integral left open, name(i), and the number still open, and
+    reports that integral's estimate and bound.  The panel cap bounds memory
+    where rounding keeps |K31 - G15| above the floor on ever more panels,
+    as for a cosine at a phase of thousands of radians.
+
+    No integral's result depends on the others: the weights are applied row
+    by row and each integral's panels are summed in their own order, so an
+    integral comes out the same, bit for bit, whatever it is grouped with.
     """
-    a, b = breakpoints[:-1], breakpoints[1:]
-    span = breakpoints[-1] - breakpoints[0]
-    integral = 0.0
-    bound = 0.0
+    count = int(owner[-1]) + 1
+    same = owner[1:] == owner[:-1]
+    a, b, own = breakpoints[:-1][same], breakpoints[1:][same], owner[1:][same]
+    index = np.arange(count)
+    first = np.searchsorted(owner, index)
+    last = np.searchsorted(owner, index, side="right") - 1
+    span = breakpoints[last] - breakpoints[first]
+    integral = np.zeros(count)
+    bound = np.zeros(count)
     for level in range(max_levels + 1):
         centre = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        values = f(centre[:, None] + half[:, None] * _GK_NODES)
-        kronrod = half * (values @ _K15)
-        err = np.abs(half * (values @ _K15_MINUS_G7))
-        estimate = integral + float(np.sum(kronrod))
-        share = half * (2.0 * max(abs_tol, rel_tol * abs(estimate)) / span)
+        values = f(centre[:, None] + half[:, None] * _GK_NODES, own)
+        kronrod = half * np.einsum("ij,j->i", values, _K31)
+        err = np.abs(half * np.einsum("ij,j->i", values, _K31_MINUS_G15))
+        estimate = integral + np.bincount(own, kronrod, count)
+        share = half * (2.0 * np.maximum(abs_tol, rel_tol * np.abs(estimate)) / span)[own]
         done = err <= np.maximum(share, _ROUNDING_FLOOR * np.abs(kronrod))
-        integral += float(np.sum(kronrod[done]))
-        bound += float(np.sum(err[done]))
+        integral += np.bincount(own[done], kronrod[done], count)
+        bound += np.bincount(own[done], err[done], count)
         keep = ~done
         still_open = int(np.count_nonzero(keep))
         if not still_open:
@@ -222,12 +259,16 @@ def _gauss_kronrod(f, breakpoints, abs_tol, rel_tol, max_levels):
             break
         mid = centre[keep]
         a, b = np.concatenate([a[keep], mid]), np.concatenate([mid, b[keep]])
+        own = np.concatenate([own[keep], own[keep]])
 
+    unconverged = np.unique(own[keep])
+    i = int(unconverged[0])
     raise QuadratureError(
-        f"quadrature did not converge: {still_open} panels open after {level} "
-        f"subdivision levels (limits: {max_levels} levels, {_MAX_OPEN_PANELS} panels)",
-        estimate,
-        bound + float(np.sum(err[keep])),
+        f"quadrature did not converge at {name(i)}: {unconverged.size} of {count} integrals "
+        f"and {still_open} panels open after {level} subdivision levels "
+        f"(limits: {max_levels} levels, {_MAX_OPEN_PANELS} panels)",
+        float(estimate[i]),
+        float(bound[i] + np.sum(err[keep & (own == i)])),
     )
 
 
@@ -246,7 +287,10 @@ def windowed_rate_numeric(
     c(|tau|, s) + c(|tau|, -s), which equals the symmetric-window integral
     because c(tau, -s; eta) = c(tau, s; 1 - eta).  The result is even in
     tau, bit for bit: tau_ps may be a scalar or a grid, and each distinct
-    |tau| is integrated once and scattered back in the input's shape.
+    |tau| is integrated once and scattered back in the input's shape.  A
+    grid gives, bit for bit, what each of its delays gives alone.  If the
+    delays cannot all reach the tolerance, QuadratureError names the
+    smallest |tau| left open, with its estimate and bound.
     Matches the closed-form rate up to one global positive scale (which is
     unity for this normalization).
     """
@@ -273,43 +317,68 @@ def windowed_rate_numeric(
     # where the window is far wider than the bump.
     # The chirp grid's panels are sized to be accepted at the first level.
     # A panel of width h is given h rel_tol mean(f) of the tolerance, and
-    # G7's error on an oscillation of amplitude A is at most A C h (w h)^14;
-    # with A up to 3 mean(f), w h = (rel_tol / (3 C))^(1/14) meets the share
-    # (1.27 panels per period at rel_tol = 1e-9).  A loose rel_tol still
-    # gets at least 1.1 panels per period: the error estimate only sees
-    # oscillations that its nodes resolve.
+    # G15's error on an oscillation of amplitude A is at most A C h (w h)^30;
+    # with A up to 3 mean(f), w h = (rel_tol / (3 C))^(1/30) meets the share
+    # (22.9 rad, 3.65 periods per panel, at rel_tol = 1e-9).  The result is
+    # K31's, so its own bound, w h = (rel_tol / (3 C'))^(1/48), caps the
+    # width too; it binds only above rel_tol = 8e19.
     # rho' first: it refuses a rho <= 0, at which the chirp wavenumber divides by 0
     rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
     if not rho_p > 0:
         raise ValueError("rho_prime must be > 0 (L beta2 rho too large)")
     k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     bump_width = 1.0 / math.sqrt(rho_p)
-    phase_step = min(2.0 * math.pi / 1.1, (spec.rel_tol / (3.0 * _G7_COS_ERROR)) ** (1.0 / 14.0))
-
-    def _breakpoints(t):
-        seeds = [t + bump_width * np.array([-8.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0])]
-        wavenumber = 2.0 * t * abs(k)
-        # where the interference envelope exp(-rho'(t^2+sigma^2)/2) still matters
-        cross_exponent = 0.5 * rho_p * t * t
-        if wavenumber > 0.0 and cross_exponent < 50.0:
-            sigma_cut = math.sqrt(2.0 * (50.0 - cross_exponent) / rho_p)
-            half_span = min(window_t, sigma_cut)
-            count = min(math.ceil(half_span * wavenumber / phase_step), 100_000)
-            if count > 1:
-                seeds.append(np.linspace(0.0, half_span, count + 1))
-        seeds = np.concatenate(seeds)
-        inside = seeds[(0.0 < seeds) & (seeds < window_t)]
-        return np.unique(np.concatenate([[0.0, window_t], inside]))
-
-    def one(t):
-        value, _ = _gauss_kronrod(
-            lambda sigma: _folded_rate(t, sigma, eta, rho_p, k),
-            _breakpoints(t), spec.abs_tol, spec.rel_tol, spec.max_subdivisions,
-        )
-        return value
+    phase_step = min(
+        (spec.rel_tol / (3.0 * _G15_COS_ERROR)) ** (1.0 / 30.0),
+        (spec.rel_tol / (3.0 * _K31_COS_ERROR)) ** (1.0 / 48.0),
+    )
 
     distinct, inverse = np.unique(np.abs(tau), return_inverse=True)
-    values = np.array([one(t) for t in distinct.tolist()], dtype=float)
+    # the chirp grid spans sigma up to where the interference envelope
+    # exp(-rho'(t^2+sigma^2)/2) falls below e^-50: none past t = 10/sqrt(rho')
+    cross_exponent = 0.5 * rho_p * distinct * distinct
+    half_span = np.minimum(window_t, np.sqrt(2.0 * np.maximum(50.0 - cross_exponent, 0.0) / rho_p))
+    wavenumber = 2.0 * distinct * abs(k)
+    chirp_panels = np.minimum(np.ceil(half_span * wavenumber / phase_step), 100_000)
+    grid_points = np.where(chirp_panels > 1, chirp_panels + 1, 0).astype(np.int64)
+    # start panels per delay are at most the grid's, the 9 seeds' and one more
+    ends = np.cumsum(grid_points + _BUMP_SEEDS.size + 1)
+
+    def _breakpoints(t, grid_points, half_span):
+        """Sorted distinct start breakpoints of the delays t, and each one's delay index."""
+        delay = np.arange(t.size)
+        grid_owner = np.repeat(delay, grid_points)
+        last = np.cumsum(grid_points)
+        index = np.arange(grid_owner.size) - np.repeat(last - grid_points, grid_points)
+        has_grid = grid_points > 0
+        grid = index * (half_span / np.maximum(grid_points - 1, 1))[grid_owner]
+        grid[last[has_grid] - 1] = half_span[has_grid]
+        sigma = np.concatenate([(t[:, None] + bump_width * _BUMP_SEEDS).ravel(), grid])
+        owner = np.concatenate([np.repeat(delay, _BUMP_SEEDS.size), grid_owner])
+        inside = (0.0 < sigma) & (sigma < window_t)
+        sigma = np.concatenate([np.zeros(t.size), np.full(t.size, window_t), sigma[inside]])
+        owner = np.concatenate([delay, delay, owner[inside]])
+        order = np.lexsort((sigma, owner))
+        sigma, owner = sigma[order], owner[order]
+        new = np.ones(sigma.size, dtype=bool)
+        new[1:] = (sigma[1:] != sigma[:-1]) | (owner[1:] != owner[:-1])
+        return sigma[new], owner[new]
+
+    # consecutive delays are integrated together while their start panels
+    # fit in _GROUP_PANELS; a delay that alone exceeds it gets a group to itself
+    values = np.empty(distinct.size)
+    start = 0
+    while start < distinct.size:
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + _GROUP_PANELS, side="right")), start + 1)
+        t = distinct[start:stop]
+        values[start:stop], _ = _gauss_kronrod(
+            lambda sigma, own: _folded_rate(t[own][:, None], sigma, eta, rho_p, k),
+            *_breakpoints(t, grid_points[start:stop], half_span[start:stop]),
+            spec.abs_tol, spec.rel_tol, spec.max_subdivisions,
+            name=lambda i: f"|tau| = {float(t[i])!r} ps",
+        )
+        start = stop
     out = values[inverse].reshape(tau.shape)
     if np.isscalar(tau_ps):
         return float(out)

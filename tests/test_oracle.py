@@ -160,19 +160,18 @@ def test_folded_rate_matches_mirrored_sum():
 
 
 def _unfolded_reference(tau, window_t, eta, length):
-    # adaptive G7-K15 of c(tau, s) over [-T, T] from a dense uniform start
-    # (~100 nodes per chirp period at tau = 1.4 T, L = 5 km) plus both bumps
+    # adaptive G15-K31 of c(tau, s) over [-T, T] from a dense uniform start
+    # (~100 panels per chirp period at tau = 1.4 T, L = 5 km) plus both bumps
     rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
     width = 1.0 / math.sqrt(rho_p)
     breakpoints = np.concatenate([
         np.linspace(-window_t, window_t, 2**16 + 1),
         *(c + width * np.linspace(-4.0, 4.0, 33) for c in (-tau, tau)),
     ])
-    value, _ = _gauss_kronrod(
+    return _one_integral(
         lambda s: differential_rate(tau, s, eta, RHO_REF, length, BETA2_REF),
         np.unique(np.clip(breakpoints, -window_t, window_t)), 1e-14, 1e-10, 24,
     )
-    return value
 
 
 @pytest.mark.parametrize("length", [0.0, 5.0, 29.0])
@@ -282,21 +281,54 @@ def test_windowed_matches_mpmath_where_the_expanded_density_cancels(length, wind
 
 
 def test_chirp_grid_panels_are_accepted_unbisected(monkeypatch):
-    # the chirp grid's panel width comes from G7's own error bound, so at
-    # the reference configuration the first level accepts nearly every panel
-    sizes = []
+    # the chirp grid's panel width comes from G15's own error bound, so at
+    # the reference configuration the first level accepts every panel: each
+    # distinct |tau| is evaluated in one integrand call, never in a second
+    # level's
+    sizes, delays = [], []
     folded = oracle._folded_rate
 
     def counted(t, sigma, *args):
         sizes.append(np.size(sigma))
+        delays.append(np.unique(t))
         return folded(t, sigma, *args)
 
     monkeypatch.setattr(oracle, "_folded_rate", counted)
     taus = np.linspace(-600.0, 600.0, 201)
     windowed_rate_numeric(taus, 400.0, 0.52, RHO_REF, 10.0, BETA2_REF)
-    distinct = np.unique(np.abs(taus)).size
-    assert sum(sizes) <= 2200 * distinct
-    assert len(sizes) <= 1.2 * distinct
+    distinct = np.unique(np.abs(taus))
+    assert sum(sizes) <= 900 * distinct.size
+    assert np.array_equal(np.sort(np.concatenate(delays)), distinct)
+
+
+@pytest.mark.parametrize("window, length", [(400.0, 10.0), (795.3, 5.07)])
+def test_windowed_grid_matches_single_delays_bit_for_bit(window, length):
+    # delays integrated together in groups give what each gives alone; at
+    # T = 795.3 ps, L = 5.07 km the grid spans several groups
+    taus = np.linspace(-1.5 * window, 1.5 * window, 201)
+    curve = windowed_rate_numeric(taus, window, 0.52, RHO_REF, length, BETA2_REF)
+    single = [windowed_rate_numeric(t, window, 0.52, RHO_REF, length, BETA2_REF) for t in taus]
+    assert np.array_equal(curve, single)
+
+
+def test_windowed_nonconvergence_names_the_first_open_delay():
+    # a depth at which some delays of the grid cannot converge: the error
+    # names the smallest such |tau|, and reports its own estimate and bound
+    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-18, max_subdivisions=1)
+    args = (400.0, 0.52, RHO_REF, 10.0, BETA2_REF, spec)
+    taus = np.linspace(-600.0, 600.0, 201)
+    for tau in np.unique(np.abs(taus)):
+        try:
+            windowed_rate_numeric(tau, *args)
+        except QuadratureError as err:
+            single = err.estimate, err.error_bound
+            break
+    else:
+        pytest.fail("every delay converged")
+    with pytest.raises(QuadratureError) as err:
+        windowed_rate_numeric(taus, *args)
+    assert f"|tau| = {float(tau)!r} ps" in str(err.value)
+    assert (err.value.estimate, err.value.error_bound) == single
 
 
 _RUNAWAY = """
@@ -349,7 +381,7 @@ def test_windowed_convergence_bound():
 
 
 def test_windowed_nonconvergence_reports_estimate():
-    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=2)
+    spec = QuadratureSpec(rel_tol=3e-15, abs_tol=1e-18, max_subdivisions=2)
     with pytest.raises(QuadratureError) as err:
         windowed_rate_numeric(37.0, 400.0, 0.5, RHO_REF, 0.0, BETA2_REF, spec)
     assert err.value.estimate is not None
@@ -358,25 +390,54 @@ def test_windowed_nonconvergence_reports_estimate():
 
 def test_windowed_converges_at_nonconvergence_tolerances():
     # the tolerances above are reachable: only the level limit makes that test raise
-    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
+    spec = QuadratureSpec(rel_tol=3e-15, abs_tol=1e-18)
     value = windowed_rate_numeric(37.0, 400.0, 0.5, RHO_REF, 0.0, BETA2_REF, spec)
     closed = coincidence_curve(np.array([37.0]), RHO_REF, RHO_REF, eta_prime(0.5), 400.0)
     assert closed.values[0] == pytest.approx(0.5, abs=1e-15)
     assert abs(value - closed.values[0]) <= 1e-12
 
 
+def _one_integral(f, breakpoints, abs_tol, rel_tol, max_levels):
+    (value,), _ = _gauss_kronrod(
+        lambda x, _: f(x), breakpoints, np.zeros(breakpoints.size, dtype=int),
+        abs_tol, rel_tol, max_levels,
+    )
+    return value
+
+
 def test_gauss_kronrod_exact_integrals():
     # K15 is exact to degree 22: one panel, no bisection, every panel accepted
-    poly = np.polynomial.Polynomial(np.random.default_rng(5).standard_normal(23))
+    rng = np.random.default_rng(5)
+    poly = np.polynomial.Polynomial(rng.standard_normal(23))
     exact = poly.integ()(1.0) - poly.integ()(-1.0)
-    value, _ = _gauss_kronrod(poly, np.array([-1.0, 1.0]), math.inf, 1e-14, 0)
+    value = _one_integral(poly, np.array([-1.0, 1.0]), math.inf, 1e-14, 0)
     assert abs(value - exact) <= 1e-14 * abs(exact)
-    value, _ = _gauss_kronrod(
+    # K31 is exact to degree 46, and G15 to degree 29, so the rule's error
+    # estimate, sum (K31 - G15) f, is rounding alone on a degree-29 polynomial
+    poly = np.polynomial.Polynomial(rng.standard_normal(47))
+    exact = poly.integ()(1.0) - poly.integ()(-1.0)
+    value = _one_integral(poly, np.array([-1.0, 1.0]), math.inf, 1e-14, 0)
+    assert abs(value - exact) <= 1e-14 * abs(exact)
+    values = np.polynomial.Polynomial(rng.standard_normal(30))(oracle._GK_NODES)
+    assert abs(values @ oracle._K31_MINUS_G15) <= 1e-16 * np.abs(values).max()
+    value = _one_integral(
         lambda x: np.exp(-x * x), np.array([0.0, 1.0, 2.0, 3.0]), 1e-15, 1e-14, 24
     )
     assert abs(value - 0.5 * math.sqrt(math.pi) * math.erf(3.0)) <= 1e-13
-    value, _ = _gauss_kronrod(np.cos, np.linspace(0.0, 100.0, 17), 1e-15, 1e-14, 24)
+    value = _one_integral(np.cos, np.linspace(0.0, 100.0, 17), 1e-15, 1e-14, 24)
     assert abs(value - math.sin(100.0)) <= 1e-13
+
+
+def test_gauss_kronrod_stops_at_the_open_panel_cap(monkeypatch):
+    # noise never converges, so every panel is bisected at every level: with
+    # a cap of 64 open panels the pass must stop at 64 panels, level 6, well
+    # before its level limit, and report the estimate and bound it reached
+    monkeypatch.setattr(oracle, "_MAX_OPEN_PANELS", 64)
+    rng = np.random.default_rng(3)
+    with pytest.raises(QuadratureError, match="64 panels open after 6 subdivision levels") as err:
+        _one_integral(lambda x: rng.random(x.shape), np.array([0.0, 1.0]), 1e-15, 1e-15, 24)
+    assert math.isfinite(err.value.estimate)
+    assert err.value.error_bound > 0
 
 
 def test_quadrature_spec_validation():
