@@ -2,15 +2,15 @@
 
 All datasets (model.Dataset) share the fiber dispersion beta2 and the
 spectral scale rho; each gets its own splitter reflectivity eta_i and a
-profiled amplitude s_i, which makes the metric agnostic to the unknown pair
-rate.  global_loss is the plain sum E = sum_i |s_i0 f_i - y_i|^2 with the
-closed form s_i0 = (f.y)/(f.f), dataset by dataset: model_values gives f_i
-and profile_scale s_i0 (unweighted).
+profiled amplitude s_i, which makes the objective agnostic to the unknown
+pair rate.  FitProblem(datasets) is that objective, the one lm_fit
+minimizes: a peak-normalized Poisson chi-square, whose solve(beta2, rho)
+gives the loss at one (beta2, rho) with every dataset's s_i and
+eta'_i = (2 eta_i - 1)^2 solved.
 
-lm_fit minimizes a peak-normalized Poisson chi-square instead, by variable
-projection: the model is affine in eta' = (2 eta - 1)^2, so for given
-(beta2, rho) each dataset's (s_i, eta'_i) is a bounded 2x2 linear
-least-squares solve, and the Levenberg-Marquardt loop runs over
+lm_fit minimizes it by variable projection: the model is affine in eta',
+so for given (beta2, rho) each dataset's (s_i, eta'_i) is a bounded 2x2
+linear least-squares solve, and the Levenberg-Marquardt loop runs over
 x = (beta2, log rho) alone.  The model sees beta2 only through its square,
 so |beta2| is reported.  The gradient and Newton matrix are exact, from
 model.coincidence_parts_derivatives, and the loop stops once a full Newton
@@ -18,13 +18,13 @@ step would remove less than its tolerance of the loss.  lm_fit has no
 options: it reads beta2 and rho from its init, and its iteration limit,
 tolerance and damping are the module constants below.
 
-One object, _Objective, owns lm_fit's stacked problem: all datasets'
-points in one layout, each distinct (T, L, |tau|) evaluated once per model
-pass, the data and weights, the solve at one x and the derivative blocks
-there.  Every per-dataset step of the fit (the 2x2 solves, the scales, the
+FitProblem owns the stacked problem: all datasets' points in one layout,
+each distinct (T, L, |tau|) evaluated once per model pass, the data and
+weights, the solve at one (beta2, rho) and the derivative blocks there.
+Every per-dataset step of the fit (the 2x2 solves, the scales, the
 derivative sums) runs on that layout as whole-array operations, with no
 loop over datasets.  One Jacobian serves both the step and the covariance:
-_Objective.blocks gives each dataset's J^T r, J^T J and half-Hessian in
+FitProblem.blocks gives each dataset's J^T r, J^T J and half-Hessian in
 (x0, x1, eta'), with only its scale projected out.  For the step,
 _eliminate takes each free eta' out of its dataset's blocks by a Schur
 complement and sums the datasets; for the covariance, the blocks' J^T J is
@@ -59,6 +59,9 @@ class FitParams:
     beta2 and -beta2 are indistinguishable through the model (only
     (L beta2 rho)^2 enters), and so are eta and 1 - eta (only
     (2 eta - 1)^2 enters), so |beta2| and the upper eta are stored.
+
+    etas is the fit's output, one per dataset: lm_fit solves every eta, so
+    the etas of a start are not read and may be left empty.
     """
 
     beta2_ps2_per_km: float
@@ -102,7 +105,9 @@ class FitResult:
         eta held at a bound are 0.
     covariance_order: the covariance's row names, "beta2_ps2_per_km",
         "rho_ps2_inv", then "eta[0]" .. "eta[D-1]" in dataset order.
-    loss: the weighted objective at the result.
+    loss: FitProblem's loss at params, bit for bit:
+        FitProblem(datasets).solve(params.beta2_ps2_per_km,
+        params.rho_ps2_inv).loss.
     iterations: the LM iterations, each one damped step however many trials
         it took; the Newton check that ends a fit is not one.
     converged: the Newton check or a negligible loss decrease ended the
@@ -145,28 +150,18 @@ def profile_scale(model_values, data_values) -> float:
 
 
 def model_values(dataset: Dataset, beta2, rho, eta) -> np.ndarray:
-    """Model curve for one dataset's delay grid and configuration."""
+    """Model curve for one dataset's delay grid and configuration.
+
+    The fit does not call it: FitProblem evaluates all datasets in one
+    stacked pass.  It stays as the per-dataset reference that
+    test_lm_fit_covariance_matches_differences takes finite differences
+    of, and as a name the benchmark's traced run wraps.
+    """
     rho_p = broadened_rho(rho, ChannelParams(dataset.fiber_length_km, beta2))
     curve = coincidence_curve(
         dataset.curve.tau_ps, rho, rho_p, eta_prime(eta), dataset.window_half_width_ps
     )
     return curve.values
-
-
-def global_loss(params: FitParams, datasets) -> tuple[float, list[np.ndarray]]:
-    """Total scale-agnostic loss E = sum_i sum_x |s_i0 f_i(x) - y_x|^2.
-
-    Per dataset, f_i is model_values at its eta_i and s_i0 is
-    profile_scale of f_i against the data.  Returns E and each dataset's
-    residuals s_i0 f_i - y.
-    """
-    if len(params.etas) != len(datasets):
-        raise ValueError("need one eta per dataset")
-    residuals = []
-    for ds, eta in zip(datasets, params.etas):
-        f = model_values(ds, params.beta2_ps2_per_km, params.rho_ps2_inv, eta)
-        residuals.append(profile_scale(f, ds.curve.values) * f - ds.curve.values)
-    return float(sum(np.dot(r, r) for r in residuals)), residuals
 
 
 def rmsre(residuals, data_values) -> float:
@@ -197,7 +192,7 @@ def _poisson_weights(y):
 
 
 class _Solved(NamedTuple):
-    """The objective at one x: its value, the residuals and what solved them."""
+    """FitProblem.solve at one (beta2, rho): the loss, the residuals and what solved them."""
 
     loss: float
     res: np.ndarray  # unweighted residuals at every point
@@ -207,9 +202,13 @@ class _Solved(NamedTuple):
     parts: np.ndarray  # the model pass's (p, q) at the distinct points
 
 
-class _Objective:
-    """lm_fit's stacked problem: its loss over x = (beta2, log rho), each
-    dataset's s and eta' solved, and the derivative blocks there.
+class FitProblem:
+    """The fit's objective over a campaign: its loss at any (beta2, rho),
+    each dataset's s and eta' solved, and the derivative blocks there.
+
+    solve(beta2, rho) is the one evaluation, in FitParams' units; lm_fit
+    builds one FitProblem and evaluates every start and trial point
+    through it, so at a fit's params it gives the fit's loss bit for bit.
 
     All datasets' points are concatenated in order, and every per-dataset
     step of the fit runs on that layout as whole-array operations: split
@@ -226,13 +225,15 @@ class _Objective:
     The expanded (p, q) equal per-dataset calls bit for bit.  passes counts
     the model passes.
 
-    solve evaluates the loss at x with one model pass.  blocks takes a
-    solved point to each dataset's derivative sums in theta = (x0, x1, eta')
-    from that pass alone, with only the scale s projected out; _eliminate
-    then takes each free eta' out of them.
+    solve evaluates the loss with one model pass.  blocks takes a solved
+    point to each dataset's derivative sums in theta = (x0, x1, eta'), for
+    x = (beta2, log rho), from that pass alone, with only the scale s
+    projected out; _eliminate then takes each free eta' out of them.
     """
 
     def __init__(self, datasets):
+        if len(datasets) == 0:
+            raise ValueError("need at least one dataset")
         self._sizes = [len(ds.curve) for ds in datasets]
         if 0 in self._sizes:  # reduceat cannot sum an empty block
             raise ValueError("every dataset needs at least one point")
@@ -322,8 +323,11 @@ class _Objective:
         out[4] = (f_rr * rho + 2.0 * f_rp * rp_1 + f_r) * rho + f_pp * rp_1 * rp_1 + f_p * rp_11
         return self.expand(out)
 
-    def solve(self, x) -> _Solved | None:
-        """The loss at x, with every dataset's s and eta' in [0, 1] minimizing it.
+    def solve(self, beta2, rho) -> _Solved | None:
+        """The loss at (beta2, rho), with every dataset's s and eta' in [0, 1] minimizing it.
+
+        The loss is sum_i sum_x w_x |s_i (p + eta'_i q)(x) - y_x|^2 with the
+        squared weights w of _poisson_weights.
 
         The pair (s, s eta') enters linearly, so one set of sums gives every
         dataset's 2x2 weighted least-squares problem.  Its unconstrained
@@ -333,13 +337,10 @@ class _Objective:
         model g = p + eta' q has the scale g.Wy / g.Wg, and y.Wy less its
         loss is its moment g.Wy times that scale.  An eta' of exactly 0 or
         1, however it was reached, is held there.  The residuals are formed
-        once, for the chosen solution.  None where x has no model: where
-        rho = e^x1 or some rho' is not in (0, inf).
+        once, for the chosen solution.  None where there is no model: where
+        rho or some rho' is not in (0, inf).
         """
-        try:
-            parts = self.parts(x[0], math.exp(x[1]))
-        except OverflowError:  # e^x1 is past the double range
-            return None
+        parts = self.parts(beta2, rho)
         if parts is None:
             return None
         p, q = self.expand(parts)
@@ -365,9 +366,9 @@ class _Objective:
         r = self.at(s) * (p + self.at(eta_p) * q) - y
         return _Solved(float(np.dot(w2 * r, r)), r, s, eta_p, np.isin(eta_p, (0.0, 1.0)), parts)
 
-    def blocks(self, x, solved: _Solved):
+    def blocks(self, beta2, rho, solved: _Solved):
         """Each dataset's J^T r (3, D), J^T J (3, 3, D) and N (3, 3, D) in
-        theta = (x0, x1, eta').
+        theta = (x0, x1, eta') for x = (beta2, log rho), at solve(beta2, rho).
 
         J is the Jacobian of the weighted residuals r = s f - y, f = p + eta' q,
         with the scale s kept at its optimum for every theta, and N is half
@@ -377,7 +378,7 @@ class _Objective:
         eta', df = q, d2f / dx deta' = dq / dx and d2f / deta'^2 = 0.
         """
         p, q = self.expand(solved.parts)
-        d_pq = self.derivatives(x[0], math.exp(x[1]), solved.parts)
+        d_pq = self.derivatives(beta2, rho, solved.parts)
         s, eta_p = self.at(np.array([solved.scales, solved.eta_ps]))
         f = p + eta_p * q
         d_f = d_pq[:, 0] + eta_p * d_pq[:, 1]  # in x0, x1, x0 x0, x0 x1 and x1 x1
@@ -397,7 +398,7 @@ class _Objective:
 
 
 def _eliminate(blocks, free):
-    """lm_fit's J^T r, J^T J and N in x alone, from _Objective.blocks.
+    """lm_fit's J^T r, J^T J and N in x alone, from FitProblem.blocks.
 
     A free eta' sits at the loss's minimum, so it moves with x by
     d eta' = -k . dx with k = N_x,eta' / N_eta',eta': its dataset's Jacobian
@@ -417,8 +418,9 @@ def _eliminate(blocks, free):
 def lm_fit(datasets, init: FitParams) -> FitResult:
     """Levenberg-Marquardt global fit with per-dataset amplitudes solved exactly.
 
-    The objective is sum_i sum_x |s_i f_i(x) - y_x|^2 / (max(y_x, y_i,min)
-    max(y_i)): a Poisson chi-square, in which each bin weighs by its counts,
+    The objective is FitProblem(datasets), the sum
+    sum_i sum_x |s_i f_i(x) - y_x|^2 / (max(y_x, y_i,min) max(y_i)): a
+    Poisson chi-square, in which each bin weighs by its counts,
     divided by each dataset's peak, so that rescaling one curve (counts to
     rates, say) changes neither its weight nor the fit.  A dataset's model
     is s_i (p_i + eta'_i q_i) for eta' = (2 eta - 1)^2, so for given
@@ -426,18 +428,20 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     2x2 linear least-squares problem (variable projection).  The LM loop
     therefore runs over x = (beta2, log rho) alone, whatever the number of
     datasets; it starts from init's beta2 and rho, and init's etas are not
-    read.  Each evaluation at one (beta2, rho) is a single stacked call of
-    model.coincidence_parts over the distinct (T, L, |tau|) points of all
-    datasets (_Objective.parts); its (p, q), expanded to every point, equal
-    per-dataset calls bit for bit.  That call is the only model pass: a fit
-    makes one per trial point, and model_passes counts them.  All datasets' (s_i, eta'_i)
-    follow from one set of per-dataset sums (_Objective.solve), and so do
-    the bound, 0 or 1, where an eta' must go to one.
+    read.  The fit builds one FitProblem and evaluates the start and every
+    trial point through its solve(beta2, rho), with rho = e^x1.  Each
+    evaluation is a single stacked call of model.coincidence_parts over the
+    distinct (T, L, |tau|) points of all datasets (FitProblem.parts); its
+    (p, q), expanded to every point, equal per-dataset calls bit for bit.
+    That call is the only model pass: a fit makes one per trial point, and
+    model_passes counts them.  All datasets' (s_i, eta'_i) follow from one
+    set of per-dataset sums in FitProblem.solve, and so do the bound, 0 or
+    1, where an eta' must go to one.
 
     The derivatives are exact and cost no pass: the model's
     coincidence_parts_derivatives turns a pass's (p, q) into their first
     and second derivatives, which the chain rule carries to x.  Per
-    dataset, _Objective.blocks sums J^T r, J^T J and N, half the gradient
+    dataset, FitProblem.blocks sums J^T r, J^T J and N, half the gradient
     and Hessian, in theta = (x0, x1, eta') of the loss with the scale
     projected out.  A free eta' sits at its minimum, so _eliminate projects
     it out too, by one Schur complement per dataset: with
@@ -462,11 +466,12 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     lam.  An accepted step whose relative loss decrease is below 1e-10
     converges too.  After 200 iterations, or once lam passes 1e14, a
     non-converged result is returned, never an exception.  A trial x at
-    which the model does not exist, where rho = e^x1 or some rho' is not in
-    (0, inf), is rejected like a trial that raises the loss.
+    which the model does not exist, where rho = e^x1 overflows or some rho'
+    is not in (0, inf), is rejected like a trial that raises the loss.
 
     The model sees beta2 only through (L beta2 rho)^2, so the loop may end
-    at x0 < 0; FitParams stores |beta2|.  The covariance is taken from the
+    at x0 < 0; FitParams stores |beta2|, at which FitProblem.solve gives the
+    same loss, scales and etas bit for bit.  The covariance is taken from the
     blocks' J^T J, the Jacobian of the weighted residuals in x and each
     free eta' with only the scales profiled: an arrowhead, as each eta'
     meets only x and itself, summed block by block without forming the
@@ -480,8 +485,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     inverted and what each of its fields holds.
     """
     datasets = list(datasets)
-    if len(datasets) == 0:
-        raise ValueError("need at least one dataset")
+    problem = FitProblem(datasets)
     # beta2, rho, and each dataset's eta and scale; an all-zero dataset
     # brings neither points nor parameters
     has_counts = [ds.curve.values.any() for ds in datasets]
@@ -490,15 +494,15 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     if n_points < n_params + 1:
         raise ValueError("need at least p + 1 data points for p parameters")
 
-    objective = _Objective(datasets)
     x = np.array([init.beta2_ps2_per_km, math.log(init.rho_ps2_inv)])
-    state = objective.solve(x)
+    rho = math.exp(x[1])
+    state = problem.solve(x[0], rho)
     if state is None:
         raise ValueError("init: rho' = rho / (1 + (L beta2 rho)^2) is not in (0, inf)")
     lam = _DAMPING_INIT
     converged = False
     iterations = 0
-    blocks = objective.blocks(x, state)
+    blocks = problem.blocks(x[0], rho, state)
 
     while iterations < _MAX_ITERATIONS:
         grad, jtj, newton = _eliminate(blocks, ~state.held)
@@ -521,7 +525,12 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
                 lam *= _DAMPING_FACTOR
                 continue
             x_new = x + np.linalg.solve(damped, -grad)
-            trial = objective.solve(x_new)
+            try:
+                rho_new = math.exp(x_new[1])
+            except OverflowError:  # past the double range: no model there
+                lam *= _DAMPING_FACTOR
+                continue
+            trial = problem.solve(x_new[0], rho_new)
             if trial is not None and trial.loss <= state.loss:
                 lam = max(lam / _DAMPING_FACTOR, 1e-14)
                 break
@@ -529,15 +538,14 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         else:  # the damping is exhausted
             break
         rel_drop = (state.loss - trial.loss) / max(state.loss, 1e-300)
-        x, state = x_new, trial
-        blocks = objective.blocks(x, state)
+        x, rho, state = x_new, rho_new, trial
+        blocks = problem.blocks(x[0], rho, state)
         if rel_drop < _LOSS_REL_TOL:
             converged = True
             break
 
-    beta2, rho = x[0], math.exp(x[1])
     etas = 0.5 + 0.5 * np.sqrt(state.eta_ps)  # canonical eta >= 1/2 with (2 eta - 1)^2 = eta'
-    params = FitParams(beta2, rho, etas.tolist())
+    params = FitParams(x[0], rho, etas.tolist())
 
     # Covariance in external units (|beta2|, rho, eta_1..eta_D): the arrowhead
     # J^T J in x and each free eta' from the blocks' J^T J, inverted in
@@ -568,7 +576,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     cov[np.ix_(kept, kept)] = 0.5 * (cov_free + cov_free.T)
 
     rmsre_list = [rmsre(r, ds.curve.values) if counts else math.nan for r, ds, counts
-                  in zip(objective.split(state.res), datasets, has_counts)]
+                  in zip(problem.split(state.res), datasets, has_counts)]
     return FitResult(
         params=params,
         beta2_sigma_ps2_per_km=float(np.sqrt(max(cov[0, 0], 0.0))),
@@ -582,5 +590,5 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         converged=converged,
         jtj_condition=cond,
         etas_held_at_bound=np.flatnonzero(state.held).tolist(),
-        model_passes=objective.passes,
+        model_passes=problem.passes,
     )

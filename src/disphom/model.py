@@ -303,8 +303,8 @@ def coincidence_parts(tau_grid_ps, rho, rho_prime, window_half_width_ps):
     the rate is (1+eta')/4 A - (1-eta')/2 B, so p = A/4 - B/2 and
     q = A/4 + B/2, and one model pass serves every eta'.  B is evaluated
     through the damped kernel, so the bounded product never overflows.
-    This is the only statement of the rate; coincidence_curve and
-    coincidence_rate evaluate it.
+    This is the only statement of the rate; coincidence_curve and the fit's
+    FitProblem evaluate it.
 
     rho_prime and window_half_width_ps may be per-point arrays that
     broadcast against the delays, so that several datasets' grids,
@@ -453,11 +453,6 @@ def coincidence_curve(tau_grid_ps, rho, rho_prime, eta_p, window_half_width_ps) 
     grid = np.asarray(tau_grid_ps, dtype=float)
     p, q = coincidence_parts(grid, rho, rho_prime, window_half_width_ps)
     return HomCurve(grid, np.maximum(p + eta_p * q, 0.0))
-
-
-def coincidence_rate(tau_ps, rho, rho_prime, eta_p, window_half_width_ps) -> float:
-    """Windowed coincidence rate c(tau) of the dispersed photon pair at one delay."""
-    return float(coincidence_curve([tau_ps], rho, rho_prime, eta_p, window_half_width_ps).values[0])
 
 
 def oscillation_period(rho, rho_prime, window_half_width_ps) -> float:

@@ -9,12 +9,12 @@ from disphom import (
     ChannelParams,
     Dataset,
     FitParams,
+    FitProblem,
     HomCurve,
     broadened_rho,
     coincidence_curve,
     eta_prime,
     generate_synthetic,
-    global_loss,
     lm_fit,
     model_values,
     profile_scale,
@@ -102,37 +102,37 @@ def test_profile_scale_all_zero_model():
         profile_scale(np.zeros(5), np.ones(5))
 
 
-# --- global loss ----------------------------------------------------------------
+# --- the fit's objective --------------------------------------------------------
 
-def test_global_loss_empty():
-    loss, residuals = global_loss(FitParams(BETA2_REF, RHO_REF, []), [])
-    assert loss == 0.0 and residuals == []
+def test_fit_problem_empty():
+    with pytest.raises(ValueError, match="at least one dataset"):
+        FitProblem([])
 
 
-def test_global_loss_self_consistency():
+def test_fit_problem_self_consistency():
     sets = [make_dataset(0.4, 10.0), make_dataset(0.8, 20.0)]
-    params = FitParams(BETA2_REF, RHO_REF, [0.52, 0.52])
-    loss, _ = global_loss(params, sets)
-    total = sum(np.sum(ds.curve.values**2) for ds in sets)
-    assert loss <= 1e-18 * total
+    solved = FitProblem(sets).solve(BETA2_REF, RHO_REF)
+    total = sum(np.sum(fitting._poisson_weights(ds.curve.values) * ds.curve.values**2)
+                for ds in sets)
+    assert solved.loss <= 1e-18 * total
 
 
-def test_global_loss_scale_invariant_value():
+def test_fit_problem_scale_invariant_value():
     sets = [make_dataset(0.4, 10.0, seed=1)]
-    params = FitParams(BETA2_REF, RHO_REF, [0.52])
-    loss1, _ = global_loss(params, sets)
+    loss1 = FitProblem(sets).solve(BETA2_REF, RHO_REF).loss
     scaled = Dataset(
         HomCurve(sets[0].curve.tau_ps, 7.0 * sets[0].curve.values),
         sets[0].window_half_width_ps,
         sets[0].fiber_length_km,
     )
-    loss2, _ = global_loss(params, [scaled])
-    assert loss2 == pytest.approx(49.0 * loss1, rel=1e-12)
+    loss2 = FitProblem([scaled]).solve(BETA2_REF, RHO_REF).loss
+    assert loss2 == pytest.approx(loss1, rel=1e-12)
 
 
-def test_global_loss_sums_over_mixed_datasets():
+def test_fit_problem_sums_over_mixed_datasets():
     # over unequal grids, windows, lengths (L = 0 among them) and etas, the
-    # loss is the sum of each dataset's own loss, residuals and all
+    # loss is the sum of each dataset's own loss, and each dataset's scale,
+    # eta' and residuals are its own problem's, bit for bit
     sets = [
         make_dataset(0.4, 10.0, seed=11),
         make_dataset(0.8, 0.0, eta=0.6, points=57, seed=12),
@@ -140,14 +140,43 @@ def test_global_loss_sums_over_mixed_datasets():
     ]
     sets.append(Dataset(HomCurve(sets[0].curve.tau_ps[40:] + 3.5, sets[0].curve.values[40:]),
                         650.0, 4.0))
-    etas = [0.52, 0.6, 0.5, 0.7]
-    params = FitParams(BETA2_REF * 1.02, RHO_REF * 0.97, etas)
-    loss, residuals = global_loss(params, sets)
-    singles = [global_loss(FitParams(params.beta2_ps2_per_km, params.rho_ps2_inv, [eta]), [ds])
-               for ds, eta in zip(sets, etas)]
-    assert loss == pytest.approx(sum(single for single, _ in singles), rel=1e-12)
-    for block, (_, single) in zip(residuals, singles):
-        assert np.array_equal(block, single[0])
+    beta2, rho = BETA2_REF * 1.02, RHO_REF * 0.97
+    problem = FitProblem(sets)
+    solved = problem.solve(beta2, rho)
+    singles = [FitProblem([ds]).solve(beta2, rho) for ds in sets]
+    assert solved.loss == pytest.approx(sum(single.loss for single in singles), rel=1e-12)
+    for block, scale, eta_p, single in zip(problem.split(solved.res), solved.scales,
+                                           solved.eta_ps, singles):
+        assert np.array_equal(block, single.res)
+        assert [scale, eta_p] == [single.scales[0], single.eta_ps[0]]
+
+
+@pytest.mark.parametrize("beta2", [20.0, -20.0], ids=["plus", "minus"])
+def test_fit_problem_reproduces_lm_fit_result(monkeypatch, beta2):
+    # the fit evaluates its loss only through FitProblem.solve, so at the
+    # reported params the public objective gives its loss, scales and held
+    # etas bit for bit.  From a negative start every point the fit takes,
+    # its last included, has beta2 < 0, and the model is even in beta2.
+    # FitParams stores |beta2|, so the negative start is set after it.
+    datasets, _ = generate_synthetic(small_campaign())
+    init = FitParams(20.0, 10.0)
+    init.beta2_ps2_per_km = beta2
+    points = []
+    solve = FitProblem.solve
+
+    def recorded(self, *point):
+        points.append(point[0])
+        return solve(self, *point)
+
+    monkeypatch.setattr(FitProblem, "solve", recorded)
+    result = lm_fit(datasets, init)
+    assert result.converged
+    assert all(math.copysign(1.0, point) == math.copysign(1.0, beta2) for point in points)
+    solved = FitProblem(datasets).solve(result.params.beta2_ps2_per_km,
+                                        result.params.rho_ps2_inv)
+    assert solved.loss == result.loss
+    assert solved.scales.tolist() == result.scales
+    assert np.flatnonzero(solved.held).tolist() == result.etas_held_at_bound
 
 
 # --- the stacked model pass -----------------------------------------------------
@@ -181,7 +210,7 @@ def kernel_points(monkeypatch, datasets, beta2=BETA2_REF, rho=RHO_REF):
         return coincidence_parts(taus, *args)
 
     monkeypatch.setattr(fitting, "coincidence_parts", counted)
-    objective = fitting._Objective(datasets)
+    objective = FitProblem(datasets)
     distinct = objective.parts(beta2, rho)
     parts = [tuple(block) for block in objective.split(objective.expand(distinct))]
     assert len(sizes) == 1
@@ -219,18 +248,18 @@ def test_objective_derivatives_match_differences():
             make_dataset(0.3, 29.0, eta=0.55, points=130, seed=3),
             make_dataset(1.0, 4.0, seed=4),
             make_dataset(0.4, 0.0, eta=1.0, seed=4)]
-    objective = fitting._Objective(sets)
+    objective = FitProblem(sets)
     x = np.array([BETA2_REF * 1.01, math.log(RHO_REF * 0.99)])
-    solved = objective.solve(x)
+    solved = objective.solve(x[0], math.exp(x[1]))
     assert solved.eta_ps[0] == 0.0 and 0.0 < min(solved.eta_ps[1:])
     assert solved.eta_ps[4] == 1.0
-    exact = fitting._eliminate(objective.blocks(x, solved), ~solved.held)
+    exact = fitting._eliminate(objective.blocks(x[0], math.exp(x[1]), solved), ~solved.held)
 
     def half_loss(x):
-        return 0.5 * objective.solve(x).loss
+        return 0.5 * objective.solve(x[0], math.exp(x[1])).loss
 
     def weighted_residuals(x):
-        return np.sqrt(objective._w2) * objective.solve(x).res
+        return np.sqrt(objective._w2) * objective.solve(x[0], math.exp(x[1])).res
 
     steps = 2.0 ** -np.arange(10, 19)
     errors = []
@@ -260,8 +289,8 @@ def test_solve_matches_dense_eta_scan():
     sets = [make_dataset(0.8, 10.0, eta=0.6, seed=2),
             make_dataset(0.4, 10.0, eta=0.5, seed=7),
             make_dataset(0.4, 0.0, eta=1.0, seed=4)]
-    objective = fitting._Objective(sets)
-    solved = objective.solve(np.array([BETA2_REF, math.log(RHO_REF)]))
+    objective = FitProblem(sets)
+    solved = objective.solve(BETA2_REF, RHO_REF)
     assert 0.0 < solved.eta_ps[0] < 1.0 and list(solved.eta_ps[1:]) == [0.0, 1.0]
     assert list(solved.held) == [False, True, True]
     scan = np.linspace(0.0, 1.0, 2001)

@@ -16,7 +16,6 @@ from disphom import (
     broadened_rho,
     check_epm,
     coincidence_curve,
-    coincidence_rate,
     derive_gammas,
     derive_spectral,
     eta_prime,
@@ -154,7 +153,7 @@ def test_rate_perfect_dip_exact_zero():
         channel = ChannelParams(rng.uniform(0.0, 30.0), rng.uniform(-30.0, 30.0))
         rho_p = broadened_rho(rho, channel)
         window = float(np.exp(rng.uniform(np.log(10.0), np.log(2000.0))))
-        assert coincidence_rate(0.0, rho, rho_p, eta_prime(0.5), window) == 0.0
+        assert coincidence_curve([0.0], rho, rho_p, eta_prime(0.5), window).values[0] == 0.0
 
 
 def test_rate_dispersionless_gaussian_dip():
@@ -170,8 +169,8 @@ def test_rate_symmetric_in_tau():
     rng = np.random.default_rng(9)
     taus = rng.uniform(0.0, 900.0, 200)
     for tau in taus:
-        plus = coincidence_rate(tau, RHO_REF, rho_p, 0.01, 400.0)
-        minus = coincidence_rate(-tau, RHO_REF, rho_p, 0.01, 400.0)
+        plus = coincidence_curve([tau], RHO_REF, rho_p, 0.01, 400.0).values[0]
+        minus = coincidence_curve([-tau], RHO_REF, rho_p, 0.01, 400.0).values[0]
         assert abs(plus - minus) <= 1e-12
 
 
@@ -182,14 +181,14 @@ def test_rate_nonnegative_and_vanishing_tails():
     assert (curve.values >= 0.0).all()
     plateau = curve.values.max()
     far = 400.0 + 20.0 / math.sqrt(rho_p)
-    assert coincidence_rate(far, RHO_REF, rho_p, 0.0, 400.0) < 1e-3 * plateau
+    assert coincidence_curve([far], RHO_REF, rho_p, 0.0, 400.0).values[0] < 1e-3 * plateau
 
 
 def test_rate_monotone_in_window():
     rho_p = broadened_rho(RHO_REF, ChannelParams(10.0, BETA2_REF))
     windows = np.linspace(50.0, 1500.0, 30)
     for tau in (0.0, 35.0, 240.0, 800.0):
-        values = [coincidence_rate(tau, RHO_REF, rho_p, 0.04, w) for w in windows]
+        values = [coincidence_curve([tau], RHO_REF, rho_p, 0.04, w).values[0] for w in windows]
         assert (np.diff(values) >= -1e-14).all()
 
 
@@ -208,11 +207,11 @@ def test_rate_infinite_window_is_dispersion_free():
 
 def test_rate_preconditions():
     with pytest.raises(ValueError):
-        coincidence_rate(0.0, 1.0, 2.0, 0.0, 100.0)  # rho < rho'
+        coincidence_curve([0.0], 1.0, 2.0, 0.0, 100.0).values[0]  # rho < rho'
     with pytest.raises(ValueError):
-        coincidence_rate(0.0, 1.0, 1.0, 1.5, 100.0)  # eta' out of range
+        coincidence_curve([0.0], 1.0, 1.0, 1.5, 100.0).values[0]  # eta' out of range
     with pytest.raises(ValueError):
-        coincidence_rate(0.0, 1.0, 1.0, 0.0, -5.0)  # bad window
+        coincidence_curve([0.0], 1.0, 1.0, 0.0, -5.0).values[0]  # bad window
 
 
 def test_curve_empty_and_single():
@@ -226,7 +225,7 @@ def test_curve_matches_looped_rate():
     taus = np.linspace(-700.0, 700.0, 173)
     curve = coincidence_curve(taus, RHO_REF, rho_p, 0.09, 450.0)
     looped = np.array(
-        [coincidence_rate(t, RHO_REF, rho_p, 0.09, 450.0) for t in taus]
+        [coincidence_curve([t], RHO_REF, rho_p, 0.09, 450.0).values[0] for t in taus]
     )
     assert np.array_equal(curve.values, looped)
 
@@ -437,7 +436,7 @@ def test_rate_properties(rho, beta2, length, window, eta, scaled_taus):
     assert (values >= 0.0).all()
     flipped = coincidence_curve(np.unique(taus), rho, rho_p, eta_prime(1.0 - eta), window)
     assert np.array_equal(flipped.values, values)  # eta <-> 1 - eta
-    assert coincidence_rate(0.0, rho, rho_p, eta_prime(0.5), window) == 0.0
+    assert coincidence_curve([0.0], rho, rho_p, eta_prime(0.5), window).values[0] == 0.0
 
 
 # --- analyzers -----------------------------------------------------------------
