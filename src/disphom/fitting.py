@@ -18,12 +18,18 @@ step would remove less than its tolerance of the loss.  lm_fit has no
 options: it reads beta2 and rho from its init, and its iteration limit,
 tolerance and damping are the module constants below.
 
-FitProblem owns the stacked problem: all datasets' points in one layout,
-each distinct (T, L, |tau|) evaluated once per model pass, the data and
-weights, the solve at one (beta2, rho) and the derivative blocks there.
-Every per-dataset step of the fit (the 2x2 solves, the scales, the
-derivative sums) runs on that layout as whole-array operations, with no
-loop over datasets.  One Jacobian serves both the step and the covariance:
+FitProblem owns the stacked problem, the data and weights, the solve at one
+(beta2, rho) and the derivative blocks there, over three layouts of the
+campaign's points.  The point layout holds every data point, in dataset
+order; the residuals and the loss live there.  The distinct layout holds
+each distinct (T, L, |tau|) once; the model pass and its derivatives are
+evaluated there.  The folded layout holds each (dataset, |tau|) once, with
+the summed weights of the one or two points it stands for; every Gram sum
+of the solve and the blocks runs there, on about half the points of a grid
+symmetric about tau = 0.  Every per-dataset step of the fit (the 2x2
+solves, the scales, the derivative sums) runs on these layouts as
+whole-array operations, with no loop over datasets.  One Jacobian serves
+both the step and the covariance:
 FitProblem.blocks gives each dataset's J^T r, J^T J and half-Hessian in
 (x0, x1, eta'), with only its scale projected out.  For the step,
 _eliminate takes each free eta' out of its dataset's blocks by a Schur
@@ -210,20 +216,33 @@ class FitProblem:
     builds one FitProblem and evaluates every start and trial point
     through it, so at a fit's params it gives the fit's loss bit for bit.
 
-    All datasets' points are concatenated in order, and every per-dataset
-    step of the fit runs on that layout as whole-array operations: split
-    cuts a per-point array into datasets, sums adds it up per dataset, and
-    at gives per-dataset values at every point.
-
-    The rate depends on a point only through its window half-width T, its
-    fiber length L and its delay, and it is even in the delay, bit for bit.
-    So the distinct (T, L, |tau|) over all datasets' points are found once;
-    parts evaluates only those in one coincidence_parts call, the model
-    pass, with one broadened rho per distinct L, and expand takes a result
-    back to every point.  A grid symmetric about tau = 0 costs half its
-    points, and datasets that repeat a (T, L) and grid cost nothing more.
-    The expanded (p, q) equal per-dataset calls bit for bit.  passes counts
-    the model passes.
+    Three layouts of the campaign's points serve the fit:
+    - point: all datasets' points concatenated in order.  The data, their
+      squared weights and the residuals live here, and split cuts a
+      per-point array into its datasets.
+    - distinct: each distinct (T, L, |tau|) over all datasets once.  The
+      rate depends on a point only through its window half-width T, its
+      fiber length L and its delay, and it is even in the delay, bit for
+      bit.  So parts evaluates only these points in one coincidence_parts
+      call, the model pass, with one broadened rho per distinct L, and
+      expand takes a result back to every point; the expanded (p, q) equal
+      per-dataset calls bit for bit.  A grid symmetric about tau = 0 costs
+      half its points, and datasets that repeat a (T, L) and grid cost
+      nothing more.  passes counts the model passes.
+    - folded: each (dataset, |tau|) once, in dataset order, with the summed
+      weights W = sum w^2 and Wy = sum w^2 y of the one or two points it
+      stands for and the index of its distinct point.  Two datasets that
+      share (T, L) and grid share distinct points but not folded ones, as
+      each has its own s and eta'.  sums adds a folded array up per
+      dataset, and at gives per-dataset values at every folded point.
+    A weighted sum over a dataset's points of anything that depends on the
+    point only through its model, sum w^2 g(f), is sum W g(f) over its
+    folded points, so solve's Gram sums and every sum of blocks run folded,
+    on half the points of a symmetric grid.  The loss does not: it is
+    sum w^2 r^2 over the points, of residuals r = s f - y formed per point.
+    Folded, it would be s^2 sum W f^2 - 2 s sum Wy f + sum w^2 y^2, whose
+    terms cancel some 4 digits at 1e4 counts, too many for lm_fit's 1e-10
+    stop.
 
     solve evaluates the loss with one model pass.  blocks takes a solved
     point to each dataset's derivative sums in theta = (x0, x1, eta'), for
@@ -234,13 +253,13 @@ class FitProblem:
     def __init__(self, datasets):
         if len(datasets) == 0:
             raise ValueError("need at least one dataset")
-        self._sizes = [len(ds.curve) for ds in datasets]
-        if 0 in self._sizes:  # reduceat cannot sum an empty block
+        sizes = [len(ds.curve) for ds in datasets]
+        if 0 in sizes:  # reduceat cannot sum an empty block
             raise ValueError("every dataset needs at least one point")
-        self._starts = np.cumsum([0] + self._sizes[:-1])
+        self._starts = np.cumsum([0] + sizes[:-1])
         keys = np.vstack([
-            self.at(np.array([[ds.window_half_width_ps, ds.fiber_length_km]
-                              for ds in datasets]).T),
+            np.repeat(np.array([[ds.window_half_width_ps, ds.fiber_length_km]
+                                for ds in datasets]).T, sizes, axis=-1),
             np.abs(np.concatenate([ds.curve.tau_ps for ds in datasets])),
         ])
         # one lexsort: np.unique over rows sorts them some 30 times slower
@@ -254,6 +273,16 @@ class FitProblem:
         self._lengths, self._length_index = np.unique(lengths, return_inverse=True)
         self._w2 = np.concatenate([_poisson_weights(ds.curve.values) for ds in datasets])
         self._y = np.concatenate([ds.curve.values for ds in datasets])
+        # the folded layout: one point per (dataset, |tau|), in dataset order
+        n_distinct = self._taus.size
+        folded, self._fold = np.unique(  # each point's folded point
+            np.repeat(np.arange(len(datasets)), sizes) * n_distinct + self._inverse,
+            return_inverse=True)
+        self._folded = folded % n_distinct  # each folded point's distinct point
+        self._folded_sizes = np.bincount(folded // n_distinct)
+        self._folded_starts = np.cumsum(np.concatenate(([0], self._folded_sizes[:-1])))
+        self._weights = np.array([np.bincount(self._fold, self._w2),
+                                  np.bincount(self._fold, self._w2 * self._y)])
         self.passes = 0
 
     def _chirp(self, beta2, rho):
@@ -284,17 +313,17 @@ class FitProblem:
         return np.split(values, self._starts[1:], axis=-1)
 
     def sums(self, values):
-        """Per-dataset sums of a per-point array: shape (..., points) to (..., datasets)."""
-        return np.add.reduceat(values, self._starts, axis=-1)
+        """Per-dataset sums of a folded array: shape (..., folded) to (..., datasets)."""
+        return np.add.reduceat(values, self._folded_starts, axis=-1)
 
     def at(self, values):
-        """Per-dataset values at every point: shape (..., datasets) to (..., points)."""
-        return np.repeat(values, self._sizes, axis=-1)
+        """Per-dataset values at every folded point: shape (..., datasets) to (..., folded)."""
+        return np.repeat(values, self._folded_sizes, axis=-1)
 
     def derivatives(self, beta2, rho, parts):
-        """Derivatives of a pass's (p, q) in x = (beta2, log rho), at every point.
+        """Derivatives of a pass's (p, q) in x = (beta2, log rho), at the distinct points.
 
-        parts is parts(beta2, rho).  The result has shape (5, 2, points): the
+        parts is parts(beta2, rho).  The result has shape (5, 2, distinct): the
         derivatives in x0, x1, x0 x0, x0 x1 and x1 x1 of p and of q.  They
         come from model.coincidence_parts_derivatives in (rho, rho') by the
         chain rule through rho = e^x1 and, for each fiber length L,
@@ -321,7 +350,7 @@ class FitProblem:
         out[2] = f_pp * rp_0 * rp_0 + f_p * rp_00
         out[3] = f_rp * rho * rp_0 + f_pp * rp_0 * rp_1 + f_p * rp_01
         out[4] = (f_rr * rho + 2.0 * f_rp * rp_1 + f_r) * rho + f_pp * rp_1 * rp_1 + f_p * rp_11
-        return self.expand(out)
+        return out
 
     def solve(self, beta2, rho) -> _Solved | None:
         """The loss at (beta2, rho), with every dataset's s and eta' in [0, 1] minimizing it.
@@ -330,7 +359,11 @@ class FitProblem:
         squared weights w of _poisson_weights.
 
         The pair (s, s eta') enters linearly, so one set of sums gives every
-        dataset's 2x2 weighted least-squares problem.  Its unconstrained
+        dataset's 2x2 weighted least-squares problem.  Its five Gram sums,
+        p.Wp, p.Wq, q.Wq, p.Wy and q.Wy, are taken over the folded points
+        from their summed weights W and Wy, with (p, q) gathered there from
+        the distinct points; the loss and the residuals, at every point,
+        are not (see FitProblem).  Its unconstrained
         solution is taken where s > 0 and its eta' lies in [0, 1]; elsewhere
         eta' sits at whichever bound, 0 or 1, fits better, each bound with
         its own profiled scale.  The same sums choose the bound: a bound's
@@ -343,10 +376,10 @@ class FitProblem:
         parts = self.parts(beta2, rho)
         if parts is None:
             return None
-        p, q = self.expand(parts)
-        y, w2 = self._y, self._w2
+        p, q = parts[:, self._folded]
+        w2, w2y = self._weights
         wp, wq = w2 * p, w2 * q
-        pp, pq, qq, py, qy = self.sums(np.array([wp * p, wp * q, wq * q, wp * y, wq * y]))
+        pp, pq, qq, py, qy = self.sums(np.array([wp * p, wp * q, wq * q, p * w2y, q * w2y]))
         det = pp * qq - pq * pq
         det[det <= 0] = np.nan  # no unconstrained solution
         s = (qq * py - pq * qy) / det
@@ -363,8 +396,9 @@ class FitProblem:
             upper = ~interior & (moments[1] * bound_s[1] > moments[0] * bound_s[0])
             s = np.where(interior, s, np.choose(upper, bound_s))
             eta_p[upper] = 1.0
-        r = self.at(s) * (p + self.at(eta_p) * q) - y
-        return _Solved(float(np.dot(w2 * r, r)), r, s, eta_p, np.isin(eta_p, (0.0, 1.0)), parts)
+        r = (self.at(s) * (p + self.at(eta_p) * q))[self._fold] - self._y
+        return _Solved(float(np.dot(self._w2 * r, r)), r, s, eta_p, np.isin(eta_p, (0.0, 1.0)),
+                       parts)
 
     def blocks(self, beta2, rho, solved: _Solved):
         """Each dataset's J^T r (3, D), J^T J (3, 3, D) and N (3, 3, D) in
@@ -376,14 +410,18 @@ class FitProblem:
         ds = -(f.W s df + C) / f.Wf, with the cross term C = sum w r df, so
         J = s df + f ds and N = J^T J + C ds^T + ds C^T + s sum w r d2f.  In
         eta', df = q, d2f / dx deta' = dq / dx and d2f / deta'^2 = 0.
+
+        Every sum runs on the folded points: the derivatives are taken at
+        the distinct points and gathered there, the per-point w^2 r is
+        folded by np.bincount, and w^2 is the folded W.
         """
-        p, q = self.expand(solved.parts)
-        d_pq = self.derivatives(beta2, rho, solved.parts)
+        p, q = solved.parts[:, self._folded]
+        d_pq = self.derivatives(beta2, rho, solved.parts)[..., self._folded]
         s, eta_p = self.at(np.array([solved.scales, solved.eta_ps]))
         f = p + eta_p * q
         d_f = d_pq[:, 0] + eta_p * d_pq[:, 1]  # in x0, x1, x0 x0, x0 x1 and x1 x1
         first = np.array([d_f[0], d_f[1], q])  # df / dtheta
-        w2, wr = self._w2, self._w2 * solved.res
+        w2, wr = self._weights[0], np.bincount(self._fold, self._w2 * solved.res)
         fixed = s * first  # J at fixed s
         cross = self.sums(wr * first)
         ds = -(self.sums(w2 * f * fixed) + cross) / self.sums(w2 * f * f)
@@ -436,7 +474,11 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     That call is the only model pass: a fit makes one per trial point, and
     model_passes counts them.  All datasets' (s_i, eta'_i) follow from one
     set of per-dataset sums in FitProblem.solve, and so do the bound, 0 or
-    1, where an eta' must go to one.
+    1, where an eta' must go to one.  The pass runs on the distinct points,
+    those sums and the derivative blocks' on the folded points, one per
+    (dataset, |tau|), and the loss on every point, from residuals formed
+    per point, so that it keeps its digits (FitProblem names the three
+    layouts).
 
     The derivatives are exact and cost no pass: the model's
     coincidence_parts_derivatives turns a pass's (p, q) into their first

@@ -33,7 +33,7 @@ from .model import (
     HomCurve,
     SourceParams,
     broadened_rho,
-    coincidence_curve,
+    coincidence_parts,
     derive_spectral,
     eta_prime,
 )
@@ -343,39 +343,44 @@ class CampaignConfig:
 def generate_synthetic(config: CampaignConfig):
     """Noisy datasets for every (window, length) pair of the campaign.
 
-    The model curve is scaled so its maximum equals peak_counts, then each
-    bin is drawn from a Poisson law with that mean by poisson_counts.  The
-    Philox key mixes the campaign seed with the dataset index, so datasets
-    are independent but fixed per seed for a given numpy version.  A model
-    curve that is zero on its whole tau grid is an error naming the dataset.
+    The model curves of all datasets are evaluated in one stacked
+    coincidence_parts call over their concatenated grids, with each point's
+    broadened rho' and window half-width, as FitProblem.parts passes them.
+    The rate is evaluated element by element, so each curve equals
+    coincidence_curve on its own grid bit for bit.  A model curve that is
+    zero on its whole tau grid is an error naming the first such dataset,
+    raised before any counts are drawn.  Each curve is then scaled so its
+    maximum equals peak_counts, and each bin is drawn from a Poisson law
+    with that mean by poisson_counts.  The Philox key mixes the campaign
+    seed with the dataset index, so datasets are independent but fixed per
+    seed for a given numpy version.
     """
     rho = derive_spectral(config.source, config.filter).rho
+    pairs = [(window_ns, length_km) for window_ns in config.windows_ns
+             for length_km in config.fiber_lengths_km]
+    windows_ps = [1000.0 * window_ns for window_ns, _ in pairs]
+    grids = [np.linspace(-1.5 * window_ps, 1.5 * window_ps, config.tau_points)
+             if config.tau_min_ps is None
+             else np.linspace(config.tau_min_ps, config.tau_max_ps, config.tau_points)
+             for window_ps in windows_ps]
+    rho_ps = [broadened_rho(rho, ChannelParams(length_km, config.beta2_ps2_per_km))
+              for _, length_km in pairs]
+
+    def per_point(values):
+        return np.repeat(values, config.tau_points)
+
+    p, q = coincidence_parts(np.concatenate(grids), rho, per_point(rho_ps), per_point(windows_ps))
+    eta_ps = per_point([eta_prime(eta) for eta in config.etas])
+    curves = np.maximum(p + eta_ps * q, 0.0).reshape(len(pairs), config.tau_points)
+    labels = [_label(window_ns, length_km) for window_ns, length_km in pairs]
+    peaks = curves.max(axis=1)
+    for label, peak in zip(labels, peaks):
+        if not peak > 0:
+            raise ValueError(f"dataset {label}: the model curve is zero on its whole tau grid")
     datasets = []
-    index = 0
-    for window_ns in config.windows_ns:
-        for length_km in config.fiber_lengths_km:
-            window_ps = 1000.0 * window_ns
-            if config.tau_min_ps is None:
-                taus = np.linspace(-1.5 * window_ps, 1.5 * window_ps, config.tau_points)
-            else:
-                taus = np.linspace(config.tau_min_ps, config.tau_max_ps, config.tau_points)
-            eta = config.etas[index]
-            rho_p = broadened_rho(rho, ChannelParams(length_km, config.beta2_ps2_per_km))
-            curve = coincidence_curve(taus, rho, rho_p, eta_prime(eta), window_ps)
-            label = _label(window_ns, length_km)
-            peak = curve.values.max()
-            if not peak > 0:
-                raise ValueError(f"dataset {label}: the model curve is zero on its whole tau grid")
-            means = curve.values / peak * config.peak_counts
-            key = (config.seed * 0x9E3779B97F4A7C15 + index) % 2**64
-            counts = poisson_counts(means, key)
-            datasets.append(
-                Dataset(
-                    curve=HomCurve(taus, counts.astype(float)),
-                    window_half_width_ps=window_ps,
-                    fiber_length_km=length_km,
-                    label=label,
-                )
-            )
-            index += 1
+    for index, (taus, curve, peak, window_ps, (_, length_km), label) in enumerate(
+            zip(grids, curves, peaks, windows_ps, pairs, labels)):
+        key = (config.seed * 0x9E3779B97F4A7C15 + index) % 2**64
+        counts = poisson_counts(curve / peak * config.peak_counts, key)
+        datasets.append(Dataset(HomCurve(taus, counts.astype(float)), window_ps, length_km, label))
     return datasets, rho

@@ -27,9 +27,10 @@ from conftest import BETA2_REF, RHO_REF, small_campaign
 
 
 def make_dataset(window_ns, length_km, eta=0.52, peak=1e4, points=201, seed=None,
-                 beta2=BETA2_REF, rho=RHO_REF):
+                 beta2=BETA2_REF, rho=RHO_REF, taus=None):
     window_ps = 1000.0 * window_ns
-    taus = np.linspace(-1.5 * window_ps, 1.5 * window_ps, points)
+    if taus is None:
+        taus = np.linspace(-1.5 * window_ps, 1.5 * window_ps, points)
     rho_p = broadened_rho(rho, ChannelParams(length_km, beta2))
     model = coincidence_curve(taus, rho, rho_p, eta_prime(eta), window_ps).values
     means = model / model.max() * peak
@@ -253,6 +254,12 @@ def test_objective_derivatives_match_differences():
     solved = objective.solve(x[0], math.exp(x[1]))
     assert solved.eta_ps[0] == 0.0 and 0.0 < min(solved.eta_ps[1:])
     assert solved.eta_ps[4] == 1.0
+    assert_eliminated_blocks_match_differences(objective, x)
+
+
+def assert_eliminated_blocks_match_differences(objective, x):
+    """_eliminate's J^T r, J^T J and N at x equal central differences of the loss."""
+    solved = objective.solve(x[0], math.exp(x[1]))
     exact = fitting._eliminate(objective.blocks(x[0], math.exp(x[1]), solved), ~solved.held)
 
     def half_loss(x):
@@ -279,6 +286,31 @@ def test_objective_derivatives_match_differences():
     # sqrt(rho) |tau| >> 1 (about 1e-6 per point, 1e-5 here)
     for errs, floor in zip(np.transpose(errors), (1e-8, 1e-8, 3e-5)):
         assert np.all(errs <= 1.5 * errs[0] * (steps / steps[0]) ** 2 + floor), errs
+
+
+def test_fold_keeps_datasets_apart():
+    # two replicas share (T, L) and grid, so their distinct points, but each
+    # has its own counts and eta, so its own folded points; an asymmetric
+    # grid pairs no +-tau, and a grid through tau = 0 leaves that point
+    # unpaired
+    sets = [make_dataset(0.4, 10.0, eta=0.52, seed=21),
+            make_dataset(0.4, 10.0, eta=0.6, peak=3e3, seed=22),
+            make_dataset(0.65, 4.0, eta=0.55, seed=23, taus=np.linspace(-90.5, 1200.0, 64)),
+            make_dataset(0.3, 22.0, eta=0.58, seed=24, taus=np.linspace(-200.0, 450.0, 66))]
+    assert np.array_equal(sets[0].curve.tau_ps, sets[1].curve.tau_ps)
+    assert 0.0 in sets[3].curve.tau_ps
+    problem = FitProblem(sets)
+    folded = [np.unique(np.abs(ds.curve.tau_ps)).size for ds in sets]
+    assert folded == [101, 101, 64, 46]
+    assert problem._folded.size == sum(folded)
+    beta2, rho = BETA2_REF * 1.02, RHO_REF * 0.97
+    solved = problem.solve(beta2, rho)
+    for ds, scale, eta_p in zip(sets, solved.scales, solved.eta_ps):
+        single = FitProblem([ds]).solve(beta2, rho)
+        assert scale == pytest.approx(single.scales[0], rel=1e-12)
+        assert eta_p == pytest.approx(single.eta_ps[0], rel=1e-12)
+    assert_eliminated_blocks_match_differences(
+        problem, np.array([BETA2_REF * 1.01, math.log(RHO_REF * 0.99)]))
 
 
 def test_solve_matches_dense_eta_scan():
@@ -537,10 +569,13 @@ def test_lm_fit_all_zero_dataset_leaves_sigma():
 
 def test_lm_fit_folds_beta2_sign():
     # the model sees beta2 only through (L beta2 rho)^2: both signs of the
-    # start give the same fit, reported at beta2 > 0
+    # start give the same fit, reported at beta2 > 0.  FitParams stores
+    # |beta2|, so the negative start is set after it.
     datasets, _ = generate_synthetic(small_campaign(seed=3))
     plus = lm_fit(datasets, FitParams(20.0, 10.0))
-    minus = lm_fit(datasets, FitParams(-20.0, 10.0))
+    negative = FitParams(20.0, 10.0)
+    negative.beta2_ps2_per_km = -20.0
+    minus = lm_fit(datasets, negative)
     assert plus.params.beta2_ps2_per_km > 0
     assert minus.params == plus.params
     assert np.array_equal(minus.covariance, plus.covariance)

@@ -8,16 +8,21 @@ import pytest
 
 from disphom import (
     CampaignConfig,
+    ChannelParams,
     Dataset,
     DatasetFormatError,
     FitParams,
     HomCurve,
+    broadened_rho,
+    coincidence_curve,
+    eta_prime,
     generate_synthetic,
     lm_fit,
     poisson_counts,
     read_dataset,
     write_dataset,
 )
+from disphom import io as dio
 from conftest import BETA2_REF, RHO_REF, small_campaign
 
 
@@ -205,6 +210,47 @@ def test_generate_synthetic_rho_and_shape():
     for ds in datasets:
         assert len(ds.curve) == config.tau_points
         assert ds.curve.values.max() <= 5.0 * config.peak_counts
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(fiber_lengths_km=[0.0, 10.0, 20.0], etas=[0.5, 0.52, 0.6, 0.7, 1.0, 0.0]),
+    dict(tau_min_ps=-500.0, tau_max_ps=700.0, tau_points=64),
+], ids=["mirrored", "asymmetric"])
+def test_generate_synthetic_means_equal_per_dataset_curves(monkeypatch, overrides):
+    # the whole campaign is one stacked model pass, evaluated element by
+    # element: each dataset's Poisson means are those of its own
+    # coincidence_curve, bit for bit, drawn with its own key
+    config = small_campaign(**overrides)
+    drawn = []
+
+    def recorded(means, key):
+        drawn.append((means, key))
+        return poisson_counts(means, key)
+
+    monkeypatch.setattr(dio, "poisson_counts", recorded)
+    datasets, rho = generate_synthetic(config)
+    assert len(drawn) == len(datasets) == 6
+    for index, (ds, (means, key)) in enumerate(zip(datasets, drawn)):
+        rho_p = broadened_rho(rho, ChannelParams(ds.fiber_length_km, config.beta2_ps2_per_km))
+        curve = coincidence_curve(ds.curve.tau_ps, rho, rho_p, eta_prime(config.etas[index]),
+                                  ds.window_half_width_ps).values
+        assert np.array_equal(means, curve / curve.max() * config.peak_counts)
+        assert key == (config.seed * 0x9E3779B97F4A7C15 + index) % 2**64
+
+
+def test_generate_synthetic_names_the_first_all_zero_dataset(monkeypatch):
+    # far outside a 0.4 ns window the model is exactly 0, inside a 1 us
+    # window it is not; the error names the first zero dataset, and no
+    # counts are drawn before it is raised
+    config = small_campaign(windows_ns=[1000.0, 0.4], fiber_lengths_km=[10.0, 20.0],
+                            tau_min_ps=1e5, tau_max_ps=2e5)
+
+    def refused(means, key):
+        raise AssertionError("counts drawn before the zero curve was named")
+
+    monkeypatch.setattr(dio, "poisson_counts", refused)
+    with pytest.raises(ValueError, match=r"^dataset T0\.4ns_L10km: the model curve is zero"):
+        generate_synthetic(config)
 
 
 def test_generate_synthetic_balanced_dip_survives_noise():
