@@ -2,7 +2,7 @@
 
 Evaluates the time-resolved two-photon rate directly from the dispersed
 difference amplitude and integrates it over the coincidence window with an
-adaptive Gauss-Kronrod (G15-K31) rule.  Exists to validate the closed-form
+adaptive Gauss-Kronrod (G30-K61) rule.  Exists to validate the closed-form
 model: it shares no code with the closed form beyond the broadened-width
 helper used in its own contracts.
 
@@ -20,6 +20,7 @@ each one's result does not depend on the group it falls in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,12 @@ from .model import ChannelParams, broadened_rho
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Configuration of the adaptive Gauss-Kronrod (G15-K31) integrator.
+    """Configuration of the adaptive Gauss-Kronrod (G30-K61) integrator.
 
     max_subdivisions is the number of bisection levels a panel may go through.
+    Both tolerances must be finite and > 0, and max_subdivisions an integer
+    (not a bool) >= 1: an infinite rel_tol would size the chirp grid's panels
+    without bound and give each panel a NaN share of the tolerance.
     """
 
     abs_tol: float = 1e-12
@@ -39,9 +43,13 @@ class QuadratureSpec:
     max_subdivisions: int = 24
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be > 0")
-        if self.max_subdivisions < 1:
+        for name, tolerance in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
+            if not (math.isfinite(tolerance) and tolerance > 0):
+                raise ValueError(f"{name} must be finite and > 0")
+        levels = self.max_subdivisions
+        if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
+            raise ValueError(f"max_subdivisions must be an integer, not {levels!r}")
+        if levels < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
 
@@ -150,60 +158,81 @@ def _folded_rate(t, sigma, eta, rho_p, k):
     return out
 
 
-# Gauss-Kronrod G15-K31 on [-1, 1] (QUADPACK's qk31): the Kronrod nodes in
-# ascending order, the K31 weights, and K31 minus G15, whose sum is the
-# rule's error estimate (G15 uses every second node; its weight is 0 elsewhere).
+# Gauss-Kronrod G30-K61 on [-1, 1] (QUADPACK's qk61): the Kronrod nodes in
+# ascending order, the K61 weights, and K61 minus G30, whose sum is the
+# rule's error estimate (G30 uses every second node; its weight is 0 elsewhere).
+# Computed in 120-digit arithmetic and rounded to 33 decimals.
 _GK_HALF_NODES = np.array([
-    0.998002298693397060285172840152271, 0.987992518020485428489565718586613,
-    0.967739075679139134257347978784337, 0.937273392400705904307758947710209,
-    0.897264532344081900882509656454496, 0.848206583410427216200648320774217,
-    0.790418501442465932967649294817947, 0.724417731360170047416186054613938,
-    0.650996741297416970533735895313275, 0.570972172608538847537226737253911,
-    0.485081863640239680693655740232351, 0.394151347077563369897207370981045,
-    0.299180007153168812166780024266389, 0.201194093997434522300628303394596,
-    0.101142066918717499027074231447392, 0.0,
+    0.999484410050490637571325895705811, 0.996893484074649540271630050918695,
+    0.991630996870404594858628366109486, 0.983668123279747209970032581605663,
+    0.973116322501126268374693868423707, 0.960021864968307512216871025581798,
+    0.944374444748559979415831324037439, 0.926200047429274325879324277080474,
+    0.905573307699907798546522558925958, 0.882560535792052681543116462530226,
+    0.857205233546061098958658510658944, 0.829565762382768397442898119732502,
+    0.799727835821839083013668942322683, 0.767777432104826194917977340974503,
+    0.733790062453226804726171131369528, 0.697850494793315796932292388026640,
+    0.660061064126626961370053668149271, 0.620526182989242861140477556431189,
+    0.579345235826361691756024932172540, 0.536624148142019899264169793311073,
+    0.492480467861778574993693061207709, 0.447033769538089176780609900322854,
+    0.400401254830394392535476211542661, 0.352704725530878113471037207089374,
+    0.304073202273625077372677107199257, 0.254636926167889846439805129817805,
+    0.204525116682309891438957671002025, 0.153869913608583546963794672743256,
+    0.102806937966737030147096751318001, 0.051471842555317695833025213166723,
+    0.0,
 ])
-_K31_HALF = np.array([
-    0.005377479872923348987792051430128, 0.015007947329316122538374763075807,
-    0.025460847326715320186874001019653, 0.035346360791375846222037948478360,
-    0.044589751324764876608227299373280, 0.053481524690928087265343147239430,
-    0.062009567800670640285139230960803, 0.069854121318728258709520077099147,
-    0.076849680757720378894432777482659, 0.083080502823133021038289247286104,
-    0.088564443056211770647275443693774, 0.093126598170825321225486872747346,
-    0.096642726983623678505179907627589, 0.099173598721791959332393173484603,
-    0.100769845523875595044946662617570, 0.101330007014791549017374792767493,
+_K61_HALF = np.array([
+    0.001389013698677007624551591226760, 0.003890461127099884051267201844516,
+    0.006630703915931292173319826369750, 0.009273279659517763428441146892024,
+    0.011823015253496341742232898853251, 0.014369729507045804812451432443580,
+    0.016920889189053272627572289420322, 0.019414141193942381173408951050128,
+    0.021828035821609192297167485738339, 0.024191162078080601365686370725232,
+    0.026509954882333101610601709335075, 0.028754048765041292843978785354334,
+    0.030907257562387762472884252943092, 0.032981447057483726031814191016854,
+    0.034979338028060024137499670731468, 0.036882364651821229223911065617136,
+    0.038678945624727592950348651532281, 0.040374538951535959111995279752468,
+    0.041969810215164246147147541285970, 0.043452539701356069316831728117073,
+    0.044814800133162663192355551616723, 0.046059238271006988116271735559374,
+    0.047185546569299153945261478181099, 0.048185861757087129140779492298305,
+    0.049055434555029778887528165367238, 0.049795683427074206357811569379942,
+    0.050405921402782346840893085653585, 0.050881795898749606492297473049805,
+    0.051221547849258772170656282604944, 0.051426128537459025933862879215781,
+    0.051494729429451567558340433647099,
 ])
-_G15_HALF = np.array([
-    0.0, 0.030753241996117268354628393577204, 0.0, 0.070366047488108124709267416450667,
-    0.0, 0.107159220467171935011869546685869, 0.0, 0.139570677926154314447804794511028,
-    0.0, 0.166269205816993933553200860481209, 0.0, 0.186161000015562211026800561866423,
-    0.0, 0.198431485327111576456118326443839, 0.0, 0.202578241925561272880620199967519,
+_G30_HALF = np.array([
+    0.0, 0.007968192496166605615465883474674, 0.0, 0.018466468311090959142302131912047,
+    0.0, 0.028784707883323369349719179611292, 0.0, 0.038799192569627049596801936446348,
+    0.0, 0.048402672830594052902938140422808, 0.0, 0.057493156217619066481721689402056,
+    0.0, 0.065974229882180495128128515115962, 0.0, 0.073755974737705206268243850022191,
+    0.0, 0.080755895229420215354694938460530, 0.0, 0.086899787201082979802387530715126,
+    0.0, 0.092122522237786128717632707087619, 0.0, 0.096368737174644259639468626351810,
+    0.0, 0.099593420586795267062780282103569, 0.0, 0.101762389748405504596428952168554,
+    0.0, 0.102852652893558840341285636705415, 0.0,
 ])
 _GK_NODES = np.concatenate([-_GK_HALF_NODES[:-1], _GK_HALF_NODES[::-1]])
-_K31 = np.concatenate([_K31_HALF[:-1], _K31_HALF[::-1]])
-_K31_MINUS_G15 = _K31 - np.concatenate([_G15_HALF[:-1], _G15_HALF[::-1]])
+_K61 = np.concatenate([_K61_HALF[:-1], _K61_HALF[::-1]])
+_K61_MINUS_G30 = _K61 - np.concatenate([_G30_HALF[:-1], _G30_HALF[::-1]])
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
-# G15's error on cos(w s) over a panel of width h is at most C h (w h)^30, with
-# C = (15!)^4 / (31 (30!)^3) ~ 5.05e-51 the n = 15 Gauss-Legendre constant
-_G15_COS_ERROR = math.factorial(15) ** 4 / (31 * math.factorial(30) ** 3)
-# K31's counterpart, C h (w h)^48: K31 is exact to degree 47, and
-# C = |2/49 - sum_i w_i x_i^48| / (48! 2^49), with 2/49 - sum_i w_i x_i^48 =
-# -5.17e-17 taken from the table above in 80-digit arithmetic
-_K31_COS_ERROR = 7.40156e-93
-# open panels a level may hold: a full 1e5-panel chirp grid can still be
-# bisected once, and a (panels x 31) node array stays near 65 MB
-_MAX_OPEN_PANELS = 2**18
+# G30's error on cos(w s) over a panel of width h is at most C h (w h)^60, with
+# C = (30!)^4 / (61 (60!)^3) ~ 1.41e-118 the n = 30 Gauss-Legendre constant
+_G30_COS_ERROR = math.factorial(30) ** 4 / (61 * math.factorial(60) ** 3)
+# K61's counterpart, C h (w h)^92: K61 is exact to degree 91, and
+# C = |2/93 - sum_i w_i x_i^92| / (92! 2^93), with 2/93 - sum_i w_i x_i^92 =
+# -2.67e-31 from the rule in 120-digit arithmetic
+_K61_COS_ERROR = 2.16586e-201
+# open panels a level may hold: a full 5e4-panel chirp grid can still be
+# bisected once, and a (panels x 61) node array stays near 64 MB
+_MAX_OPEN_PANELS = 2**17
 # start panels of the delays integrated together, so that a group's
-# (panels x 31) node array holds at most 27k nodes.  Wider groups save
-# little more per-level overhead (groups of 512 to 2048 panels time within
+# (panels x 61) node array holds at most 27k nodes.  Wider groups save
+# little more per-level overhead (groups of 16k to 64k nodes time within
 # 6% on 201-delay curves) and raise peak memory
-_GROUP_PANELS = 870
+_GROUP_PANELS = 440
 # the bump's seeds, in widths 1/sqrt(rho') from sigma = |tau|
 _BUMP_SEEDS = np.array([-8.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0])
 
 
 def _gauss_kronrod(f, breakpoints, owner, abs_tol, rel_tol, max_levels, name="integral {}".format):
-    """Adaptive G15-K31 over several integrals at once; level-synchronous.
+    """Adaptive G30-K61 over several integrals at once; level-synchronous.
 
     Integral i runs over breakpoints[owner == i]: owner is sorted, counts
     0, 1, 2, ..., and each integral's breakpoints are ascending.  Returns
@@ -211,20 +240,20 @@ def _gauss_kronrod(f, breakpoints, owner, abs_tol, rel_tol, max_levels, name="in
     between an integral's breakpoints are its starting grid: the error
     estimator only sees structure its nodes sample, so narrow features and
     fast oscillations must be resolved by the breakpoints.  Each level
-    evaluates f(x, own) once on an (open panels x 31) node array x, whose
+    evaluates f(x, own) once on an (open panels x 61) node array x, whose
     row j belongs to integral own[j].  A panel is accepted once
-    |K31 - G15| <= max(abs_tol, rel_tol |estimate|) (width / span), with its
-    own integral's estimate and span, or once |K31 - G15| is at the rounding
-    floor of the panel's own K31 sum, 50 eps |K31|: a panel far narrower
+    |K61 - G30| <= max(abs_tol, rel_tol |estimate|) (width / span), with its
+    own integral's estimate and span, or once |K61 - G30| is at the rounding
+    floor of the panel's own K61 sum, 50 eps |K61|: a panel far narrower
     than the span, as a bump's in a wide window, is given a share of the
     tolerance below that floor, and bisecting it would not lower its error.
-    QUADPACK's floor takes the integral of |f| in place of |K31|; the two
-    agree for the non-negative rate, and |K31| is never the larger.  The
+    QUADPACK's floor takes the integral of |f| in place of |K61|; the two
+    agree for the non-negative rate, and |K61| is never the larger.  The
     rest are bisected, at most max_levels times, and while no more than
-    2^18 panels would be open: past either limit QuadratureError names the
+    2^17 panels would be open: past either limit QuadratureError names the
     first integral left open, name(i), and the number still open, and
     reports that integral's estimate and bound.  The panel cap bounds memory
-    where rounding keeps |K31 - G15| above the floor on ever more panels,
+    where rounding keeps |K61 - G30| above the floor on ever more panels,
     as for a cosine at a phase of thousands of radians.
 
     No integral's result depends on the others: the weights are applied row
@@ -244,8 +273,8 @@ def _gauss_kronrod(f, breakpoints, owner, abs_tol, rel_tol, max_levels, name="in
         centre = 0.5 * (a + b)
         half = 0.5 * (b - a)
         values = f(centre[:, None] + half[:, None] * _GK_NODES, own)
-        kronrod = half * np.einsum("ij,j->i", values, _K31)
-        err = np.abs(half * np.einsum("ij,j->i", values, _K31_MINUS_G15))
+        kronrod = half * np.einsum("ij,j->i", values, _K61)
+        err = np.abs(half * np.einsum("ij,j->i", values, _K61_MINUS_G30))
         estimate = integral + np.bincount(own, kronrod, count)
         share = half * (2.0 * np.maximum(abs_tol, rel_tol * np.abs(estimate)) / span)[own]
         done = err <= np.maximum(share, _ROUNDING_FLOOR * np.abs(kronrod))
@@ -317,11 +346,11 @@ def windowed_rate_numeric(
     # where the window is far wider than the bump.
     # The chirp grid's panels are sized to be accepted at the first level.
     # A panel of width h is given h rel_tol mean(f) of the tolerance, and
-    # G15's error on an oscillation of amplitude A is at most A C h (w h)^30;
-    # with A up to 3 mean(f), w h = (rel_tol / (3 C))^(1/30) meets the share
-    # (22.9 rad, 3.65 periods per panel, at rel_tol = 1e-9).  The result is
-    # K31's, so its own bound, w h = (rel_tol / (3 C'))^(1/48), caps the
-    # width too; it binds only above rel_tol = 8e19.
+    # G30's error on an oscillation of amplitude A is at most A C h (w h)^60;
+    # with A up to 3 mean(f), w h = (rel_tol / (3 C))^(1/60) meets the share
+    # (64.0 rad, 10.2 periods per panel, at rel_tol = 1e-9).  The result is
+    # K61's, so its own bound, w h = (rel_tol / (3 C'))^(1/92), caps the
+    # width too; it binds only above rel_tol = 8e37.
     # rho' first: it refuses a rho <= 0, at which the chirp wavenumber divides by 0
     rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
     if not rho_p > 0:
@@ -329,8 +358,8 @@ def windowed_rate_numeric(
     k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     bump_width = 1.0 / math.sqrt(rho_p)
     phase_step = min(
-        (spec.rel_tol / (3.0 * _G15_COS_ERROR)) ** (1.0 / 30.0),
-        (spec.rel_tol / (3.0 * _K31_COS_ERROR)) ** (1.0 / 48.0),
+        (spec.rel_tol / (3.0 * _G30_COS_ERROR)) ** (1.0 / 60.0),
+        (spec.rel_tol / (3.0 * _K61_COS_ERROR)) ** (1.0 / 92.0),
     )
 
     distinct, inverse = np.unique(np.abs(tau), return_inverse=True)
@@ -339,7 +368,7 @@ def windowed_rate_numeric(
     cross_exponent = 0.5 * rho_p * distinct * distinct
     half_span = np.minimum(window_t, np.sqrt(2.0 * np.maximum(50.0 - cross_exponent, 0.0) / rho_p))
     wavenumber = 2.0 * distinct * abs(k)
-    chirp_panels = np.minimum(np.ceil(half_span * wavenumber / phase_step), 100_000)
+    chirp_panels = np.minimum(np.ceil(half_span * wavenumber / phase_step), 50_000)
     grid_points = np.where(chirp_panels > 1, chirp_panels + 1, 0).astype(np.int64)
     # start panels per delay are at most the grid's, the 9 seeds' and one more
     ends = np.cumsum(grid_points + _BUMP_SEEDS.size + 1)

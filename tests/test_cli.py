@@ -102,6 +102,18 @@ def test_oracle_nonconvergence_is_clean_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_oracle_refuses_an_infinite_tolerance(tmp_path, capsys):
+    # at eta = 1/2 each panel's share of an infinite tolerance was inf * 0 =
+    # NaN, and the oracle refined to its open-panel cap before it failed
+    flags = [f"{k}={v}" for k, v in _MODEL_FLAGS.items()]
+    out = tmp_path / "x.csv"
+    assert run(["oracle", *flags, "--rel-tol", "inf", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rel_tol must be finite and > 0")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 _MODEL_FLAGS = {
     "--rho": "14.53", "--beta2": "21.39", "--length-km": "10", "--window-ns": "0.4",
     "--tau-min-ps": "-600", "--tau-max-ps": "600", "--points": "11",

@@ -4,6 +4,7 @@ acceptance suite)."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -160,7 +161,7 @@ def test_folded_rate_matches_mirrored_sum():
 
 
 def _unfolded_reference(tau, window_t, eta, length):
-    # adaptive G15-K31 of c(tau, s) over [-T, T] from a dense uniform start
+    # adaptive G30-K61 of c(tau, s) over [-T, T] from a dense uniform start
     # (~100 panels per chirp period at tau = 1.4 T, L = 5 km) plus both bumps
     rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
     width = 1.0 / math.sqrt(rho_p)
@@ -281,7 +282,7 @@ def test_windowed_matches_mpmath_where_the_expanded_density_cancels(length, wind
 
 
 def test_chirp_grid_panels_are_accepted_unbisected(monkeypatch):
-    # the chirp grid's panel width comes from G15's own error bound, so at
+    # the chirp grid's panel width comes from G30's own error bound, so at
     # the reference configuration the first level accepts every panel: each
     # distinct |tau| is evaluated in one integrand call, never in a second
     # level's
@@ -297,14 +298,14 @@ def test_chirp_grid_panels_are_accepted_unbisected(monkeypatch):
     taus = np.linspace(-600.0, 600.0, 201)
     windowed_rate_numeric(taus, 400.0, 0.52, RHO_REF, 10.0, BETA2_REF)
     distinct = np.unique(np.abs(taus))
-    assert sum(sizes) <= 900 * distinct.size
+    assert sum(sizes) <= 650 * distinct.size
     assert np.array_equal(np.sort(np.concatenate(delays)), distinct)
 
 
 @pytest.mark.parametrize("window, length", [(400.0, 10.0), (795.3, 5.07)])
 def test_windowed_grid_matches_single_delays_bit_for_bit(window, length):
     # delays integrated together in groups give what each gives alone; at
-    # T = 795.3 ps, L = 5.07 km the grid spans several groups
+    # T = 795.3 ps, L = 5.07 km the grid spans 38 groups
     taus = np.linspace(-1.5 * window, 1.5 * window, 201)
     curve = windowed_rate_numeric(taus, window, 0.52, RHO_REF, length, BETA2_REF)
     single = [windowed_rate_numeric(t, window, 0.52, RHO_REF, length, BETA2_REF) for t in taus]
@@ -312,10 +313,11 @@ def test_windowed_grid_matches_single_delays_bit_for_bit(window, length):
 
 
 def test_windowed_nonconvergence_names_the_first_open_delay():
-    # a depth at which some delays of the grid cannot converge: the error
-    # names the smallest such |tau|, and reports its own estimate and bound
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-18, max_subdivisions=1)
-    args = (400.0, 0.52, RHO_REF, 10.0, BETA2_REF, spec)
+    # a depth at which some delays of the grid cannot converge, several of
+    # them in one group: the error names the smallest such |tau|, and
+    # reports its own estimate and bound
+    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_subdivisions=1)
+    args = (400.0, 0.52, RHO_REF, 0.0, BETA2_REF, spec)
     taus = np.linspace(-600.0, 600.0, 201)
     for tau in np.unique(np.abs(taus)):
         try:
@@ -329,6 +331,7 @@ def test_windowed_nonconvergence_names_the_first_open_delay():
         windowed_rate_numeric(taus, *args)
     assert f"|tau| = {float(tau)!r} ps" in str(err.value)
     assert (err.value.estimate, err.value.error_bound) == single
+    assert int(re.search(r": (\d+) of \d+ integrals", str(err.value)).group(1)) > 1
 
 
 _RUNAWAY = """
@@ -381,7 +384,7 @@ def test_windowed_convergence_bound():
 
 
 def test_windowed_nonconvergence_reports_estimate():
-    spec = QuadratureSpec(rel_tol=3e-15, abs_tol=1e-18, max_subdivisions=2)
+    spec = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-18, max_subdivisions=2)
     with pytest.raises(QuadratureError) as err:
         windowed_rate_numeric(37.0, 400.0, 0.5, RHO_REF, 0.0, BETA2_REF, spec)
     assert err.value.estimate is not None
@@ -390,7 +393,7 @@ def test_windowed_nonconvergence_reports_estimate():
 
 def test_windowed_converges_at_nonconvergence_tolerances():
     # the tolerances above are reachable: only the level limit makes that test raise
-    spec = QuadratureSpec(rel_tol=3e-15, abs_tol=1e-18)
+    spec = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-18)
     value = windowed_rate_numeric(37.0, 400.0, 0.5, RHO_REF, 0.0, BETA2_REF, spec)
     closed = coincidence_curve(np.array([37.0]), RHO_REF, RHO_REF, eta_prime(0.5), 400.0)
     assert closed.values[0] == pytest.approx(0.5, abs=1e-15)
@@ -406,26 +409,43 @@ def _one_integral(f, breakpoints, abs_tol, rel_tol, max_levels):
 
 
 def test_gauss_kronrod_exact_integrals():
-    # K15 is exact to degree 22: one panel, no bisection, every panel accepted
+    # one panel, no bisection, every panel accepted: K61 is exact to degree
+    # 91, so polynomials of degree 22, 46 and 91 come out to rounding
     rng = np.random.default_rng(5)
     poly = np.polynomial.Polynomial(rng.standard_normal(23))
     exact = poly.integ()(1.0) - poly.integ()(-1.0)
     value = _one_integral(poly, np.array([-1.0, 1.0]), math.inf, 1e-14, 0)
     assert abs(value - exact) <= 1e-14 * abs(exact)
-    # K31 is exact to degree 46, and G15 to degree 29, so the rule's error
-    # estimate, sum (K31 - G15) f, is rounding alone on a degree-29 polynomial
     poly = np.polynomial.Polynomial(rng.standard_normal(47))
     exact = poly.integ()(1.0) - poly.integ()(-1.0)
     value = _one_integral(poly, np.array([-1.0, 1.0]), math.inf, 1e-14, 0)
     assert abs(value - exact) <= 1e-14 * abs(exact)
+    # G30 is exact to degree 59, so the rule's error estimate,
+    # sum (K61 - G30) f, is rounding alone on polynomials up to that degree
     values = np.polynomial.Polynomial(rng.standard_normal(30))(oracle._GK_NODES)
-    assert abs(values @ oracle._K31_MINUS_G15) <= 1e-16 * np.abs(values).max()
+    assert abs(values @ oracle._K61_MINUS_G30) <= 1e-16 * np.abs(values).max()
     value = _one_integral(
         lambda x: np.exp(-x * x), np.array([0.0, 1.0, 2.0, 3.0]), 1e-15, 1e-14, 24
     )
     assert abs(value - 0.5 * math.sqrt(math.pi) * math.erf(3.0)) <= 1e-13
     value = _one_integral(np.cos, np.linspace(0.0, 100.0, 17), 1e-15, 1e-14, 24)
     assert abs(value - math.sin(100.0)) <= 1e-13
+    poly = np.polynomial.Polynomial(rng.standard_normal(92))
+    exact = poly.integ()(1.0) - poly.integ()(-1.0)
+    value = _one_integral(poly, np.array([-1.0, 1.0]), math.inf, 1e-14, 0)
+    assert abs(value - exact) <= 1e-14 * abs(exact)
+    values = np.polynomial.Polynomial(rng.standard_normal(60))(oracle._GK_NODES)
+    assert abs(values @ oracle._K61_MINUS_G30) <= 1e-16 * np.abs(values).max()
+    # the Gauss nodes are every second Kronrod node, with G30's weights
+    # there and 0 elsewhere; the first node and weight are QUADPACK's qk61
+    # xgk(1) and wgk(1)
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    gauss = oracle._K61 - oracle._K61_MINUS_G30
+    assert np.abs(oracle._GK_NODES[1::2] - nodes).max() <= 1e-15
+    assert np.abs(gauss[1::2] - weights).max() <= 1e-14
+    assert not gauss[::2].any()
+    assert abs(oracle._GK_HALF_NODES[0] - 0.999484410050490637571325895705811) <= 1e-30
+    assert abs(oracle._K61_HALF[0] - 0.001389013698677007624551591226760) <= 1e-30
 
 
 def test_gauss_kronrod_stops_at_the_open_panel_cap(monkeypatch):
@@ -445,6 +465,17 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
+    # an infinite rel_tol dropped the chirp grid, or gave each panel a NaN
+    # share of the tolerance; a float depth failed inside the integrator
+    for tolerance in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="rel_tol must be finite"):
+            QuadratureSpec(rel_tol=tolerance)
+        with pytest.raises(ValueError, match="abs_tol must be finite"):
+            QuadratureSpec(abs_tol=tolerance)
+    for levels in (2.5, 24.0, True, "24"):
+        with pytest.raises(ValueError, match="max_subdivisions must be an integer"):
+            QuadratureSpec(max_subdivisions=levels)
+    assert QuadratureSpec(max_subdivisions=np.int64(3)).max_subdivisions == 3
 
 
 def test_sinc_gaussian_at_zero():
