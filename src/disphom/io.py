@@ -4,14 +4,18 @@ Datasets are CSV files with the exact header ``tau_ps,counts`` (lines starting
 with ``#`` are comments) plus a ``<name>.meta.json`` sidecar carrying
 ``window_half_width_ns``, ``fiber_length_km`` and ``label``.  Counts may be
 non-integer (rates are allowed); model.HomCurve alone decides what a valid
-curve is.  Every JSON input (sidecars, campaign and source configs, fit
-starts) is read by read_json_object, and dataclasses are built from it field
-by field by from_json_fields; every JSON output is written by
-write_json_object.  Synthetic campaigns
-draw Poisson counts with numpy's sampler (Generator.poisson) on a
-counter-based Philox stream keyed by the campaign seed and the dataset
-index, so the output is fixed per seed for a given numpy version: identical
-configurations produce identical bytes.
+curve is.  write_dataset builds a file's text with C-level map and join.
+read_dataset converts a file in that layout (header on line 1, no comment,
+one comma on every data line) with one split and one numpy conversion; any
+other file, and any file that conversion or HomCurve refuses, goes to the
+line walker, which alone names a bad line.  Every JSON input (sidecars,
+campaign and source configs, fit starts) is read by read_json_object, and
+dataclasses are built from it field by field by from_json_fields; every JSON
+output is written by write_json_object.  Synthetic campaigns draw Poisson
+counts with numpy's sampler (Generator.poisson) on a counter-based Philox
+stream keyed by the campaign seed and the dataset index, so the output is
+fixed per seed for a given numpy version: identical configurations produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -163,20 +168,40 @@ def _first_bad_line(cells):
     return None
 
 
-def read_dataset(path) -> Dataset:
-    """Parse a dataset CSV and its metadata sidecar.
+_TWO_COMMAS = re.compile(r",[^\n]*,")
+"""Matches a line that holds two commas."""
 
-    Every error is a DatasetFormatError naming the file and the offending
-    line or key: wrong header, unparsable or non-finite numbers, non-monotone
-    tau, negative counts, missing or unknown sidecar keys, a label that is
-    not a string.  The data lines are converted in one call and built into
-    a HomCurve; only when either step fails does _first_bad_line walk the
-    lines to name the first bad one.
+
+def _one_call_curve(text):
+    """The curve of a file laid out as write_dataset lays it out, in one
+    conversion, or None.
+
+    The layout is proved by C-level string checks: the header alone on line
+    1, no '#' after it, and exactly one comma on every later line (the
+    commas number the lines, and no line holds two).  A file that fails a
+    check, or whose conversion or HomCurve raises ValueError, gives None, so
+    that the line walker reads it and names its first bad line.
     """
-    path = Path(path)
+    header, _, rows = text.partition("\n")
+    rows = rows.removesuffix("\n")
+    n = rows.count("\n") + 1
+    if (header != "tau_ps,counts" or "#" in rows or rows.count(",") != n
+            or _TWO_COMMAS.search(rows)):
+        return None
+    try:
+        values = np.array(rows.replace("\n", ",").split(","), dtype=float).reshape(n, 2)
+        return HomCurve(*np.ascontiguousarray(values.T))
+    except ValueError:
+        return None
+
+
+def _walked_curve(path, text):
+    """The curve of any dataset text, line by line: blank and '#' lines are
+    skipped, the header may carry spaces, and every error names the file and,
+    for a bad data line, its line number."""
     lines = [
         (lineno, line)
-        for lineno, raw in enumerate(_read_text(path).split("\n"), start=1)
+        for lineno, raw in enumerate(text.split("\n"), start=1)
         if (line := raw.strip()) and not line.startswith("#")
     ]
     if not lines:
@@ -191,13 +216,32 @@ def read_dataset(path) -> Dataset:
     cells = [line.split(",") for _, line in lines]
     try:
         values = np.array(cells, dtype=float).reshape(len(cells), 2)
-        curve = HomCurve(*np.ascontiguousarray(values.T))
+        return HomCurve(*np.ascontiguousarray(values.T))
     except ValueError as exc:
         bad = _first_bad_line(cells)
         if bad is None:  # numpy refused what float() accepts
             raise DatasetFormatError(f"{path}: unreadable data ({exc})") from None
         k, reason = bad
         raise DatasetFormatError(f"{path}:{lines[k][0]}: {reason}") from None
+
+
+def read_dataset(path) -> Dataset:
+    """Parse a dataset CSV and its metadata sidecar.
+
+    Every error is a DatasetFormatError naming the file and the offending
+    line or key: wrong header, unparsable or non-finite numbers, non-monotone
+    tau, negative counts, missing or unknown sidecar keys, a label that is
+    not a string.  A file in write_dataset's layout (header on line 1, no
+    comment, one comma on every data line) is converted in one call by
+    _one_call_curve.  Any other file, and any file whose conversion or
+    HomCurve fails, is read by the line walker, _walked_curve, which alone
+    names a bad line; both give the same arrays bit for bit.
+    """
+    path = Path(path)
+    text = _read_text(path)
+    curve = _one_call_curve(text)
+    if curve is None:
+        curve = _walked_curve(path, text)
 
     meta_path = _meta_path(path)
     if not meta_path.exists():
@@ -221,13 +265,23 @@ def read_dataset(path) -> Dataset:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset CSV plus sidecar; floats round-trip losslessly."""
+    """Write a dataset CSV plus sidecar; floats round-trip losslessly.
+
+    Each line is repr(tau),repr(count), with an integer-valued count written
+    as an integer.  The text is built by C-level map and join: counts below
+    2**63 become ints through one int64 cast, larger integer values through
+    int().
+    """
     path = Path(path)
-    lines = ["tau_ps,counts"]
-    for tau, value in zip(dataset.curve.tau_ps.tolist(), dataset.curve.values.tolist()):
-        value_repr = repr(int(value)) if value.is_integer() else repr(value)
-        lines.append(f"{tau!r},{value_repr}")
-    _write_text(path, "\n".join(lines) + "\n")
+    values = dataset.curve.values
+    counts = values.astype(object)
+    whole = values == np.trunc(values)
+    fits = whole & (values < 2.0**63)
+    counts[fits] = values[fits].astype(np.int64)
+    huge = whole & ~fits
+    counts[huge] = [int(v) for v in values[huge].tolist()]
+    rows = zip(map(repr, dataset.curve.tau_ps.tolist()), map(repr, counts.tolist()))
+    _write_text(path, "tau_ps,counts\n" + "\n".join(map(",".join, rows)) + "\n")
     meta = {
         "window_half_width_ns": dataset.window_half_width_ps / 1000.0,
         "fiber_length_km": dataset.fiber_length_km,

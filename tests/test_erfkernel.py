@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from disphom import erf_complex, erf_real, scaled_dip_term
+from disphom.erfkernel import _faddeeva_upper
 
 mp.mp.dps = 60
 
@@ -183,3 +184,30 @@ def test_erf_real_within_two_ulp_odd_and_saturating():
     assert type(erf_real(np.array(0.5))) is float
     for xi in x[::50].tolist():
         assert erf_complex(complex(xi, 0.0)) == complex(erf_real(xi), 0.0)
+
+
+def continued_fraction_16(zeta):
+    """The Laplace continued fraction of w at 16 levels for every point: the
+    kernel's reference at |zeta| >= 12."""
+    r = np.zeros_like(zeta)
+    for n in range(16, 0, -1):
+        r = 0.5 * n / (zeta - r)
+    return (1j / math.sqrt(math.pi)) / (zeta - r)
+
+
+def test_far_continued_fraction_equals_16_levels_bit_for_bit():
+    # from |zeta| = 100 the kernel stops at 6 levels; the points include
+    # both sides of that radius, the real axis and points just above it
+    rng = np.random.default_rng(26)
+    n = 100_000
+    modulus = np.exp(rng.uniform(math.log(12.0), math.log(1e8), 3 * n))
+    angle = np.concatenate([
+        rng.uniform(0.0, math.pi, n),
+        rng.choice([0.0, math.pi], n),
+        math.pi - 10.0 ** rng.uniform(-12.0, -1.0, n),
+    ])
+    zeta = modulus * np.cos(angle) + 1j * np.abs(modulus * np.sin(angle))
+    assert ((modulus >= 12) & (modulus < 100)).sum() > 20_000
+    got = _faddeeva_upper(zeta)
+    want = continued_fraction_16(zeta)
+    assert got.tobytes() == want.tobytes()

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from disphom import (
     CampaignConfig,
@@ -101,11 +104,14 @@ def test_negative_counts_names_line(tmp_path):
     ("0,1,2,3\n1,2\n", 2, "expected two columns"),
     ("0,\n1,2\n", 2, "non-numeric value"),
     ("0x10,1\n1,2\n", 2, "non-numeric value"),
+    # as many commas as lines, but not one per line: a single split of the
+    # whole body would read (1, 2), (3, 4)
+    ("1,2,3\n4\n", 2, "expected two columns"),
 ], ids=[
     "three-columns", "non-numeric", "nan", "inf", "overflow", "repeated-tau",
     "negative", "comment-counted", "bad-value-before-malformed",
     "malformed-before-bad-value", "first-one-column", "first-four-columns",
-    "first-empty-cell", "first-hex",
+    "first-empty-cell", "first-hex", "commas-balanced-across-lines",
 ])
 def test_bad_data_line_names_file_line_and_reason(tmp_path, data, line, reason):
     path = tmp_path / "lines.csv"
@@ -115,6 +121,104 @@ def test_bad_data_line_names_file_line_and_reason(tmp_path, data, line, reason):
     )
     with pytest.raises(DatasetFormatError, match=rf"lines\.csv:{line}: {reason}$"):
         read_dataset(path)
+
+
+SAMPLE = ([-1.5, 0.0, 2.25], [3.0, 0.0, 7.5])
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("tau_ps,counts\r\n-1.5,3\r\n0,0\r\n2.25,7.5\r\n", SAMPLE),
+    ("tau_ps,counts\n-1.5,3\r\n0,0\r\n2.25,7.5\r\n", SAMPLE),
+    ("# run 7\ntau_ps,counts\n-1.5,3\n# gate moved\n0,0\n2.25,7.5\n", SAMPLE),
+    ("\ntau_ps,counts\n\n-1.5,3\n\n0,0\n2.25,7.5\n\n\n", SAMPLE),
+    (" tau_ps , counts \n -1.5 , 3 \n0,0\t\n2.25 ,7.5\n", SAMPLE),
+    ("tau_ps,counts\n -1.5 , 3 \n0,0\t\n2.25 ,7.5\n", SAMPLE),
+    ("tau_ps,counts\n-1.5,3\n0,0\n2.25,7.5", SAMPLE),
+    ("tau_ps,counts\n-1.5,3\n0,x\n2.25,7.5\n", ":3: non-numeric value"),
+    ("tau_ps,counts\r\n-1.5,3\r\n0,x\r\n", ":3: non-numeric value"),
+    ("tau_ps,counts\n-1.5,3\n0,inf\n", ":3: non-finite value"),
+    ("tau_ps,counts\n-1.5,3\n-1.5,0\n", ":3: tau_ps not strictly increasing"),
+    ("tau_ps,counts\n-1.5,3\n0,-1", ":3: negative counts"),
+    ("# run 7\ntau_ps,counts\n\n-1.5,3\n0,-1\n", ":5: negative counts"),
+], ids=[
+    "crlf", "crlf-after-lf-header", "comments", "blank-lines", "spaces-and-header-spaces",
+    "spaces", "no-final-newline", "non-numeric", "crlf-non-numeric", "inf",
+    "non-increasing", "negative-no-final-newline", "negative-after-comment-and-blank",
+])
+def test_layouts_read_to_the_same_dataset_or_message(tmp_path, text, expected):
+    # each expected value is the one the line walker alone gave: a file the
+    # one-call conversion takes must give the same arrays, and one it
+    # refuses the same message
+    path = tmp_path / "layout.csv"
+    path.write_bytes(text.encode("utf-8"))
+    (tmp_path / "layout.meta.json").write_text(
+        json.dumps({"window_half_width_ns": 0.4, "fiber_length_km": 1.0, "label": "x"})
+    )
+    if isinstance(expected, str):
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}{expected}"
+    else:
+        curve = read_dataset(path).curve
+        assert curve.tau_ps.tolist() == expected[0]
+        assert curve.values.tolist() == expected[1]
+
+
+def reference_csv(taus, values):
+    """A dataset's CSV text as a per-row loop writes it: repr of each tau, and
+    of each count, an integer-valued count as an int."""
+    lines = ["tau_ps,counts"]
+    for tau, value in zip(taus.tolist(), values.tolist()):
+        value_repr = repr(int(value)) if value.is_integer() else repr(value)
+        lines.append(f"{tau!r},{value_repr}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def curve_samples(draw):
+    """Strictly increasing finite delays and nonnegative counts of every kind
+    the writer tells apart."""
+    taus = sorted(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=1, max_size=30, unique=True)))
+    counts = st.one_of(
+        st.integers(0, 2**53).map(float),
+        st.floats(0.0, 1e18),
+        st.floats(2.0**53, 1e18),
+        st.floats(0.0, 2.2250738585072014e-308),  # zero and subnormals
+        st.floats(1e18, 1e300),
+        st.just(-0.0),
+    )
+    values = draw(st.lists(counts, min_size=len(taus), max_size=len(taus)))
+    return np.array(taus), np.array(values)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sample=curve_samples())
+@example(sample=(np.array([-0.0, 1.0, 2.0, 3.0, 4.0]),
+                 np.array([2.0**63 - 1024, 2.0**63, 1e19, 5e-324, 0.5])))
+def test_write_matches_per_row_formatter_and_reads_back_bit_for_bit(sample):
+    taus, values = sample
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dataset(Dataset(HomCurve(taus, values), 400.0, 10.0, "p"), path)
+        text = path.read_bytes().decode("utf-8")
+        assert text == reference_csv(taus, values)
+        curve = read_dataset(path).curve
+    # a count of -0.0 is written as the integer 0, which reads back as +0.0;
+    # adding +0.0 maps -0.0 to +0.0 and leaves every other double as it is
+    assert same_bits(curve.tau_ps, taus)
+    assert same_bits(curve.values, values + 0.0)
+    # write_dataset's layout takes the one-call conversion, and the line
+    # walker reads it to the same bits
+    one_call = dio._one_call_curve(text)
+    assert one_call is not None
+    walked = dio._walked_curve(path, text)
+    for a, b in ((one_call.tau_ps, walked.tau_ps), (one_call.values, walked.values)):
+        assert same_bits(a, b)
 
 
 def test_wrong_header_rejected(tmp_path):
