@@ -49,7 +49,6 @@ from .model import (
 )
 from .oracle import (
     QuadratureError,
-    QuadratureSpec,
     beta_minus_time,
     differential_rate,
     sinc_gaussian_check,
@@ -75,7 +74,6 @@ __all__ = [
     "FwhmResult",
     "HomCurve",
     "QuadratureError",
-    "QuadratureSpec",
     "SourceParams",
     "beta_minus_time",
     "broadened_rho",

@@ -39,7 +39,7 @@ from .model import (
     extract_fwhm,
     oscillation_period,
 )
-from .oracle import QuadratureError, QuadratureSpec, windowed_rate_numeric
+from .oracle import QuadratureError, windowed_rate_numeric
 
 _DEFAULT_INIT = {"beta2_ps2_per_km": 20.0, "rho_ps2_inv": 10.0}
 """The fit's start where --init is not given or lacks a key."""
@@ -93,9 +93,8 @@ def _cmd_simulate(args):
 def _cmd_oracle(args):
     window_ps, rho_p, eta_p = _model_inputs(args)
     taus = _tau_grid(args)
-    spec = QuadratureSpec(rel_tol=args.rel_tol)
     numeric = windowed_rate_numeric(
-        taus, window_ps, args.eta, args.rho, args.length_km, args.beta2, spec
+        taus, window_ps, args.eta, args.rho, args.length_km, args.beta2, args.rel_tol
     )
     closed = coincidence_curve(taus, args.rho, rho_p, eta_p, window_ps).values
     scale = profile_scale(numeric, closed)
@@ -287,7 +286,8 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="write the quadrature curve and its deviation from the closed form")
     _add_model_flags(p)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--rel-tol", type=float, default=1e-9, help="bound on each window "
+                   "integral's error estimate, relative to the integral (or 1e-12 absolute)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_oracle)
 

@@ -149,11 +149,15 @@ def from_json_fields(cls, data: dict, path, key=None):
 
 def _first_bad_line(cells):
     """(index, reason) of the first bad data line, or None; each line is checked
-    in the order two columns, numeric, finite, increasing tau, nonnegative counts."""
+    in the order two columns, numeric, finite, increasing tau, nonnegative counts.
+    A cell with a '_' or a non-ASCII character is not numeric, though float()
+    takes digit-group underscores and any Unicode digit: 4_2 must not load as 42."""
     previous_tau = -math.inf
     for k, row in enumerate(cells):
         if len(row) != 2:
             return k, "expected two columns"
+        if "_" in row[0] + row[1] or not (row[0] + row[1]).isascii():
+            return k, "non-numeric value"
         try:
             tau, count = float(row[0]), float(row[1])
         except ValueError:
@@ -178,15 +182,16 @@ def _one_call_curve(text):
 
     The layout is proved by C-level string checks: the header alone on line
     1, no '#' after it, and exactly one comma on every later line (the
-    commas number the lines, and no line holds two).  A file that fails a
-    check, or whose conversion or HomCurve raises ValueError, gives None, so
-    that the line walker reads it and names its first bad line.
+    commas number the lines, and no line holds two), and no '_' or non-ASCII
+    character.  A file that fails a check, or whose conversion or HomCurve
+    raises ValueError, gives None, so that the line walker reads it and
+    names its first bad line.
     """
     header, _, rows = text.partition("\n")
     rows = rows.removesuffix("\n")
     n = rows.count("\n") + 1
-    if (header != "tau_ps,counts" or "#" in rows or rows.count(",") != n
-            or _TWO_COMMAS.search(rows)):
+    if (header != "tau_ps,counts" or "#" in rows or "_" in rows or not rows.isascii()
+            or rows.count(",") != n or _TWO_COMMAS.search(rows)):
         return None
     try:
         values = np.array(rows.replace("\n", ",").split(","), dtype=float).reshape(n, 2)
@@ -215,6 +220,8 @@ def _walked_curve(path, text):
         raise DatasetFormatError(f"{path}: no data lines")
     cells = [line.split(",") for _, line in lines]
     try:
+        if any("_" in line or not line.isascii() for _, line in lines):
+            raise ValueError("a '_' or a non-ASCII character in a data line")
         values = np.array(cells, dtype=float).reshape(len(cells), 2)
         return HomCurve(*np.ascontiguousarray(values.T))
     except ValueError as exc:
@@ -229,13 +236,14 @@ def read_dataset(path) -> Dataset:
     """Parse a dataset CSV and its metadata sidecar.
 
     Every error is a DatasetFormatError naming the file and the offending
-    line or key: wrong header, unparsable or non-finite numbers, non-monotone
-    tau, negative counts, missing or unknown sidecar keys, a label that is
-    not a string.  A file in write_dataset's layout (header on line 1, no
-    comment, one comma on every data line) is converted in one call by
-    _one_call_curve.  Any other file, and any file whose conversion or
-    HomCurve fails, is read by the line walker, _walked_curve, which alone
-    names a bad line; both give the same arrays bit for bit.
+    line or key: wrong header, unparsable numbers (a '_' or a non-ASCII
+    character among them), non-finite numbers, non-monotone tau, negative
+    counts, missing or unknown sidecar keys, a label that is not a string.
+    A file in write_dataset's layout (header on line 1, no comment, one
+    comma on every data line) is converted in one call by _one_call_curve.
+    Any other file, and any file whose conversion or HomCurve fails, is read
+    by the line walker, _walked_curve, which alone names a bad line; both
+    give the same arrays bit for bit.
     """
     path = Path(path)
     text = _read_text(path)

@@ -4,7 +4,9 @@ Evaluates the time-resolved two-photon rate directly from the dispersed
 difference amplitude and integrates it over the coincidence window with an
 adaptive Gauss-Kronrod (G30-K61) rule.  Exists to validate the closed-form
 model: it shares no code with the closed form beyond the broadened-width
-helper used in its own contracts.
+helper used in its own contracts.  Its one tolerance is rel_tol: each window
+integral is accepted by QUADPACK's per-integral error test, once its error
+bound is at most max(1e-12, rel_tol |estimate|).
 
 Two exact symmetries halve the work.  Mirroring sigma swaps the splitter
 arms, c(tau, -sigma; eta) = c(tau, sigma; 1 - eta), so the integral over
@@ -20,37 +22,10 @@ each one's result does not depend on the group it falls in.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ChannelParams, broadened_rho
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Configuration of the adaptive Gauss-Kronrod (G30-K61) integrator.
-
-    max_subdivisions is the number of bisection levels a panel may go through.
-    Both tolerances must be finite and > 0, and max_subdivisions an integer
-    (not a bool) >= 1: an infinite rel_tol would size the chirp grid's panels
-    without bound and give each panel a NaN share of the tolerance.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 24
-
-    def __post_init__(self):
-        for name, tolerance in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
-            if not (math.isfinite(tolerance) and tolerance > 0):
-                raise ValueError(f"{name} must be finite and > 0")
-        levels = self.max_subdivisions
-        if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
-            raise ValueError(f"max_subdivisions must be an integer, not {levels!r}")
-        if levels < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 class QuadratureError(RuntimeError):
@@ -211,7 +186,6 @@ _G30_HALF = np.array([
 _GK_NODES = np.concatenate([-_GK_HALF_NODES[:-1], _GK_HALF_NODES[::-1]])
 _K61 = np.concatenate([_K61_HALF[:-1], _K61_HALF[::-1]])
 _K61_MINUS_G30 = _K61 - np.concatenate([_G30_HALF[:-1], _G30_HALF[::-1]])
-_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 # G30's error on cos(w s) over a panel of width h is at most C h (w h)^60, with
 # C = (30!)^4 / (61 (60!)^3) ~ 1.41e-118 the n = 30 Gauss-Legendre constant
 _G30_COS_ERROR = math.factorial(30) ** 4 / (61 * math.factorial(60) ** 3)
@@ -219,6 +193,10 @@ _G30_COS_ERROR = math.factorial(30) ** 4 / (61 * math.factorial(60) ** 3)
 # C = |2/93 - sum_i w_i x_i^92| / (92! 2^93), with 2/93 - sum_i w_i x_i^92 =
 # -2.67e-31 from the rule in 120-digit arithmetic
 _K61_COS_ERROR = 2.16586e-201
+# the window integral's absolute tolerance, met where rel_tol |estimate| is smaller
+_ABS_TOL = 1e-12
+# bisection levels a start panel may go through
+_MAX_LEVELS = 24
 # open panels a level may hold: a full 5e4-panel chirp grid can still be
 # bisected once, and a (panels x 61) node array stays near 64 MB
 _MAX_OPEN_PANELS = 2**17
@@ -241,20 +219,20 @@ def _gauss_kronrod(f, breakpoints, owner, abs_tol, rel_tol, max_levels, name="in
     estimator only sees structure its nodes sample, so narrow features and
     fast oscillations must be resolved by the breakpoints.  Each level
     evaluates f(x, own) once on an (open panels x 61) node array x, whose
-    row j belongs to integral own[j].  A panel is accepted once
-    |K61 - G30| <= max(abs_tol, rel_tol |estimate|) (width / span), with its
-    own integral's estimate and span, or once |K61 - G30| is at the rounding
-    floor of the panel's own K61 sum, 50 eps |K61|: a panel far narrower
-    than the span, as a bump's in a wide window, is given a share of the
-    tolerance below that floor, and bisecting it would not lower its error.
-    QUADPACK's floor takes the integral of |f| in place of |K61|; the two
-    agree for the non-negative rate, and |K61| is never the larger.  The
-    rest are bisected, at most max_levels times, and while no more than
-    2^17 panels would be open: past either limit QuadratureError names the
-    first integral left open, name(i), and the number still open, and
-    reports that integral's estimate and bound.  The panel cap bounds memory
-    where rounding keeps |K61 - G30| above the floor on ever more panels,
-    as for a cosine at a phase of thousands of radians.
+    row j belongs to integral own[j].  Each integral's tolerance is
+    max(abs_tol, rel_tol |estimate|).  A panel is accepted once its
+    |K61 - G30| is within its share of it, width / span, with its own
+    integral's span.  After a level that leaves panels open, an integral
+    whose accepted and open panels' |K61 - G30| sum to at most its tolerance
+    is closed with all its panels accepted: QUADPACK's per-integral error
+    test (Piessens et al., QUADPACK, 1983, routine qag).  It accepts the
+    panels whose share is below their rounding, which bisection cannot
+    lower, as a bump's in a wide window.  The rest are bisected, at most
+    max_levels times, and while no more than 2^17 panels would be open:
+    past either limit QuadratureError names the first integral left open,
+    name(i), and the number still open, and reports that integral's
+    estimate and bound.  The limits bound time and memory where neither
+    test can be met, as for noise or a tolerance below rounding.
 
     No integral's result depends on the others: the weights are applied row
     by row and each integral's panels are summed in their own order, so an
@@ -276,8 +254,10 @@ def _gauss_kronrod(f, breakpoints, owner, abs_tol, rel_tol, max_levels, name="in
         kronrod = half * np.einsum("ij,j->i", values, _K61)
         err = np.abs(half * np.einsum("ij,j->i", values, _K61_MINUS_G30))
         estimate = integral + np.bincount(own, kronrod, count)
-        share = half * (2.0 * np.maximum(abs_tol, rel_tol * np.abs(estimate)) / span)[own]
-        done = err <= np.maximum(share, _ROUNDING_FLOOR * np.abs(kronrod))
+        tol = np.maximum(abs_tol, rel_tol * np.abs(estimate))
+        done = err <= half * (2.0 * tol / span)[own]
+        if not done.all():
+            done |= (bound + np.bincount(own, err, count) <= tol)[own]
         integral += np.bincount(own[done], kronrod[done], count)
         bound += np.bincount(own[done], err[done], count)
         keep = ~done
@@ -308,7 +288,7 @@ def windowed_rate_numeric(
     rho,
     fiber_length_km,
     beta2_ps2_per_km,
-    spec: QuadratureSpec | None = None,
+    rel_tol=1e-9,
 ):
     """Window integral of the time-resolved rate: c(tau) = int_{-T}^{T} c(tau, s) ds.
 
@@ -317,12 +297,18 @@ def windowed_rate_numeric(
     because c(tau, -s; eta) = c(tau, s; 1 - eta).  The result is even in
     tau, bit for bit: tau_ps may be a scalar or a grid, and each distinct
     |tau| is integrated once and scattered back in the input's shape.  A
-    grid gives, bit for bit, what each of its delays gives alone.  If the
-    delays cannot all reach the tolerance, QuadratureError names the
-    smallest |tau| left open, with its estimate and bound.
+    grid gives, bit for bit, what each of its delays gives alone.
     Matches the closed-form rate up to one global positive scale (which is
     unity for this normalization).
+
+    Each delay's integral is accepted once the quadrature's error bound is
+    at most max(1e-12, rel_tol |estimate|); rel_tol must be finite and > 0.
+    A start panel is bisected at most 24 times.  If the delays cannot all
+    reach the tolerance, QuadratureError names the smallest |tau| left open,
+    with its estimate and bound.
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError("rel_tol must be finite and > 0")
     if not (math.isfinite(window_half_width_ps) and window_half_width_ps > 0):
         raise ValueError("window half-width T must be finite and > 0")
     if not 0.0 <= eta <= 1.0:
@@ -334,7 +320,6 @@ def windowed_rate_numeric(
     tau = np.asarray(tau_ps, dtype=float)
     if not np.isfinite(tau).all():
         raise ValueError("tau must be finite")
-    spec = spec or QuadratureSpec()
     window_t = float(window_half_width_ps)
 
     # Feature scales of the folded integrand: the pair-amplitude intensity
@@ -358,8 +343,8 @@ def windowed_rate_numeric(
     k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     bump_width = 1.0 / math.sqrt(rho_p)
     phase_step = min(
-        (spec.rel_tol / (3.0 * _G30_COS_ERROR)) ** (1.0 / 60.0),
-        (spec.rel_tol / (3.0 * _K61_COS_ERROR)) ** (1.0 / 92.0),
+        (rel_tol / (3.0 * _G30_COS_ERROR)) ** (1.0 / 60.0),
+        (rel_tol / (3.0 * _K61_COS_ERROR)) ** (1.0 / 92.0),
     )
 
     distinct, inverse = np.unique(np.abs(tau), return_inverse=True)
@@ -404,7 +389,7 @@ def windowed_rate_numeric(
         values[start:stop], _ = _gauss_kronrod(
             lambda sigma, own: _folded_rate(t[own][:, None], sigma, eta, rho_p, k),
             *_breakpoints(t, grid_points[start:stop], half_span[start:stop]),
-            spec.abs_tol, spec.rel_tol, spec.max_subdivisions,
+            _ABS_TOL, rel_tol, _MAX_LEVELS,
             name=lambda i: f"|tau| = {float(t[i])!r} ps",
         )
         start = stop

@@ -140,10 +140,15 @@ SAMPLE = ([-1.5, 0.0, 2.25], [3.0, 0.0, 7.5])
     ("tau_ps,counts\n-1.5,3\n-1.5,0\n", ":3: tau_ps not strictly increasing"),
     ("tau_ps,counts\n-1.5,3\n0,-1", ":3: negative counts"),
     ("# run 7\ntau_ps,counts\n\n-1.5,3\n0,-1\n", ":5: negative counts"),
+    # float() takes digit-group underscores and any Unicode decimal digit
+    ("tau_ps,counts\n-1,1_000\n", ":2: non-numeric value"),
+    ("tau_ps,counts\n-1,3\n0,\u0661\n", ":3: non-numeric value"),
+    ("# \u00e9t\u00e9 run\ntau_ps,counts\n-1.5,3\n0,0\n2.25,7.5\n", SAMPLE),
 ], ids=[
     "crlf", "crlf-after-lf-header", "comments", "blank-lines", "spaces-and-header-spaces",
     "spaces", "no-final-newline", "non-numeric", "crlf-non-numeric", "inf",
     "non-increasing", "negative-no-final-newline", "negative-after-comment-and-blank",
+    "digit-group-underscore", "arabic-indic-digit", "non-ascii-comment",
 ])
 def test_layouts_read_to_the_same_dataset_or_message(tmp_path, text, expected):
     # each expected value is the one the line walker alone gave: a file the
