@@ -196,7 +196,7 @@ def scaled_dip_term(x, y):
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("scaled_dip_term requires finite arguments")
-    x_b, y_b = np.broadcast_arrays(x, y)
+    x_b, y_b = (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
     shape = x_b.shape
     x_b = x_b.reshape(-1)
     y_b = y_b.reshape(-1)

@@ -122,8 +122,8 @@ class FitResult:
         over the parameters that are neither unseen nor held.  It does not
         depend on the parameters' units: 1 where they are uncorrelated, and
         large where the data see a combination of them rather than each.
-        Infinite where that block is exactly singular, whose variances are
-        then infinite too.
+        Infinite where that block is exactly singular.  From 1e14 on its
+        inverse keeps under two digits, and its variances are infinite too.
     etas_held_at_bound: the datasets whose eta' = (2 eta - 1)^2 sits at 0
         or 1, where the fit holds it; their etas have no covariance.
     model_passes: the model passes the fit made, one stacked
@@ -206,6 +206,7 @@ class _Solved(NamedTuple):
     eta_ps: np.ndarray
     held: np.ndarray  # per dataset: eta' sits at a bound, 0 or 1, where the fit holds it
     parts: np.ndarray  # the model pass's (p, q) at the distinct points
+    model: np.ndarray  # f = p + eta' q at the folded points
 
 
 class FitProblem:
@@ -257,20 +258,22 @@ class FitProblem:
         if 0 in sizes:  # reduceat cannot sum an empty block
             raise ValueError("every dataset needs at least one point")
         self._starts = np.cumsum([0] + sizes[:-1])
-        keys = np.vstack([
-            np.repeat(np.array([[ds.window_half_width_ps, ds.fiber_length_km]
-                                for ds in datasets]).T, sizes, axis=-1),
-            np.abs(np.concatenate([ds.curve.tau_ps for ds in datasets])),
-        ])
-        # one lexsort: np.unique over rows sorts them some 30 times slower
-        order = np.lexsort(keys[::-1])
-        keys = keys[:, order]
+        # each point's (T, L) as its rank among the distinct pairs: one lexsort with |tau|
+        configs = [(ds.window_half_width_ps, ds.fiber_length_km) for ds in datasets]
+        distinct_configs = sorted(set(configs))
+        config = np.repeat([distinct_configs.index(c) for c in configs], sizes)
+        taus = np.abs(np.concatenate([ds.curve.tau_ps for ds in datasets]))
+        order = np.lexsort((taus, config))
+        config, taus = config[order], taus[order]
         first = np.ones(order.size, dtype=bool)
-        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        first[1:] = (config[1:] != config[:-1]) | (taus[1:] != taus[:-1])
         self._inverse = np.empty(order.size, dtype=np.intp)
         self._inverse[order] = np.cumsum(first) - 1
-        self._windows, lengths, self._taus = np.ascontiguousarray(keys[:, first])
-        self._lengths, self._length_index = np.unique(lengths, return_inverse=True)
+        config, self._taus = config[first], taus[first]
+        windows, lengths = np.array(distinct_configs).T
+        self._lengths, config_lengths = np.unique(lengths, return_inverse=True)
+        self._windows, self._length_index = windows[config], config_lengths[config]
+        self._set_lengths = np.searchsorted(self._lengths, [length for _, length in configs])
         self._w2 = np.concatenate([_poisson_weights(ds.curve.values) for ds in datasets])
         self._y = np.concatenate([ds.curve.values for ds in datasets])
         # the folded layout: one point per (dataset, |tau|), in dataset order
@@ -298,15 +301,14 @@ class FitProblem:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             rho_p = rho / self._chirp(beta2, rho)[1]
-        if not np.all((rho_p > 0) & (rho_p < math.inf)):
+        if not ((rho_p > 0) & (rho_p < math.inf)).all():
             return None
         self.passes += 1
-        rho_ps = rho_p[self._length_index]
-        return np.array(coincidence_parts(self._taus, rho, rho_ps, self._windows))
+        return coincidence_parts(self._taus, rho, rho_p[self._length_index], self._windows)
 
     def expand(self, distinct):
         """A per-distinct-point array, along its last axis, at every point."""
-        return distinct[..., self._inverse]
+        return distinct.take(self._inverse, axis=-1)
 
     def split(self, values):
         """A per-point array, along its last axis, cut into its datasets."""
@@ -320,37 +322,18 @@ class FitProblem:
         """Per-dataset values at every folded point: shape (..., datasets) to (..., folded)."""
         return np.repeat(values, self._folded_sizes, axis=-1)
 
-    def derivatives(self, beta2, rho, parts):
-        """Derivatives of a pass's (p, q) in x = (beta2, log rho), at the distinct points.
-
-        parts is parts(beta2, rho).  The result has shape (5, 2, distinct): the
-        derivatives in x0, x1, x0 x0, x0 x1 and x1 x1 of p and of q.  They
-        come from model.coincidence_parts_derivatives in (rho, rho') by the
-        chain rule through rho = e^x1 and, for each fiber length L,
-        rho' = rho / g with g = 1 + chi^2 and chi = L x0 rho.
-        """
+    def _rho_p_derivatives(self, beta2, rho):
+        """rho' = rho / g per distinct fiber length, and u of shape (5, datasets):
+        d rho' / d x0, x1, x0 x0, x0 x1 and x1 x1 at each dataset's length."""
         chi, g = self._chirp(beta2, rho)
         rho_p = rho / g
+        chi2 = chi * chi
         slope = self._lengths * rho  # d chi / d x0; d chi / d x1 = chi
-        # derivatives of log rho', then of rho' itself
-        w_0 = -2.0 * slope * chi / g
-        w_1 = (1.0 - chi * chi) / g
-        w_00 = -2.0 * slope * slope / g + w_0 * w_0
-        w_01 = -4.0 * slope * chi / (g * g)
-        w_11 = -4.0 * chi * chi / (g * g)
-        rp_0, rp_1, rp_00, rp_01, rp_11 = (
-            (rho_p * w)[self._length_index]
-            for w in (w_0, w_1, w_00 + w_0 * w_0, w_01 + w_0 * w_1, w_11 + w_1 * w_1)
-        )
-        (f_r, f_p), (f_rr, f_rp, f_pp) = coincidence_parts_derivatives(
-            self._taus, rho, rho_p[self._length_index], self._windows, *parts)
-        out = np.empty((5,) + parts.shape)
-        out[0] = f_p * rp_0
-        out[1] = f_r * rho + f_p * rp_1
-        out[2] = f_pp * rp_0 * rp_0 + f_p * rp_00
-        out[3] = f_rp * rho * rp_0 + f_pp * rp_0 * rp_1 + f_p * rp_01
-        out[4] = (f_rr * rho + 2.0 * f_rp * rp_1 + f_r) * rho + f_pp * rp_1 * rp_1 + f_p * rp_11
-        return out
+        v = rho_p / g
+        u_0 = -2.0 * v * chi * slope
+        u = np.array([u_0, v * (1.0 - chi2), 2.0 * v * slope * slope * (3.0 * chi2 - 1.0) / g,
+                      u_0 * (3.0 - chi2) / g, v * (chi2 * (chi2 - 6.0) + 1.0) / g])
+        return rho_p, u[:, self._set_lengths]
 
     def solve(self, beta2, rho) -> _Solved | None:
         """The loss at (beta2, rho), with every dataset's s and eta' in [0, 1] minimizing it.
@@ -371,15 +354,17 @@ class FitProblem:
         loss is its moment g.Wy times that scale.  An eta' of exactly 0 or
         1, however it was reached, is held there.  The residuals are formed
         once, for the chosen solution.  None where there is no model: where
-        rho or some rho' is not in (0, inf).
+        rho or some rho' is not in (0, inf), or where a dataset's p.Wp or
+        (p+q).W(p+q) is 0, which no scale fits.
         """
         parts = self.parts(beta2, rho)
         if parts is None:
             return None
-        p, q = parts[:, self._folded]
+        folded = parts.take(self._folded, axis=-1)
         w2, w2y = self._weights
-        wp, wq = w2 * p, w2 * q
-        pp, pq, qq, py, qy = self.sums(np.array([wp * p, wp * q, wq * q, p * w2y, q * w2y]))
+        (pp, pq), (_, qq) = self.sums(folded[:, None] * (w2 * folded))
+        py, qy = self.sums(folded * w2y)
+        p, q = folded
         det = pp * qq - pq * pq
         det[det <= 0] = np.nan  # no unconstrained solution
         s = (qq * py - pq * qy) / det
@@ -389,16 +374,17 @@ class FitProblem:
         if not interior.all():
             moments = np.array([py, py + qy])
             norms = np.array([pp, pp + 2.0 * pq + qq])
-            if not norms.all():
-                raise ValueError("scale undefined: model values are all zero")
+            if not norms.all():  # a model whose sum of squares is 0 has no scale
+                return None
             bound_s = moments / norms
             # y.Wy less each bound's loss is its moment times its scale
             upper = ~interior & (moments[1] * bound_s[1] > moments[0] * bound_s[0])
             s = np.where(interior, s, np.choose(upper, bound_s))
             eta_p[upper] = 1.0
-        r = (self.at(s) * (p + self.at(eta_p) * q))[self._fold] - self._y
-        return _Solved(float(np.dot(self._w2 * r, r)), r, s, eta_p, np.isin(eta_p, (0.0, 1.0)),
-                       parts)
+        model = p + self.at(eta_p) * q
+        r = (self.at(s) * model)[self._fold] - self._y
+        return _Solved(float(np.dot(self._w2 * r, r)), r, s, eta_p, (eta_p == 0.0) | (eta_p == 1.0),
+                       parts, model)
 
     def blocks(self, beta2, rho, solved: _Solved):
         """Each dataset's J^T r (3, D), J^T J (3, 3, D) and N (3, 3, D) in
@@ -411,28 +397,47 @@ class FitProblem:
         J = s df + f ds and N = J^T J + C ds^T + ds C^T + s sum w r d2f.  In
         eta', df = q, d2f / dx deta' = dq / dx and d2f / deta'^2 = 0.
 
-        Every sum runs on the folded points: the derivatives are taken at
-        the distinct points and gathered there, the per-point w^2 r is
-        folded by np.bincount, and w^2 is the folded W.
+        Every sum runs on the folded points: the model's derivatives in
+        (rho', rho) are taken at the distinct points and gathered there, the
+        per-point w^2 r is folded by np.bincount, and w^2 is the folded W.
+        f = (1 + eta') w + (eta' - 1) b in the parts' window and dip parts
+        w and b, so df/dx0 and df/dx1 follow from w's and b's first
+        derivatives and those of rho' per dataset.  sum w r d2f is linear
+        in the derivatives, so it is taken from the sums of w r times each
+        of the seven and carried to x per dataset.
         """
-        p, q = solved.parts[:, self._folded]
-        d_pq = self.derivatives(beta2, rho, solved.parts)[..., self._folded]
-        s, eta_p = self.at(np.array([solved.scales, solved.eta_ps]))
-        f = p + eta_p * q
-        d_f = d_pq[:, 0] + eta_p * d_pq[:, 1]  # in x0, x1, x0 x0, x0 x1 and x1 x1
-        first = np.array([d_f[0], d_f[1], q])  # df / dtheta
+        rho_p, u = self._rho_p_derivatives(beta2, rho)
+        derivs = coincidence_parts_derivatives(
+            self._taus, rho, rho_p[self._length_index], self._windows, *solved.parts
+        ).take(self._folded, axis=-1)  # w_p, w_pp, b_p, b_pp, b_r, b_rp, b_rr
+        scales, alpha, beta = solved.scales, 1.0 + solved.eta_ps, solved.eta_ps - 1.0
+        s, alpha_f, beta_f, u0_f, u1_f, rho_beta = self.at(
+            np.array([scales, alpha, beta, u[0], u[1], rho * beta]))
+        f = solved.model
+        f_p = alpha_f * derivs[0] + beta_f * derivs[2]
+        # df / dtheta, and f last
+        first = np.array([u0_f * f_p, u1_f * f_p + rho_beta * derivs[4],
+                          solved.parts[1][self._folded], f])
         w2, wr = self._weights[0], np.bincount(self._fold, self._w2 * solved.res)
-        fixed = s * first  # J at fixed s
         cross = self.sums(wr * first)
-        ds = -(self.sums(w2 * f * fixed) + cross) / self.sums(w2 * f * f)
-        jac = fixed + self.at(ds) * f
+        moments = self.sums((w2 * f) * first)
+        ds = -(scales * moments[:3] + cross[:3]) / moments[3]
+        jac = s * first[:3] + self.at(ds) * f
         jtj = self.sums(w2 * jac[:, None] * jac)
-        # s sum w r d2f: f's second derivatives in x, and q's first in x
-        c00, c01, c11 = solved.scales * self.sums(wr * d_f[2:])
-        c0e, c1e = solved.scales * self.sums(wr * d_pq[:2, 1])
-        curv = np.array([[c00, c01, c0e], [c01, c11, c1e], [c0e, c1e, np.zeros_like(c00)]])
-        mixed = cross[:, None] * ds
-        return self.sums(jac * wr), jtj, jtj + mixed + mixed.swapaxes(0, 1) + curv
+        # s sum w r d2f: f's second derivatives in x, and q's first
+        raw = self.sums(wr * derivs)
+        f_p, f_pp = alpha * raw[:2] + beta * raw[2:4]
+        f_r, f_rp, f_rr = beta * raw[4:]
+        q_p = raw[0] + raw[2]
+        u_0, u_1, u_00, u_01, u_11 = u
+        c00 = u_0 * u_0 * f_pp + u_00 * f_p
+        c01 = u_0 * (u_1 * f_pp + rho * f_rp) + u_01 * f_p
+        c11 = u_1 * (u_1 * f_pp + 2.0 * rho * f_rp) + rho * (rho * f_rr + f_r) + u_11 * f_p
+        c0e, c1e = u_0 * q_p, u_1 * q_p + rho * raw[4]
+        curv = scales * np.array([[c00, c01, c0e], [c01, c11, c1e], [c0e, c1e, np.zeros_like(c00)]])
+        mixed = cross[:3, None] * ds
+        jtr = scales * cross[:3] + ds * cross[3]
+        return jtr, jtj, jtj + mixed + mixed.swapaxes(0, 1) + curv
 
 
 def _eliminate(blocks, free):
@@ -453,6 +458,27 @@ def _eliminate(blocks, free):
             (newton[:2, :2] - k[:, None] * newton[2, :2]).sum(axis=-1))
 
 
+def _solve_2x2(m00, m10, m11, g0, g1):
+    """(M^-1 g, g . M^-1 g) on floats for M = [[m00, m10], [m10, m11]], by its
+    LDL^T factors; None where M is not positive definite."""
+    if not m00 > 0:
+        return None
+    lower = m10 / m00
+    schur = m11 - lower * m10
+    if not schur > 0:
+        return None
+    z = g1 - lower * g0
+    y1 = z / schur
+    return (g0 / m00 - lower * y1, y1), g0 * g0 / m00 + z * z / schur
+
+
+def _damping_floor(n00, n10, n11, d0, d1):
+    """The least lam >= 0 at which N + lam diag(d) is positive semidefinite: minus
+    the least eigenvalue of diag(d)^-1/2 N diag(d)^-1/2, or 0, for d > 0."""
+    mean, half_gap = 0.5 * (n00 / d0 + n11 / d1), 0.5 * (n00 / d0 - n11 / d1)
+    return max(0.0, math.hypot(half_gap, n10 / math.sqrt(d0) / math.sqrt(d1)) - mean)
+
+
 def lm_fit(datasets, init: FitParams) -> FitResult:
     """Levenberg-Marquardt global fit with per-dataset amplitudes solved exactly.
 
@@ -466,19 +492,12 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     2x2 linear least-squares problem (variable projection).  The LM loop
     therefore runs over x = (beta2, log rho) alone, whatever the number of
     datasets; it starts from init's beta2 and rho, and init's etas are not
-    read.  The fit builds one FitProblem and evaluates the start and every
-    trial point through its solve(beta2, rho), with rho = e^x1.  Each
-    evaluation is a single stacked call of model.coincidence_parts over the
-    distinct (T, L, |tau|) points of all datasets (FitProblem.parts); its
-    (p, q), expanded to every point, equal per-dataset calls bit for bit.
-    That call is the only model pass: a fit makes one per trial point, and
-    model_passes counts them.  All datasets' (s_i, eta'_i) follow from one
-    set of per-dataset sums in FitProblem.solve, and so do the bound, 0 or
-    1, where an eta' must go to one.  The pass runs on the distinct points,
-    those sums and the derivative blocks' on the folded points, one per
-    (dataset, |tau|), and the loss on every point, from residuals formed
-    per point, so that it keeps its digits (FitProblem names the three
-    layouts).
+    read.  The start and every trial point are evaluated by one FitProblem's
+    solve(beta2, rho), with rho = e^x1: a single stacked call of
+    model.coincidence_parts over the distinct (T, L, |tau|) points of all
+    datasets, the only model pass, which model_passes counts, and one set of
+    per-dataset sums for every (s_i, eta'_i) and the bound, 0 or 1, where an
+    eta' must go to one (FitProblem names the layouts these run on).
 
     The derivatives are exact and cost no pass: the model's
     coincidence_parts_derivatives turns a pass's (p, q) into their first
@@ -490,26 +509,33 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     k = N_x,eta' / N_eta',eta' the Jacobian in x is J_x - k J_eta' and N is
     N_xx - k N_eta',x.  A dataset whose eta' is held at a bound, 0 or 1,
     brings its x block alone.  The projected loss F(x) then has the
-    gradient 2 J^T r and the Hessian 2 N, summed over the datasets.  Each
-    step solves (N + lam diag(J^T J)) dx = -J^T r, where J is the Jacobian
-    of the projected residuals.  Damping by diag(J^T J) makes the step the
-    same under any rescaling of x0 or x1 (Marquardt 1963), so x0 is beta2
-    in its own units.
+    gradient 2 J^T r and the Hessian 2 N, summed over the datasets.
     N is J^T J plus the residuals' own curvature; at a converged campaign
     fit the curvature was 0.7 of J^T J in the beta2 entry, and Gauss-Newton
-    steps without it overshot in beta2 and took 50-200 iterations.  The
-    damping lam starts at 1e-3, grows tenfold on a rejected step or while
-    the damped matrix is not positive definite, and shrinks tenfold on an
-    accepted step.  The fit has converged when the loss a full Newton step
-    predicts to remove, J^T r . N^-1 J^T r for a positive definite N, is
-    at most 1e-10 of the loss.  This is checked before each iteration's
+    steps without it overshot in beta2 and took 50-200 iterations.
+
+    Each step solves (N + lam diag(J^T J)) dx = -J^T r, where J is the
+    Jacobian of the projected residuals.  Damping by diag(J^T J) makes the
+    step the same under any rescaling of x0 or x1 (Marquardt 1963), so x0
+    is beta2 in its own units.  This 2x2 algebra runs in closed form on
+    floats (_solve_2x2).  lam starts at 1e-3, grows tenfold on a rejected
+    step or while the damped matrix is not positive definite, and shrinks
+    tenfold on an accepted step.  Where N is not positive definite, an
+    iteration starts lam at no less than twice lam*, the least damping at
+    which the damped matrix is positive semidefinite (_damping_floor; Moré
+    and Sorensen 1983), so that its step never comes from a barely positive
+    definite matrix.  The fit has converged when the loss a full Newton
+    step predicts to remove, J^T r . N^-1 J^T r for a positive definite N,
+    is at most 1e-10 of the loss.  This is checked before each iteration's
     trials and is not counted as an iteration; at the loss's rounding floor
     no trial step can lower the loss, and rejected trials would only grow
     lam.  An accepted step whose relative loss decrease is below 1e-10
     converges too.  After 200 iterations, or once lam passes 1e14, a
     non-converged result is returned, never an exception.  A trial x at
-    which the model does not exist, where rho = e^x1 overflows or some rho'
-    is not in (0, inf), is rejected like a trial that raises the loss.
+    which the model does not exist, where rho = e^x1 overflows, some rho'
+    is not in (0, inf) or some dataset's model has a sum of squares of 0, is
+    rejected like a trial that raises the loss; at the start, the last two
+    raise a ValueError, the last one naming the dataset.
 
     The model sees beta2 only through (L beta2 rho)^2, so the loop may end
     at x0 < 0; FitParams stores |beta2|, at which FitProblem.solve gives the
@@ -517,10 +543,9 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     blocks' J^T J, the Jacobian of the weighted residuals in x and each
     free eta' with only the scales profiled: an arrowhead, as each eta'
     meets only x and itself, summed block by block without forming the
-    n x (2 + D) Jacobian.  So the step and the covariance read one Jacobian
-    and one held mask.  The blocks are taken once per accepted state, at
-    the start and after each accepted step, so at most iterations + 1 times
-    per fit.  p counts beta2, rho, and each dataset's eta and scale; a
+    n x (2 + D) Jacobian, so the step and the covariance read one Jacobian;
+    the blocks are taken at the start and after each accepted step.
+    p counts beta2, rho, and each dataset's eta and scale; a
     dataset whose counts are all 0 brings neither points nor parameters.
     The same n and p give the covariance's loss / (n - p) and the input
     check: a fit needs n >= p + 1.  FitResult says how the covariance is
@@ -536,43 +561,46 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     if n_points < n_params + 1:
         raise ValueError("need at least p + 1 data points for p parameters")
 
-    x = np.array([init.beta2_ps2_per_km, math.log(init.rho_ps2_inv)])
-    rho = math.exp(x[1])
-    state = problem.solve(x[0], rho)
+    x0, x1 = init.beta2_ps2_per_km, math.log(init.rho_ps2_inv)
+    rho = math.exp(x1)
+    state = problem.solve(x0, rho)
     if state is None:
-        raise ValueError("init: rho' = rho / (1 + (L beta2 rho)^2) is not in (0, inf)")
+        if problem.parts(x0, rho) is None:
+            raise ValueError("init: rho' = rho / (1 + (L beta2 rho)^2) is not in (0, inf)")
+        label = next(ds.label or f"#{i}" for i, ds in enumerate(datasets)
+                     if FitProblem([ds]).solve(x0, rho) is None)
+        raise ValueError(f"init: no scale fits dataset {label}: its model's sum of squares is 0")
     lam = _DAMPING_INIT
     converged = False
     iterations = 0
-    blocks = problem.blocks(x[0], rho, state)
+    blocks = problem.blocks(x0, rho, state)
 
     while iterations < _MAX_ITERATIONS:
-        grad, jtj, newton = _eliminate(blocks, ~state.held)
-        try:  # g^T N^-1 g, the loss a full Newton step would remove
-            half_step = np.linalg.solve(np.linalg.cholesky(newton), grad)
-            if half_step @ half_step <= _LOSS_REL_TOL * state.loss:
-                converged = True
-                break
-        except np.linalg.LinAlgError:
-            pass  # N is not positive definite (at L = 0, say): the trials decide
+        (g0, g1), ((d0, _), (_, d1)), ((n00, _), (n10, n11)) = (
+            a.tolist() for a in _eliminate(blocks, ~state.held))
+        # g . N^-1 g, the loss a full Newton step would remove, where N is positive definite
+        newton = _solve_2x2(n00, n10, n11, g0, g1)
+        if newton is not None and newton[1] <= _LOSS_REL_TOL * state.loss:
+            converged = True
+            break
         iterations += 1
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = max(diag.max(), 1e-30)
+        fill = max(d0, d1, 1e-30)
+        d0, d1 = (d if d > 0 else fill for d in (d0, d1))
+        lam = max(lam, 2.0 * _damping_floor(n00, n10, n11, d0, d1))
         while lam < 1e14:
-            damped = newton + lam * np.diag(diag)
-            try:
-                np.linalg.cholesky(damped)
-            except np.linalg.LinAlgError:
+            step = _solve_2x2(n00 + lam * d0, n10, n11 + lam * d1, -g0, -g1)
+            if step is None:
                 # not positive definite yet: more damping, towards steepest descent
                 lam *= _DAMPING_FACTOR
                 continue
-            x_new = x + np.linalg.solve(damped, -grad)
+            (dx0, dx1), _ = step
+            x0_new, x1_new = x0 + dx0, x1 + dx1
             try:
-                rho_new = math.exp(x_new[1])
+                rho_new = math.exp(x1_new)
             except OverflowError:  # past the double range: no model there
                 lam *= _DAMPING_FACTOR
                 continue
-            trial = problem.solve(x_new[0], rho_new)
+            trial = problem.solve(x0_new, rho_new)
             if trial is not None and trial.loss <= state.loss:
                 lam = max(lam / _DAMPING_FACTOR, 1e-14)
                 break
@@ -580,14 +608,14 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         else:  # the damping is exhausted
             break
         rel_drop = (state.loss - trial.loss) / max(state.loss, 1e-300)
-        x, rho, state = x_new, rho_new, trial
-        blocks = problem.blocks(x[0], rho, state)
+        x0, x1, rho, state = x0_new, x1_new, rho_new, trial
+        blocks = problem.blocks(x0, rho, state)
         if rel_drop < _LOSS_REL_TOL:
             converged = True
             break
 
     etas = 0.5 + 0.5 * np.sqrt(state.eta_ps)  # canonical eta >= 1/2 with (2 eta - 1)^2 = eta'
-    params = FitParams(x[0], rho, etas.tolist())
+    params = FitParams(x0, rho, etas.tolist())
 
     # Covariance in external units (|beta2|, rho, eta_1..eta_D): the arrowhead
     # J^T J in x and each free eta' from the blocks' J^T J, inverted in
@@ -603,13 +631,15 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     root = np.sqrt(np.diag(arrowhead))
     seen = np.flatnonzero(root)  # no data point moves with an unseen parameter
     corr = arrowhead[np.ix_(seen, seen)] / np.outer(root[seen], root[seen])
-    units = np.concatenate(([math.copysign(1.0, x[0]), 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
+    units = np.concatenate(([math.copysign(1.0, x0), 1.0 / rho], 4.0 * (2.0 * etas[free] - 1.0)))
     scale = (units * root)[seen]
     cov_free = np.diag(np.full(root.size, math.inf))
-    try:  # an exactly singular block keeps its infinite variances
-        cov_free[np.ix_(seen, seen)] = (np.linalg.inv(corr) / np.outer(scale, scale)
-                                        * state.loss / (n_points - n_params))
+    try:  # a singular block, or one whose inverse keeps under two digits, stays infinite
+        inverse = np.linalg.inv(corr)
         cond = float(np.linalg.cond(corr))
+        if cond < 1e14:
+            cov_free[np.ix_(seen, seen)] = (inverse / np.outer(scale, scale)
+                                            * state.loss / (n_points - n_params))
     except np.linalg.LinAlgError:
         cond = math.inf
     kept = np.concatenate(([0, 1], 2 + np.flatnonzero(free)))

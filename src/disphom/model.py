@@ -285,16 +285,16 @@ def eta_prime(eta: float) -> float:
 
 def _check_rate_params(rho, rho_prime, window_t):
     """Scalars or arrays; every element must satisfy each condition."""
-    if not np.all(np.greater(rho_prime, 0)):
+    if not np.greater(rho_prime, 0).all():
         raise ValueError("rho_prime must be > 0")
-    if np.any(np.less(rho, rho_prime)):
+    if np.less(rho, rho_prime).any():
         raise ValueError("rho must be >= rho_prime")
-    if not np.all(np.greater(window_t, 0)):
+    if not np.greater(window_t, 0).all():
         raise ValueError("window half-width T must be > 0")
 
 
 def coincidence_parts(tau_grid_ps, rho, rho_prime, window_half_width_ps):
-    """The windowed coincidence rate c = p + eta' q as its two parts (p, q).
+    """The windowed coincidence rate c = p + eta' q as its two parts, one array (p, q).
 
     With the erf window sum
     A = erf(sqrt(rho'/2)(T+tau)) + erf(sqrt(rho'/2)(T-tau)) and the
@@ -330,114 +330,109 @@ def coincidence_parts(tau_grid_ps, rho, rho_prime, window_half_width_ps):
     # the dip first: its kernel temporaries are the largest, and no other
     # per-point result is held while they live
     dip = scaled_dip_term(edge * window_t, np.sqrt(0.5 * (rho - rho_prime)) * tau)
-    a = 0.25 * (erf_real(edge * (window_t + tau)) + erf_real(edge * (window_t - tau)))
+    window = erf_real(np.array([edge * (window_t + tau), edge * (window_t - tau)]))
+    a = 0.25 * (window[0] + window[1])
     with np.errstate(under="ignore"):
         b = 0.5 * np.exp(-0.5 * rho_prime * tau * tau) * dip
-    return a - b, a + b
+    return a + np.multiply.outer((-1.0, 1.0), b)  # (a - b, a + b) as one array
 
 
-# (cos phi - sin phi / phi) / phi^2 = sum_n (-1)^n 2n / (2n+1)! phi^(2n-2), n >= 1,
-# highest power first; below |phi| = 1/2 eight terms reach 1e-17
-_BEND_COEFFS = np.array(
-    [(-1.0) ** n * 2 * n / math.factorial(2 * n + 1) for n in range(1, 9)]
-)[::-1]
+# Maclaurin series in u = phi^2 of sin(phi)/phi = sum_n (-1)^n u^n / (2n+1)! and
+# of (cos phi - sin(phi)/phi) / phi^2 = sum_n (-1)^(n+1) 2(n+1) / (2n+3)! u^n, one
+# column each, lowest power first; below |phi| = 1/2 eight terms reach 1e-17
+_SINC_BEND_SERIES = np.array([[(-1.0) ** n / math.factorial(2 * n + 1),
+                               (-1.0) ** (n + 1) * 2 * (n + 1) / math.factorial(2 * n + 3)]
+                              for n in range(8)])
+_SERIES_POWERS = np.arange(8.0)[:, None]
 
 
 def _sinc_and_bend(phi):
-    """sin(phi)/phi and (cos phi - sin(phi)/phi)/phi^2, for phi >= 0, without dividing by 0.
+    """cos phi, sin(phi)/phi and (cos phi - sin(phi)/phi)/phi^2, for phi >= 0.
 
-    The second cancels for small phi, where its Maclaurin series is used.
+    Below phi = 1/2, where the last cancels and phi may be 0, both quotients
+    come from their series, summed as one array.
     """
     cos = np.cos(phi)
-    sinc = np.ones_like(phi)
-    np.divide(np.sin(phi), phi, out=sinc, where=phi > 0)
-    small = phi < 0.5
     square = phi * phi
-    bend = np.empty_like(phi)
-    np.divide(cos - sinc, square, out=bend, where=~small)
-    series = np.full_like(square[small], _BEND_COEFFS[0])
-    for c in _BEND_COEFFS[1:]:
-        series = series * square[small] + c
-    bend[small] = series
+    small = phi < 0.5
+    large = ~small
+    sinc = np.sin(phi)
+    np.divide(sinc, phi, out=sinc, where=large)
+    bend = cos - sinc
+    np.divide(bend, square, out=bend, where=large)
+    terms = square[small][:, None, None] ** _SERIES_POWERS * _SINC_BEND_SERIES
+    sinc[small], bend[small] = terms.sum(axis=1).T
     return cos, sinc, bend
 
 
 def _window_derivatives(tau, a, t):
-    """d A/da and d^2 A/da^2 of the window sum A = erf(sqrt(a)(t+tau)) + erf(sqrt(a)(t-tau))."""
-    outer = t + tau
-    inner = t - tau
+    """w_p and w_pp of the window part w = A/4, for a = rho'/2; both edges t +- tau in one array."""
+    edges = np.array([t + tau, t - tau])
     with np.errstate(under="ignore"):
-        e_outer = np.exp(-a * outer * outer)
-        e_inner = np.exp(-a * inner * inner)
-    moment1 = outer * e_outer + inner * e_inner
-    moment3 = outer**3 * e_outer + inner**3 * e_inner
-    scale = math.sqrt(math.pi) * np.sqrt(a)
-    return moment1 / scale, -(0.5 * moment1 / a + moment3) / scale
+        moments = edges * np.exp(-a * edges * edges)
+    scale = (8.0 * math.sqrt(math.pi)) * np.sqrt(a)
+    slope = (moments[0] + moments[1]) / scale
+    moments *= edges * edges
+    return slope, -0.25 * slope / a - 0.5 * (moments[0] + moments[1]) / scale
 
 
-def _dip_derivatives(tau, a, d, t, b):
-    """Derivatives in (a, d, aa, ad, dd) of B = exp(-(a+d) tau^2) Re erf(x + iy), tau >= 0."""
+def _dip_derivatives(tau, a, d, t, dip):
+    """b_p, b_pp, b_r, b_rp and b_rr of the dip part b = B/2, for tau >= 0, from dip = B."""
     root_a = np.sqrt(a)
+    x = root_a * t
     tau2 = tau * tau
     t2 = t * t
     with np.errstate(under="ignore"):
-        g = (2.0 / math.sqrt(math.pi)) * np.exp(-a * (tau2 + t2))
-    cos, sinc, bend = _sinc_and_bend(2.0 * root_a * t * np.sqrt(d) * tau)
-    g_cos = g * cos
-    g_sinc = g * sinc
-    b_a = -tau2 * b + 0.5 * t * g_cos / root_a
-    b_d = -tau2 * b + root_a * t * tau2 * g_sinc
-    b_aa = -tau2 * b_a - 0.5 * t * (
-        (0.5 / a + tau2 + t2) * g_cos + 2.0 * d * t2 * tau2 * g_sinc
-    ) / root_a
-    b_ad = tau2 * tau2 * b - root_a * t * tau2 * (tau2 + t2) * g_sinc
-    b_dd = -tau2 * b_d + 2.0 * a * root_a * t * t2 * tau2 * tau2 * g * bend
-    return b_a, b_d, b_aa, b_ad, b_dd
+        g = (0.5 / math.sqrt(math.pi)) * np.exp(-a * (tau2 + t2))  # G/4
+    cos, sinc, bend = _sinc_and_bend(2.0 * x * np.sqrt(d) * tau)
+    g_x = x * tau2 * g
+    along = 0.5 * x / a * g * cos  # B's a-derivative at fixed e through x, over 4
+    across = g_x * sinc  # and through y, negated
+    bent = a * t2 * tau2 * g_x * bend  # B_ee = -tau^2 B_e + 8 bent
+    half_t2 = 0.5 * t2
+    b_r = across - 0.25 * tau2 * dip
+    return (along - across,
+            (0.5 * tau2 + t2 - half_t2 * d / a) * across
+            - (0.25 / a + tau2 + half_t2) * along + bent,
+            b_r,
+            -half_t2 * across - bent,
+            bent - 0.5 * tau2 * b_r)
 
 
 def coincidence_parts_derivatives(tau_grid_ps, rho, rho_prime, window_half_width_ps, p, q):
-    """First and second derivatives of coincidence_parts' (p, q) in (rho, rho').
+    """First and second derivatives of coincidence_parts' (p, q) in (rho', rho).
 
-    p and q are that call's result at the same arguments.  Returns
-    (first, second): first[k] holds the (p, q) derivatives in the k-th of
-    (rho, rho'), shape (2, 2, n), and second[k] those in the k-th of
-    (rho rho, rho rho', rho' rho'), shape (3, 2, n).
+    p and q are that call's result at the same arguments.  The derivatives
+    are those of the window part w = (p + q)/2 = A/4 and the dip part
+    b = (q - p)/2 = B/2, so that p = w - b and q = w + b, as one array of
+    shape (7, n): w_p, w_pp, b_p, b_pp, b_r, b_rp and b_rr, where a
+    subscript p is d/drho' at fixed rho and r is d/drho.  w depends on rho'
+    alone.
 
-    They are worked out in a = rho'/2 and d = (rho - rho')/2, in which
+    With a = rho'/2 and e = a + d = rho/2,
     A = erf(sqrt(a)(T+tau)) + erf(sqrt(a)(T-tau)) and
-    B = exp(-(a+d) tau^2) Re erf(x + iy) for x = sqrt(a) T, y = sqrt(d) tau;
-    A depends on a alone.  With d Re erf/dx = (2/sqrt(pi)) e^(y^2-x^2) cos phi
-    and d Re erf/dy = (2/sqrt(pi)) e^(y^2-x^2) sin phi, phi = 2xy, every term
-    of B's derivatives beyond multiples of B itself is the bounded
+    B = exp(-e tau^2) Re erf(x + iy) for x = sqrt(a) T, y = sqrt(d) tau.
+    With d Re erf/dx = (2/sqrt(pi)) e^(y^2-x^2) cos phi
+    and d Re erf/dy = (2/sqrt(pi)) e^(y^2-x^2) sin phi, phi = 2xy, B's
+    derivatives in a at fixed e are the bounded
     G = (2/sqrt(pi)) exp(-a(tau^2+T^2)) times cos phi, sin(phi)/phi or
-    (cos phi - sin(phi)/phi)/phi^2, so no further error function is needed,
+    (cos phi - sin(phi)/phi)/phi^2, and only those in e, through the
+    envelope, add multiples of B.  So no further error function is needed,
     nothing overflows, and nothing divides by sqrt(d): the derivatives stay
     finite at d = 0 (L = 0 or beta2 = 0).  phi is taken at |tau|, so the
     derivatives are even in tau bit for bit, like (p, q).
 
     B = q - p carries the rounding of p and q, and where y >> 1 the
-    d-derivatives are small differences of multiples of B and G terms.
+    rho-derivatives are small differences of multiples of B and G terms.
     At campaign delays (y up to ~4000) that leaves the first derivatives
     good to ~1e-8 and the second ones in rho to ~1e-6 relative, against
     40-digit references; a Newton matrix needs no more.
     """
     tau = np.abs(np.asarray(tau_grid_ps, dtype=float))
     a = 0.5 * rho_prime
-    a_a, a_aa = _window_derivatives(tau, a, window_half_width_ps)
-    b_a, b_d, b_aa, b_ad, b_dd = _dip_derivatives(
-        tau, a, 0.5 * (rho - rho_prime), window_half_width_ps, q - p)
-
-    # to (rho, rho'): d/drho = d_d / 2 and d/drho' = (d_a - d_d) / 2
-    b_first = (0.5 * b_d, 0.5 * (b_a - b_d))
-    b_second = (0.25 * b_dd, 0.25 * (b_ad - b_dd), 0.25 * (b_aa - 2.0 * b_ad + b_dd))
-    a_first = (0.0, 0.5 * a_a)
-    a_second = (0.0, 0.0, 0.25 * a_aa)
-    # p = A/4 - B/2 and q = A/4 + B/2
-    first = np.array([(0.25 * a_k - 0.5 * b_k, 0.25 * a_k + 0.5 * b_k)
-                      for a_k, b_k in zip(a_first, b_first)])
-    second = np.array([(0.25 * a_k - 0.5 * b_k, 0.25 * a_k + 0.5 * b_k)
-                       for a_k, b_k in zip(a_second, b_second)])
-    return first, second
+    return np.array([*_window_derivatives(tau, a, window_half_width_ps),
+                     *_dip_derivatives(tau, a, 0.5 * (rho - rho_prime), window_half_width_ps,
+                                       q - p)])
 
 
 def coincidence_curve(tau_grid_ps, rho, rho_prime, eta_p, window_half_width_ps) -> HomCurve:

@@ -388,6 +388,73 @@ def test_newton_check_derivatives_serve_the_covariance(monkeypatch):
         assert len(calls) == result.iterations + 1
 
 
+# --- the loop's 2x2 algebra -------------------------------------------------------
+
+def random_symmetric(rng, kind):
+    """A symmetric 2x2 matrix of the given kind, as (m00, m10, m11)."""
+    if kind == "positive-definite":
+        root = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3, 2)
+        matrix = root @ root.T + 1e-3 * np.diag(np.diag(root @ root.T))
+        return matrix[0, 0], matrix[1, 0], matrix[1, 1]
+    if kind == "indefinite":
+        m00, m11 = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3, 2)
+        off = math.sqrt(abs(m00 * m11)) * rng.uniform(1.01, 10.0)  # |m10| > sqrt(|m00 m11|)
+        return m00, math.copysign(off, rng.normal()), m11
+    if kind == "semidefinite":  # exactly singular: (k, m)(k, m)^T for a power of two k
+        k, m = 2.0 ** rng.integers(-8, 8), float(rng.integers(-1000, 1000))
+        return k * k, k * m, m * m
+    return 0.0, rng.normal(), rng.normal()  # a zero diagonal entry
+
+
+MATRIX_KINDS = ["positive-definite", "indefinite", "semidefinite", "zero-diagonal"]
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_solve_2x2_matches_numpy(kind):
+    rng = np.random.default_rng(MATRIX_KINDS.index(kind))
+    eps = np.finfo(float).eps
+    for _ in range(2000):
+        m00, m10, m11 = random_symmetric(rng, kind)
+        g = rng.normal(size=2)
+        matrix = np.array([[m00, m10], [m10, m11]])
+        solved = fitting._solve_2x2(m00, m10, m11, *g)
+        try:
+            lower = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            assert solved is None
+            continue
+        assert kind == "positive-definite"
+        step, predicted = solved
+        # the solve is as good as the matrix's condition allows
+        expected = np.linalg.solve(matrix, g)
+        bound = 16.0 * eps * np.linalg.cond(matrix) * np.abs(expected).max()
+        assert np.all(np.abs(np.array(step) - expected) <= bound)
+        half_step = np.linalg.solve(lower, g)
+        assert predicted == pytest.approx(half_step @ half_step,
+                                          rel=1e3 * eps * np.linalg.cond(matrix))
+
+
+def test_damping_floor_on_an_indefinite_newton_matrix():
+    # N + lam diag(d) is singular at the floor and positive definite beyond it;
+    # lm_fit starts at twice the floor, where the least eigenvalue of
+    # diag(d)^-1/2 (N + lam diag(d)) diag(d)^-1/2 equals the floor itself
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        n00, n10, n11 = random_symmetric(rng, "indefinite")
+        d = 10.0 ** rng.uniform(-3, 3, 2)
+        floor = fitting._damping_floor(n00, n10, n11, *d)
+        assert floor > 0
+        scaled = np.array([[n00, n10], [n10, n11]]) / np.sqrt(np.outer(d, d))
+        for factor, least in ((1.0, 0.0), (2.0, floor)):
+            eigenvalues = np.linalg.eigvalsh(scaled + factor * floor * np.eye(2))
+            assert abs(eigenvalues[0] - least) <= 1e-12 * np.abs(eigenvalues).max()
+        assert fitting._solve_2x2(n00 + 2.0 * floor * d[0], n10, n11 + 2.0 * floor * d[1],
+                                  1.0, 1.0) is not None
+    for _ in range(200):  # nothing to lift where N is positive definite already
+        assert fitting._damping_floor(*random_symmetric(rng, "positive-definite"),
+                                      *10.0 ** rng.uniform(-3, 3, 2)) == 0.0
+
+
 # --- rmsre ----------------------------------------------------------------------
 
 def test_rmsre_zero_residuals():
@@ -545,6 +612,20 @@ def test_lm_fit_sigma_covers_truth_on_degenerate_campaigns(seed, overrides):
     assert abs(result.params.beta2_ps2_per_km - beta2) <= 3.0 * result.beta2_sigma_ps2_per_km
 
 
+def test_lm_fit_sigma_is_infinite_where_the_covariance_keeps_no_digits(monkeypatch):
+    # at rho ~ 67 on a beta2 = 0 campaign the data see only a combination of
+    # beta2 and rho: J^T J in correlation form has a condition of ~1e16, and
+    # its inverse, which once gave sigma = 0 here, holds no digit
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 0)
+    config = small_campaign(seed=3, windows_ns=[0.4], tau_points=201, beta2_ps2_per_km=0.0,
+                            fiber_lengths_km=[10.0, 20.0])
+    datasets, _ = generate_synthetic(config)
+    result = lm_fit(datasets, FitParams(0.0021, 67.0))
+    assert result.jtj_condition >= 1e14
+    assert result.beta2_sigma_ps2_per_km == math.inf
+    assert result.rho_sigma_ps2_inv == math.inf
+
+
 @pytest.mark.parametrize("seed, beta2, rho", [(3, 3.0, 1.0), (3, 5.0, 10.0), (5, 0.2, 30.0)])
 def test_lm_fit_rejects_trial_steps_without_a_model(seed, beta2, rho):
     # from these starts a trial step overflowed rho = e^x1 or rho' = rho / g
@@ -553,6 +634,49 @@ def test_lm_fit_rejects_trial_steps_without_a_model(seed, beta2, rho):
     result = lm_fit(datasets, FitParams(beta2, rho))
     assert isinstance(result, fitting.FitResult)
     assert math.isfinite(result.loss)
+
+
+def far_and_near_sets():
+    # both at T = 0.4 ns and L = 10 km; the far grid lies 1000-1100 ps from the
+    # center, where the model is 0 in floating point once a small beta2 has
+    # narrowed the bump (below about 1.5 ps^2/km)
+    near = make_dataset(0.4, 10.0, seed=6)
+    far = make_dataset(0.4, 10.0, taus=np.linspace(1000.0, 1100.0, 21), seed=5)
+    far.label = "far"
+    return [near, far]
+
+
+def test_solve_has_no_model_where_a_dataset_is_zero():
+    problem = FitProblem(far_and_near_sets())
+    assert problem.solve(BETA2_REF, RHO_REF) is not None
+    assert problem.solve(1.0, RHO_REF) is None
+
+
+def test_lm_fit_rejects_trial_steps_where_a_model_is_zero(monkeypatch):
+    # from rho = 30 a trial step reaches a point where the far dataset's model
+    # is 0; it is rejected like a loss rise, and the fit goes on to the truth
+    solve = FitProblem.solve
+    missing = []
+
+    def counted(self, beta2, rho):
+        solved = solve(self, beta2, rho)
+        missing.append(solved is None)
+        return solved
+
+    monkeypatch.setattr(FitProblem, "solve", counted)
+    result = lm_fit(far_and_near_sets(), FitParams(BETA2_REF, 30.0))
+    assert not missing[0] and any(missing)
+    assert result.converged
+    assert abs(result.params.beta2_ps2_per_km - BETA2_REF) <= 3.0 * result.beta2_sigma_ps2_per_km
+    assert abs(result.params.rho_ps2_inv - RHO_REF) <= 3.0 * result.rho_sigma_ps2_inv
+
+
+def test_lm_fit_names_the_dataset_without_a_model_at_the_start():
+    with pytest.raises(ValueError, match="init: no scale fits dataset far") as raised:
+        lm_fit(far_and_near_sets(), FitParams(1.0, RHO_REF))
+    assert "rho'" not in str(raised.value)
+    with pytest.raises(ValueError, match="init: rho'"):
+        lm_fit(far_and_near_sets(), FitParams(1e200, RHO_REF))
 
 
 def test_lm_fit_all_zero_dataset_leaves_sigma():

@@ -24,6 +24,7 @@ from disphom import (
     group_index_bounds,
     oscillation_period,
 )
+from disphom import model
 from disphom.model import coincidence_parts, coincidence_parts_derivatives
 from conftest import DN_IDLER_REF, DN_SIGNAL_REF, RHO_REF, BETA2_REF, reference_filter
 
@@ -337,7 +338,13 @@ def test_parts_derivatives_match_differences(point):
     rho, rho_p, window, tau = DERIVATIVE_POINTS[point]
     taus = np.array([tau])
     parts = coincidence_parts(taus, rho, rho_p, window)
-    first, second = coincidence_parts_derivatives(taus, rho, rho_p, window, *parts)
+    w_p, w_pp, b_p, b_pp, b_r, b_rp, b_rr = coincidence_parts_derivatives(
+        taus, rho, rho_p, window, *parts)
+    # p = w - b and q = w + b: first[k] holds the (p, q) derivatives in the
+    # k-th of (rho, rho'), second[k] those in (rho rho, rho rho', rho' rho')
+    sign = np.array([[-1.0], [1.0]])
+    first = np.array([sign * b_r, w_p + sign * b_p])
+    second = np.array([sign * b_rr, sign * b_rp, w_pp + sign * b_pp])
     # two directions in (rho, rho'): along a_dir only rho'/2 moves, along
     # d_dir only (rho - rho')/2.  Their lengths are the scales on which the
     # rate varies: rho' and rho themselves, or less where the phase
@@ -412,6 +419,117 @@ def test_parts_derivatives_even_in_tau_bit_for_bit():
     for got, mirror in zip(plus, minus):
         assert np.isfinite(got).all()  # L = 0 among the lengths: d = 0
         assert np.array_equal(got, mirror)
+
+
+# The derivative helpers as first written, in a = rho'/2 and d = (rho - rho')/2
+# directly, kept as the reference for the current ones.
+_REFERENCE_BEND_COEFFS = np.array(
+    [(-1.0) ** n * 2 * n / math.factorial(2 * n + 1) for n in range(1, 9)]
+)[::-1]
+
+
+def _reference_sinc_and_bend(phi):
+    cos = np.cos(phi)
+    sinc = np.ones_like(phi)
+    np.divide(np.sin(phi), phi, out=sinc, where=phi > 0)
+    small = phi < 0.5
+    square = phi * phi
+    bend = np.empty_like(phi)
+    np.divide(cos - sinc, square, out=bend, where=~small)
+    series = np.full_like(square[small], _REFERENCE_BEND_COEFFS[0])
+    for c in _REFERENCE_BEND_COEFFS[1:]:
+        series = series * square[small] + c
+    bend[small] = series
+    return cos, sinc, bend
+
+
+def _reference_window_derivatives(tau, a, t):
+    outer = t + tau
+    inner = t - tau
+    with np.errstate(under="ignore"):
+        e_outer = np.exp(-a * outer * outer)
+        e_inner = np.exp(-a * inner * inner)
+    moment1 = outer * e_outer + inner * e_inner
+    moment3 = outer**3 * e_outer + inner**3 * e_inner
+    scale = math.sqrt(math.pi) * np.sqrt(a)
+    return moment1 / scale, -(0.5 * moment1 / a + moment3) / scale
+
+
+def _reference_dip_derivatives(tau, a, d, t, b):
+    root_a = np.sqrt(a)
+    tau2 = tau * tau
+    t2 = t * t
+    with np.errstate(under="ignore"):
+        g = (2.0 / math.sqrt(math.pi)) * np.exp(-a * (tau2 + t2))
+    cos, sinc, bend = _reference_sinc_and_bend(2.0 * root_a * t * np.sqrt(d) * tau)
+    g_cos = g * cos
+    g_sinc = g * sinc
+    b_a = -tau2 * b + 0.5 * t * g_cos / root_a
+    b_d = -tau2 * b + root_a * t * tau2 * g_sinc
+    b_aa = -tau2 * b_a - 0.5 * t * (
+        (0.5 / a + tau2 + t2) * g_cos + 2.0 * d * t2 * tau2 * g_sinc
+    ) / root_a
+    b_ad = tau2 * tau2 * b - root_a * t * tau2 * (tau2 + t2) * g_sinc
+    b_dd = -tau2 * b_d + 2.0 * a * root_a * t * t2 * tau2 * tau2 * g * bend
+    return b_a, b_d, b_aa, b_ad, b_dd
+
+
+def _reference_term_scales(tau, a, d, t, b):
+    """The sum of the magnitudes of the terms each reference formula adds up."""
+    root_a = np.sqrt(a)
+    tau2 = tau * tau
+    t2 = t * t
+    with np.errstate(under="ignore"):
+        g = (2.0 / math.sqrt(math.pi)) * np.exp(-a * (tau2 + t2))
+        e_outer, e_inner = np.exp(-a * (t + tau) ** 2), np.exp(-a * (t - tau) ** 2)
+    cos, sinc, bend = _reference_sinc_and_bend(2.0 * root_a * t * np.sqrt(d) * tau)
+    g_cos, g_sinc, b = np.abs(g * cos), np.abs(g * sinc), np.abs(b)
+    s_a = tau2 * b + 0.5 * t * g_cos / root_a
+    s_d = tau2 * b + root_a * t * tau2 * g_sinc
+    s_aa = tau2 * s_a + 0.5 * t * ((0.5 / a + tau2 + t2) * g_cos
+                                   + 2.0 * d * t2 * tau2 * g_sinc) / root_a
+    s_ad = tau2 * tau2 * b + root_a * t * tau2 * (tau2 + t2) * g_sinc
+    s_dd = tau2 * s_d + 2.0 * a * root_a * t * t2 * tau2 * tau2 * g * np.abs(bend)
+    scale = math.sqrt(math.pi) * root_a
+    moment1 = (np.abs(t + tau) * e_outer + np.abs(t - tau) * e_inner) / scale
+    moment3 = (np.abs(t + tau) ** 3 * e_outer + np.abs(t - tau) ** 3 * e_inner) / scale
+    # in the order of coincidence_parts_derivatives' rows
+    return np.array([moment1 / 8.0, (0.5 * moment1 / a + moment3) / 16.0, (s_a + s_d) / 4.0,
+                     (s_aa + 2.0 * s_ad + s_dd) / 8.0, s_d / 4.0, (s_ad + s_dd) / 8.0, s_dd / 8.0])
+
+
+def test_parts_derivatives_match_the_reference_formulas():
+    # 1e5 points: campaign delays out to 3 T, delays below 0.01 ps (phi < 1/2,
+    # the series), tau = 0, and L = 0 (d = 0) among the lengths
+    rng = np.random.default_rng(53)
+    n = 100_000
+    windows = rng.uniform(100.0, 2000.0, n)
+    lengths = rng.choice([0.0, 0.5, 1.0, 10.0, 29.0, rng.uniform(0.0, 29.0)], n)
+    rho = RHO_REF * rng.uniform(0.5, 2.0)
+    rho_ps = rho / (1.0 + (lengths * BETA2_REF * rho) ** 2)
+    taus = rng.uniform(-3.0, 3.0, n) * windows
+    taus[:2000] = rng.uniform(-1e-2, 1e-2, 2000)
+    taus[2000:2100] = 0.0
+    p, q = coincidence_parts(taus, rho, rho_ps, windows)
+    got = coincidence_parts_derivatives(taus, rho, rho_ps, windows, p, q)
+    tau, a, d, b = np.abs(taus), 0.5 * rho_ps, 0.5 * (rho - rho_ps), q - p
+    phi = 2.0 * np.sqrt(a * d) * windows * tau
+    assert (phi < 0.5).sum() > 2000 and (d == 0.0).sum() > 10_000
+    a_a, a_aa = _reference_window_derivatives(tau, a, windows)
+    b_a, b_d, b_aa, b_ad, b_dd = _reference_dip_derivatives(tau, a, d, windows, b)
+    # to w = A/4 in rho' and b = B/2 in (rho' at fixed rho, rho)
+    reference = np.array([a_a / 8.0, a_aa / 16.0, (b_a - b_d) / 4.0,
+                          (b_aa - 2.0 * b_ad + b_dd) / 8.0, b_d / 4.0,
+                          (b_ad - b_dd) / 8.0, b_dd / 8.0])
+    scales = _reference_term_scales(tau, a, d, windows, b)
+    eps = np.finfo(float).eps
+    # a few ulp of each term's scale; below 1e-280, where the products on the
+    # way underflow to subnormals, the error counts against 1e-280
+    ulps = np.abs(got - reference) / (eps * np.maximum(scales, 1e-280))
+    assert ulps.max() <= 8.0, ulps.max(axis=1)
+    cos, sinc, bend = model._sinc_and_bend(phi)
+    for value, expected in zip((cos, sinc, bend), _reference_sinc_and_bend(phi)):
+        assert np.all(np.abs(value - expected) <= 4.0 * eps * np.abs(expected))
 
 
 def test_stacked_parts_check_every_point():
