@@ -19,17 +19,16 @@ options: it reads beta2 and rho from its init, and its iteration limit,
 tolerance and damping are the module constants below.
 
 FitProblem owns the stacked problem, the data and weights, the solve at one
-(beta2, rho) and the derivative blocks there, over three layouts of the
+(beta2, rho) and the derivative blocks there, over two layouts of the
 campaign's points.  The point layout holds every data point, in dataset
-order; the residuals and the loss live there.  The distinct layout holds
-each distinct (T, L, |tau|) once; the model pass and its derivatives are
-evaluated there.  The folded layout holds each (dataset, |tau|) once, with
-the summed weights of the one or two points it stands for; every Gram sum
-of the solve and the blocks runs there, on about half the points of a grid
-symmetric about tau = 0.  Every per-dataset step of the fit (the 2x2
-solves, the scales, the derivative sums) runs on these layouts as
-whole-array operations, with no loop over datasets.  One Jacobian serves
-both the step and the covariance:
+order; the residuals and the loss live there.  The folded layout holds
+each (dataset, |tau|) once, with the summed weights of the one or two
+points it stands for; the model pass and its derivatives are evaluated
+there, and every Gram sum of the solve and the blocks runs there, on
+about half the points of a grid symmetric about tau = 0.  Every
+per-dataset step of the fit (the 2x2 solves, the scales, the derivative
+sums) runs on these layouts as whole-array operations, with no loop over
+datasets.  One Jacobian serves both the step and the covariance:
 FitProblem.blocks gives each dataset's J^T r, J^T J and half-Hessian in
 (x0, x1, eta'), with only its scale projected out.  For the step,
 _eliminate takes each free eta' out of its dataset's blocks by a Schur
@@ -96,7 +95,8 @@ class FitResult:
     params: the fitted |beta2|, rho and each dataset's canonical eta >= 1/2.
     beta2_sigma_ps2_per_km, rho_sigma_ps2_inv: square roots of the
         covariance's first two diagonal entries.  Infinite for a parameter
-        no data point moves with, as beta2 when every dataset has L = 0.
+        no data point moves with, as beta2 when every dataset has L = 0,
+        and for one whose variance lies beyond the double range.
     scales: each dataset's profiled amplitude s_i.
     rmsre_per_dataset: each dataset's rmsre of the unweighted residuals
         s_i f_i - y; NaN for a dataset whose counts are all 0.
@@ -107,8 +107,10 @@ class FitResult:
         column is divided by the square root of its diagonal, the result is
         inverted, and the inverse is scaled back.  A parameter whose J^T J
         diagonal is 0 is unseen: it is left out of the inversion, and its
-        variance is infinite with covariances 0.  The row and column of an
-        eta held at a bound are 0.
+        variance is infinite with covariances 0.  An entry beyond the double
+        range, as where a parameter's J^T J diagonal is tiny but not 0, is
+        infinite, with no warning.  The row and column of an eta held at a
+        bound are 0.
     covariance_order: the covariance's row names, "beta2_ps2_per_km",
         "rho_ps2_inv", then "eta[0]" .. "eta[D-1]" in dataset order.
     loss: FitProblem's loss at params, bit for bit:
@@ -127,7 +129,8 @@ class FitResult:
     etas_held_at_bound: the datasets whose eta' = (2 eta - 1)^2 sits at 0
         or 1, where the fit holds it; their etas have no covariance.
     model_passes: the model passes the fit made, one stacked
-        coincidence_parts call per point at which the loss was taken.
+        coincidence_parts call over every dataset's folded (dataset, |tau|)
+        points per (beta2, rho) at which the loss was taken.
     """
 
     params: FitParams
@@ -205,7 +208,7 @@ class _Solved(NamedTuple):
     scales: np.ndarray
     eta_ps: np.ndarray
     held: np.ndarray  # per dataset: eta' sits at a bound, 0 or 1, where the fit holds it
-    parts: np.ndarray  # the model pass's (p, q) at the distinct points
+    parts: np.ndarray  # the model pass's (p, q) at the folded points
     model: np.ndarray  # f = p + eta' q at the folded points
 
 
@@ -217,25 +220,22 @@ class FitProblem:
     builds one FitProblem and evaluates every start and trial point
     through it, so at a fit's params it gives the fit's loss bit for bit.
 
-    Three layouts of the campaign's points serve the fit:
+    Two layouts of the campaign's points serve the fit:
     - point: all datasets' points concatenated in order.  The data, their
       squared weights and the residuals live here, and split cuts a
       per-point array into its datasets.
-    - distinct: each distinct (T, L, |tau|) over all datasets once.  The
-      rate depends on a point only through its window half-width T, its
-      fiber length L and its delay, and it is even in the delay, bit for
-      bit.  So parts evaluates only these points in one coincidence_parts
-      call, the model pass, with one broadened rho per distinct L, and
-      expand takes a result back to every point; the expanded (p, q) equal
-      per-dataset calls bit for bit.  A grid symmetric about tau = 0 costs
-      half its points, and datasets that repeat a (T, L) and grid cost
-      nothing more.  passes counts the model passes.
-    - folded: each (dataset, |tau|) once, in dataset order, with the summed
-      weights W = sum w^2 and Wy = sum w^2 y of the one or two points it
-      stands for and the index of its distinct point.  Two datasets that
-      share (T, L) and grid share distinct points but not folded ones, as
-      each has its own s and eta'.  sums adds a folded array up per
-      dataset, and at gives per-dataset values at every folded point.
+    - folded: each (dataset, |tau|) once, in dataset order and then by
+      ascending |tau|, with the summed weights W = sum w^2 and
+      Wy = sum w^2 y of the one or two points it stands for; _fold gives
+      each point's folded point.  The rate is even in the delay, bit for
+      bit, so parts evaluates only these points in one coincidence_parts
+      call, the model pass, with one broadened rho per distinct L; a
+      folded (p, q) taken back to every point equals per-dataset calls
+      bit for bit.  A grid symmetric about tau = 0 costs half its points.
+      Two datasets that share (T, L) and grid share no folded point, as
+      each has its own s and eta'.  passes counts the model passes, sums
+      adds a folded array up per dataset, and at gives per-dataset values
+      at every folded point.
     A weighted sum over a dataset's points of anything that depends on the
     point only through its model, sum w^2 g(f), is sum W g(f) over its
     folded points, so solve's Gram sums and every sum of blocks run folded,
@@ -258,32 +258,24 @@ class FitProblem:
         if 0 in sizes:  # reduceat cannot sum an empty block
             raise ValueError("every dataset needs at least one point")
         self._starts = np.cumsum([0] + sizes[:-1])
-        # each point's (T, L) as its rank among the distinct pairs: one lexsort with |tau|
-        configs = [(ds.window_half_width_ps, ds.fiber_length_km) for ds in datasets]
-        distinct_configs = sorted(set(configs))
-        config = np.repeat([distinct_configs.index(c) for c in configs], sizes)
+        # the folded layout: one lexsort of the points by (dataset, |tau|)
+        sets = np.repeat(np.arange(len(datasets)), sizes)
         taus = np.abs(np.concatenate([ds.curve.tau_ps for ds in datasets]))
-        order = np.lexsort((taus, config))
-        config, taus = config[order], taus[order]
+        order = np.lexsort((taus, sets))
+        sets, taus = sets[order], taus[order]
         first = np.ones(order.size, dtype=bool)
-        first[1:] = (config[1:] != config[:-1]) | (taus[1:] != taus[:-1])
-        self._inverse = np.empty(order.size, dtype=np.intp)
-        self._inverse[order] = np.cumsum(first) - 1
-        config, self._taus = config[first], taus[first]
-        windows, lengths = np.array(distinct_configs).T
-        self._lengths, config_lengths = np.unique(lengths, return_inverse=True)
-        self._windows, self._length_index = windows[config], config_lengths[config]
-        self._set_lengths = np.searchsorted(self._lengths, [length for _, length in configs])
+        first[1:] = (sets[1:] != sets[:-1]) | (taus[1:] != taus[:-1])
+        self._fold = np.empty(order.size, dtype=np.intp)  # each point's folded point
+        self._fold[order] = np.cumsum(first) - 1
+        self._taus = taus[first]
+        self._folded_sizes = np.bincount(sets[first])
+        self._folded_starts = np.cumsum(np.concatenate(([0], self._folded_sizes[:-1])))
+        self._lengths, self._set_lengths = np.unique(
+            [ds.fiber_length_km for ds in datasets], return_inverse=True)
+        self._length_index = self.at(self._set_lengths)
+        self._windows = self.at(np.array([ds.window_half_width_ps for ds in datasets]))
         self._w2 = np.concatenate([_poisson_weights(ds.curve.values) for ds in datasets])
         self._y = np.concatenate([ds.curve.values for ds in datasets])
-        # the folded layout: one point per (dataset, |tau|), in dataset order
-        n_distinct = self._taus.size
-        folded, self._fold = np.unique(  # each point's folded point
-            np.repeat(np.arange(len(datasets)), sizes) * n_distinct + self._inverse,
-            return_inverse=True)
-        self._folded = folded % n_distinct  # each folded point's distinct point
-        self._folded_sizes = np.bincount(folded // n_distinct)
-        self._folded_starts = np.cumsum(np.concatenate(([0], self._folded_sizes[:-1])))
         self._weights = np.array([np.bincount(self._fold, self._w2),
                                   np.bincount(self._fold, self._w2 * self._y)])
         self.passes = 0
@@ -294,7 +286,7 @@ class FitProblem:
         return chi, 1.0 + chi * chi
 
     def parts(self, beta2, rho):
-        """(p, q) at the distinct points, shape (2, points): one model pass.
+        """(p, q) at the folded points, shape (2, points): one model pass.
 
         None, and no pass, where some rho' = rho / g is not in (0, inf), as
         for a rho of 0 or inf.
@@ -305,10 +297,6 @@ class FitProblem:
             return None
         self.passes += 1
         return coincidence_parts(self._taus, rho, rho_p[self._length_index], self._windows)
-
-    def expand(self, distinct):
-        """A per-distinct-point array, along its last axis, at every point."""
-        return distinct.take(self._inverse, axis=-1)
 
     def split(self, values):
         """A per-point array, along its last axis, cut into its datasets."""
@@ -344,9 +332,8 @@ class FitProblem:
         The pair (s, s eta') enters linearly, so one set of sums gives every
         dataset's 2x2 weighted least-squares problem.  Its five Gram sums,
         p.Wp, p.Wq, q.Wq, p.Wy and q.Wy, are taken over the folded points
-        from their summed weights W and Wy, with (p, q) gathered there from
-        the distinct points; the loss and the residuals, at every point,
-        are not (see FitProblem).  Its unconstrained
+        from their summed weights W and Wy; the loss and the residuals, at
+        every point, are not (see FitProblem).  Its unconstrained
         solution is taken where s > 0 and its eta' lies in [0, 1]; elsewhere
         eta' sits at whichever bound, 0 or 1, fits better, each bound with
         its own profiled scale.  The same sums choose the bound: a bound's
@@ -360,11 +347,10 @@ class FitProblem:
         parts = self.parts(beta2, rho)
         if parts is None:
             return None
-        folded = parts.take(self._folded, axis=-1)
         w2, w2y = self._weights
-        (pp, pq), (_, qq) = self.sums(folded[:, None] * (w2 * folded))
-        py, qy = self.sums(folded * w2y)
-        p, q = folded
+        (pp, pq), (_, qq) = self.sums(parts[:, None] * (w2 * parts))
+        py, qy = self.sums(parts * w2y)
+        p, q = parts
         det = pp * qq - pq * pq
         det[det <= 0] = np.nan  # no unconstrained solution
         s = (qq * py - pq * qy) / det
@@ -398,8 +384,8 @@ class FitProblem:
         eta', df = q, d2f / dx deta' = dq / dx and d2f / deta'^2 = 0.
 
         Every sum runs on the folded points: the model's derivatives in
-        (rho', rho) are taken at the distinct points and gathered there, the
-        per-point w^2 r is folded by np.bincount, and w^2 is the folded W.
+        (rho', rho) are taken there, the per-point w^2 r is folded by
+        np.bincount, and w^2 is the folded W.
         f = (1 + eta') w + (eta' - 1) b in the parts' window and dip parts
         w and b, so df/dx0 and df/dx1 follow from w's and b's first
         derivatives and those of rho' per dataset.  sum w r d2f is linear
@@ -409,7 +395,7 @@ class FitProblem:
         rho_p, u = self._rho_p_derivatives(beta2, rho)
         derivs = coincidence_parts_derivatives(
             self._taus, rho, rho_p[self._length_index], self._windows, *solved.parts
-        ).take(self._folded, axis=-1)  # w_p, w_pp, b_p, b_pp, b_r, b_rp, b_rr
+        )  # w_p, w_pp, b_p, b_pp, b_r, b_rp, b_rr
         scales, alpha, beta = solved.scales, 1.0 + solved.eta_ps, solved.eta_ps - 1.0
         s, alpha_f, beta_f, u0_f, u1_f, rho_beta = self.at(
             np.array([scales, alpha, beta, u[0], u[1], rho * beta]))
@@ -417,7 +403,7 @@ class FitProblem:
         f_p = alpha_f * derivs[0] + beta_f * derivs[2]
         # df / dtheta, and f last
         first = np.array([u0_f * f_p, u1_f * f_p + rho_beta * derivs[4],
-                          solved.parts[1][self._folded], f])
+                          solved.parts[1], f])
         w2, wr = self._weights[0], np.bincount(self._fold, self._w2 * solved.res)
         cross = self.sums(wr * first)
         moments = self.sums((w2 * f) * first)
@@ -494,7 +480,7 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     datasets; it starts from init's beta2 and rho, and init's etas are not
     read.  The start and every trial point are evaluated by one FitProblem's
     solve(beta2, rho), with rho = e^x1: a single stacked call of
-    model.coincidence_parts over the distinct (T, L, |tau|) points of all
+    model.coincidence_parts over the (dataset, |tau|) points of all
     datasets, the only model pass, which model_passes counts, and one set of
     per-dataset sums for every (s_i, eta'_i) and the bound, 0 or 1, where an
     eta' must go to one (FitProblem names the layouts these run on).
@@ -638,8 +624,9 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
         inverse = np.linalg.inv(corr)
         cond = float(np.linalg.cond(corr))
         if cond < 1e14:
-            cov_free[np.ix_(seen, seen)] = (inverse / np.outer(scale, scale)
-                                            * state.loss / (n_points - n_params))
+            with np.errstate(over="ignore", divide="ignore"):  # beyond the double range: inf
+                cov_free[np.ix_(seen, seen)] = (inverse / np.outer(scale, scale)
+                                                * state.loss / (n_points - n_params))
     except np.linalg.LinAlgError:
         cond = math.inf
     kept = np.concatenate(([0, 1], 2 + np.flatnonzero(free)))

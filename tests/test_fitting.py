@@ -131,9 +131,10 @@ def test_fit_problem_scale_invariant_value():
 
 
 def test_fit_problem_sums_over_mixed_datasets():
-    # over unequal grids, windows, lengths (L = 0 among them) and etas, the
-    # loss is the sum of each dataset's own loss, and each dataset's scale,
-    # eta' and residuals are its own problem's, bit for bit
+    # over unequal grids, windows, lengths (L = 0 among them) and etas, and
+    # a replica of the first dataset (its T, L and grid, other counts and
+    # eta), the loss is the sum of each dataset's own loss, and each
+    # dataset's scale, eta' and residuals are its own problem's, bit for bit
     sets = [
         make_dataset(0.4, 10.0, seed=11),
         make_dataset(0.8, 0.0, eta=0.6, points=57, seed=12),
@@ -141,6 +142,8 @@ def test_fit_problem_sums_over_mixed_datasets():
     ]
     sets.append(Dataset(HomCurve(sets[0].curve.tau_ps[40:] + 3.5, sets[0].curve.values[40:]),
                         650.0, 4.0))
+    sets.append(make_dataset(0.4, 10.0, eta=0.6, peak=3e3, seed=14))
+    assert np.array_equal(sets[-1].curve.tau_ps, sets[0].curve.tau_ps)
     beta2, rho = BETA2_REF * 1.02, RHO_REF * 0.97
     problem = FitProblem(sets)
     solved = problem.solve(beta2, rho)
@@ -212,8 +215,8 @@ def kernel_points(monkeypatch, datasets, beta2=BETA2_REF, rho=RHO_REF):
 
     monkeypatch.setattr(fitting, "coincidence_parts", counted)
     objective = FitProblem(datasets)
-    distinct = objective.parts(beta2, rho)
-    parts = [tuple(block) for block in objective.split(objective.expand(distinct))]
+    folded = objective.parts(beta2, rho)
+    parts = [tuple(block) for block in objective.split(folded.take(objective._fold, axis=-1))]
     assert len(sizes) == 1
     return parts, sizes[0]
 
@@ -230,14 +233,16 @@ def test_stacked_pass_equals_per_dataset_parts(case, monkeypatch):
             taus, rho, broadened_rho(rho, ChannelParams(length, beta2)), window)
         assert np.array_equal(p, single_p)
         assert np.array_equal(q, single_q)
-    distinct = {(window, length, abs(t)) for taus, window, length in sets for t in taus}
-    assert points == len(distinct)
+    folded = {(i, abs(t)) for i, (taus, _, _) in enumerate(sets) for t in taus}
+    assert points == len(folded)
 
 
-def test_stacked_pass_evaluates_each_distinct_point_once(monkeypatch):
-    # two replicas of a 201-point mirrored grid share their 101 |tau|
+def test_stacked_pass_evaluates_each_folded_point_once(monkeypatch):
+    # a 201-point mirrored grid has 101 |tau|; replicas share no point, as
+    # each dataset's points are its own
     replica = make_dataset(0.4, 10.0)
-    assert kernel_points(monkeypatch, [replica, replica])[1] == 101
+    assert kernel_points(monkeypatch, [replica])[1] == 101
+    assert kernel_points(monkeypatch, [replica, replica])[1] == 202
     assert kernel_points(monkeypatch, [replica, make_dataset(0.4, 0.0)])[1] == 202
 
 
@@ -289,10 +294,9 @@ def assert_eliminated_blocks_match_differences(objective, x):
 
 
 def test_fold_keeps_datasets_apart():
-    # two replicas share (T, L) and grid, so their distinct points, but each
-    # has its own counts and eta, so its own folded points; an asymmetric
-    # grid pairs no +-tau, and a grid through tau = 0 leaves that point
-    # unpaired
+    # two replicas share (T, L) and grid, but each has its own counts and
+    # eta, so its own folded points; an asymmetric grid pairs no +-tau, and
+    # a grid through tau = 0 leaves that point unpaired
     sets = [make_dataset(0.4, 10.0, eta=0.52, seed=21),
             make_dataset(0.4, 10.0, eta=0.6, peak=3e3, seed=22),
             make_dataset(0.65, 4.0, eta=0.55, seed=23, taus=np.linspace(-90.5, 1200.0, 64)),
@@ -302,7 +306,7 @@ def test_fold_keeps_datasets_apart():
     problem = FitProblem(sets)
     folded = [np.unique(np.abs(ds.curve.tau_ps)).size for ds in sets]
     assert folded == [101, 101, 64, 46]
-    assert problem._folded.size == sum(folded)
+    assert problem._taus.size == sum(folded)
     beta2, rho = BETA2_REF * 1.02, RHO_REF * 0.97
     solved = problem.solve(beta2, rho)
     for ds, scale, eta_p in zip(sets, solved.scales, solved.eta_ps):
@@ -326,7 +330,7 @@ def test_solve_matches_dense_eta_scan():
     assert 0.0 < solved.eta_ps[0] < 1.0 and list(solved.eta_ps[1:]) == [0.0, 1.0]
     assert list(solved.held) == [False, True, True]
     scan = np.linspace(0.0, 1.0, 2001)
-    parts = objective.split(objective.expand(objective.parts(BETA2_REF, RHO_REF)))
+    parts = objective.split(objective.parts(BETA2_REF, RHO_REF).take(objective._fold, axis=-1))
     for (p, q), ds, w2, r, s, eta_p in zip(parts, sets, objective.split(objective._w2),
                                            objective.split(solved.res), solved.scales,
                                            solved.eta_ps):
@@ -623,6 +627,18 @@ def test_lm_fit_sigma_is_infinite_where_the_covariance_keeps_no_digits(monkeypat
     result = lm_fit(datasets, FitParams(0.0021, 67.0))
     assert result.jtj_condition >= 1e14
     assert result.beta2_sigma_ps2_per_km == math.inf
+    assert result.rho_sigma_ps2_inv == math.inf
+
+
+def test_lm_fit_sigma_beyond_the_double_range_is_infinite_without_a_warning():
+    # one L = 0 dataset at a peak of 1.9 counts: only rho is seen, in a
+    # block of condition 1, but its J^T J diagonal is so small that its
+    # variance overflows; it comes out as inf, not as a RuntimeWarning
+    config = small_campaign(seed=30, fiber_lengths_km=[0.0], windows_ns=[0.832], etas=0.08,
+                            peak_counts=1.9, tau_points=148)
+    datasets, _ = generate_synthetic(config)
+    result = lm_fit(datasets, FitParams(20.0, 10.0))
+    assert isinstance(result, fitting.FitResult)
     assert result.rho_sigma_ps2_inv == math.inf
 
 
