@@ -172,7 +172,7 @@ def _cmd_fit(args):
     status = "converged" if result.converged else "NOT converged"
     print(
         f"{status} after {result.iterations} iterations: "
-        f"beta2 = {result.params.beta2_ps2_per_km:.4f} +- {result.beta2_sigma_ps2_per_km:.4f} ps^2/km, "
+        f"|beta2| = {result.params.beta2_ps2_per_km:.4f} +- {result.beta2_sigma_ps2_per_km:.4f} ps^2/km, "
         f"rho = {result.params.rho_ps2_inv:.4f} +- {result.rho_sigma_ps2_inv:.4f} ps^-2"
     )
     print(f"wrote {args.report}")
@@ -287,7 +287,8 @@ def build_parser():
     p = sub.add_parser("oracle", help="write the quadrature curve and its deviation from the closed form")
     _add_model_flags(p)
     p.add_argument("--rel-tol", type=float, default=1e-9, help="bound on each window "
-                   "integral's error estimate, relative to the integral (or 1e-12 absolute)")
+                   "integral's error estimate, relative to the integral (or 1e-12 absolute); "
+                   "in (0, 1)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_oracle)
 
@@ -301,7 +302,10 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("fit", help="global fit of all datasets in a directory")
+    p = sub.add_parser("fit", help="global fit of all datasets in a directory",
+                       description="Global fit of all datasets in a directory.  The data see "
+                       "beta2 only through (L beta2 rho)^2, so they do not determine its sign: "
+                       "the fit prints |beta2|, and the report's beta2_ps2_per_km is |beta2|.")
     p.add_argument("--data-dir", required=True)
     p.add_argument(
         "--init",

@@ -1,25 +1,25 @@
 """Dataset serialization, campaign configuration, and synthetic generation.
 
 Datasets are CSV files with the exact header ``tau_ps,counts`` (lines starting
-with ``#`` are comments) plus a ``<name>.meta.json`` sidecar carrying
-``window_half_width_ns``, ``fiber_length_km`` and ``label``.  Counts may be
-non-integer (rates are allowed); model.HomCurve alone decides what a valid
-curve is.  write_dataset builds a file's text with C-level map and join.
-read_dataset converts a file in that layout (header on line 1, no comment,
-one comma on every data line) with one split and one numpy conversion; any
-other file, and any file that conversion or HomCurve refuses, goes to the
-line walker, which alone names a bad line.  Every JSON input (sidecars,
-campaign and source configs, fit starts) is read by read_json_object, and
-dataclasses are built from it field by field by from_json_fields; every JSON
-output is written by write_json_object.  Synthetic campaigns draw Poisson
-counts with numpy's sampler (Generator.poisson) on a counter-based Philox
-stream keyed by the campaign seed and the dataset index, so the output is
-fixed per seed for a given numpy version: identical configurations produce
-identical bytes.
+with ``#`` are comments) plus a ``<name>.meta.json`` sidecar, whose keys
+_Sidecar documents.  Counts may be non-integer (rates are allowed);
+model.HomCurve alone decides what a valid curve is.  write_dataset builds a
+file's text with C-level map and join.  read_dataset converts every layout
+(CRLF line ends, comments, blank lines, padded cells) in one whole-text pass
+and one numpy conversion; the line walk runs only when that conversion or
+HomCurve has refused the file, to name the bad line.  Every JSON input
+(sidecars, campaign and source configs, fit starts) is read by
+read_json_object, and dataclasses are built from it field by field by
+from_json_fields; every JSON output is written by write_json_object.
+Synthetic campaigns draw Poisson counts with numpy's sampler
+(Generator.poisson) on a counter-based Philox stream keyed by the campaign
+seed and the dataset index, so the output is fixed per seed for a given
+numpy version: identical configurations produce identical bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -112,6 +112,10 @@ def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+# a dataclass's hints, evaluated from its string annotations once per class
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def from_json_fields(cls, data: dict, path, key=None):
     """An instance of dataclass cls from a JSON object, one key per field.
 
@@ -128,7 +132,7 @@ def from_json_fields(cls, data: dict, path, key=None):
         if not isinstance(data, dict):
             raise DatasetFormatError(f"{path}: '{key}' must be a JSON object")
     _refuse_unknown_keys(data, [f.name for f in fields(cls)], path)
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         hint = hints[f.name]
@@ -172,64 +176,79 @@ def _first_bad_line(cells):
     return None
 
 
+_SKIPPED_LINES = re.compile(r"\n[^\S\n]*(?:#[^\n]*)?(?=\n|\Z)")
+"""Matches, with the newline before it, a blank, whitespace-only or '#' line."""
+
 _TWO_COMMAS = re.compile(r",[^\n]*,")
 """Matches a line that holds two commas."""
 
 
-def _one_call_curve(text):
-    """The curve of a file laid out as write_dataset lays it out, in one
-    conversion, or None.
+def _curve(path, text):
+    """The curve of a dataset text, in one whole-text conversion.
 
-    The layout is proved by C-level string checks: the header alone on line
-    1, no '#' after it, and exactly one comma on every later line (the
-    commas number the lines, and no line holds two), and no '_' or non-ASCII
-    character.  A file that fails a check, or whose conversion or HomCurve
-    raises ValueError, gives None, so that the line walker reads it and
-    names its first bad line.
+    One substitution drops blank, whitespace-only and '#' lines; the first
+    line left is the header, which may carry spaces.  C-level string checks
+    then prove that every data line holds exactly one comma (the commas
+    number the lines, and no line holds two) and no '_' or non-ASCII
+    character, and one np.array call converts every cell, padded as it may
+    be.  Where a check fails, or the conversion or HomCurve raises
+    ValueError, _bad_line_error names the file and line.
     """
-    header, _, rows = text.partition("\n")
-    rows = rows.removesuffix("\n")
+    kept = _SKIPPED_LINES.sub("", "\n" + text)
+    header, _, rows = kept[1:].partition("\n")
     n = rows.count("\n") + 1
-    if (header != "tau_ps,counts" or "#" in rows or "_" in rows or not rows.isascii()
-            or rows.count(",") != n or _TWO_COMMAS.search(rows)):
-        return None
     try:
+        if ([c.strip() for c in header.split(",")] != ["tau_ps", "counts"] or not rows
+                or "_" in rows or not rows.isascii() or rows.count(",") != n
+                or _TWO_COMMAS.search(rows)):
+            raise ValueError("a bad header, or a bad data line")
         values = np.array(rows.replace("\n", ",").split(","), dtype=float).reshape(n, 2)
         return HomCurve(*np.ascontiguousarray(values.T))
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise _bad_line_error(path, text, exc) from None
 
 
-def _walked_curve(path, text):
-    """The curve of any dataset text, line by line: blank and '#' lines are
-    skipped, the header may carry spaces, and every error names the file and,
-    for a bad data line, its line number."""
+def _bad_line_error(path, text, exc):
+    """The error for a dataset text that _curve refused, from a walk over its
+    lines: blank and '#' lines are skipped as _curve skips them, and a bad
+    data line is named by its line number and _first_bad_line's reason."""
     lines = [
-        (lineno, line)
+        (lineno, raw)
         for lineno, raw in enumerate(text.split("\n"), start=1)
         if (line := raw.strip()) and not line.startswith("#")
     ]
     if not lines:
-        raise DatasetFormatError(f"{path}: missing 'tau_ps,counts' header")
+        return DatasetFormatError(f"{path}: missing 'tau_ps,counts' header")
     lineno, header = lines.pop(0)
+    header = header.strip()
     if [c.strip() for c in header.split(",")] != ["tau_ps", "counts"]:
-        raise DatasetFormatError(
+        return DatasetFormatError(
             f"{path}:{lineno}: expected header 'tau_ps,counts', got {header!r}"
         )
     if not lines:
-        raise DatasetFormatError(f"{path}: no data lines")
-    cells = [line.split(",") for _, line in lines]
-    try:
-        if any("_" in line or not line.isascii() for _, line in lines):
-            raise ValueError("a '_' or a non-ASCII character in a data line")
-        values = np.array(cells, dtype=float).reshape(len(cells), 2)
-        return HomCurve(*np.ascontiguousarray(values.T))
-    except ValueError as exc:
-        bad = _first_bad_line(cells)
-        if bad is None:  # numpy refused what float() accepts
-            raise DatasetFormatError(f"{path}: unreadable data ({exc})") from None
-        k, reason = bad
-        raise DatasetFormatError(f"{path}:{lines[k][0]}: {reason}") from None
+        return DatasetFormatError(f"{path}: no data lines")
+    bad = _first_bad_line([raw.split(",") for _, raw in lines])
+    if bad is None:  # numpy refused what float() accepts
+        return DatasetFormatError(f"{path}: unreadable data ({exc})")
+    k, reason = bad
+    return DatasetFormatError(f"{path}:{lines[k][0]}: {reason}")
+
+
+@dataclass
+class _Sidecar:
+    """A dataset's <name>.meta.json sidecar, one field per key: the window
+    half-width in ns (finite and > 0), the fiber length in km and the label,
+    a string.  Dataset checks the length."""
+
+    window_half_width_ns: float
+    fiber_length_km: float
+    label: str
+
+    def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"'label' must be a string, got {self.label!r}")
+        if not 0 < 1000.0 * self.window_half_width_ns < math.inf:
+            raise ValueError("window_half_width_ns must be finite and > 0")
 
 
 def read_dataset(path) -> Dataset:
@@ -239,35 +258,18 @@ def read_dataset(path) -> Dataset:
     line or key: wrong header, unparsable numbers (a '_' or a non-ASCII
     character among them), non-finite numbers, non-monotone tau, negative
     counts, missing or unknown sidecar keys, a label that is not a string.
-    A file in write_dataset's layout (header on line 1, no comment, one
-    comma on every data line) is converted in one call by _one_call_curve.
-    Any other file, and any file whose conversion or HomCurve fails, is read
-    by the line walker, _walked_curve, which alone names a bad line; both
-    give the same arrays bit for bit.
+    Every layout (CRLF line ends, which the text read turns into LF,
+    comments, blank lines, padded cells) takes the one conversion of _curve;
+    the line walk runs only once that has failed, to name the bad line.
     """
     path = Path(path)
-    text = _read_text(path)
-    curve = _one_call_curve(text)
-    if curve is None:
-        curve = _walked_curve(path, text)
-
+    curve = _curve(path, _read_text(path))
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise DatasetFormatError(f"{meta_path}: missing metadata sidecar")
-    meta = read_json_object(meta_path)
-    keys = ("window_half_width_ns", "fiber_length_km", "label")
-    _refuse_unknown_keys(meta, keys, meta_path)
-    for key in keys:
-        if key not in meta:
-            raise DatasetFormatError(f"{meta_path}: missing key '{key}'")
-    if not isinstance(meta["label"], str):
-        raise DatasetFormatError(f"{meta_path}: 'label' must be a string, got {meta['label']!r}")
-    window_ps = 1000.0 * _number(meta, "window_half_width_ns", meta_path)
-    if not 0 < window_ps < math.inf:
-        raise DatasetFormatError(f"{meta_path}: window_half_width_ns must be finite and > 0")
-    length_km = _number(meta, "fiber_length_km", meta_path)
+    meta = from_json_fields(_Sidecar, read_json_object(meta_path), meta_path)
     try:
-        return Dataset(curve, window_ps, length_km, meta["label"])
+        return Dataset(curve, 1000.0 * meta.window_half_width_ns, meta.fiber_length_km, meta.label)
     except ValueError as exc:
         raise DatasetFormatError(f"{meta_path}: {exc}") from None
 
@@ -290,12 +292,8 @@ def write_dataset(dataset: Dataset, path) -> None:
     counts[huge] = [int(v) for v in values[huge].tolist()]
     rows = zip(map(repr, dataset.curve.tau_ps.tolist()), map(repr, counts.tolist()))
     _write_text(path, "tau_ps,counts\n" + "\n".join(map(",".join, rows)) + "\n")
-    meta = {
-        "window_half_width_ns": dataset.window_half_width_ps / 1000.0,
-        "fiber_length_km": dataset.fiber_length_km,
-        "label": dataset.label,
-    }
-    write_json_object(_meta_path(path), meta)
+    meta = _Sidecar(dataset.window_half_width_ps / 1000.0, dataset.fiber_length_km, dataset.label)
+    write_json_object(_meta_path(path), asdict(meta))
 
 
 def sha256_of(path) -> str:

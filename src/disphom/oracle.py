@@ -189,10 +189,6 @@ _K61_MINUS_G30 = _K61 - np.concatenate([_G30_HALF[:-1], _G30_HALF[::-1]])
 # G30's error on cos(w s) over a panel of width h is at most C h (w h)^60, with
 # C = (30!)^4 / (61 (60!)^3) ~ 1.41e-118 the n = 30 Gauss-Legendre constant
 _G30_COS_ERROR = math.factorial(30) ** 4 / (61 * math.factorial(60) ** 3)
-# K61's counterpart, C h (w h)^92: K61 is exact to degree 91, and
-# C = |2/93 - sum_i w_i x_i^92| / (92! 2^93), with 2/93 - sum_i w_i x_i^92 =
-# -2.67e-31 from the rule in 120-digit arithmetic
-_K61_COS_ERROR = 2.16586e-201
 # the window integral's absolute tolerance, met where rel_tol |estimate| is smaller
 _ABS_TOL = 1e-12
 # bisection levels a start panel may go through
@@ -302,13 +298,14 @@ def windowed_rate_numeric(
     unity for this normalization).
 
     Each delay's integral is accepted once the quadrature's error bound is
-    at most max(1e-12, rel_tol |estimate|); rel_tol must be finite and > 0.
+    at most max(1e-12, rel_tol |estimate|); rel_tol must be in (0, 1), since
+    a tolerance of 1 or more accepts any estimate.
     A start panel is bisected at most 24 times.  If the delays cannot all
     reach the tolerance, QuadratureError names the smallest |tau| left open,
     with its estimate and bound.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError("rel_tol must be finite and > 0")
+    if not 0 < rel_tol < 1:
+        raise ValueError("rel_tol must be finite and > 0, and < 1")
     if not (math.isfinite(window_half_width_ps) and window_half_width_ps > 0):
         raise ValueError("window half-width T must be finite and > 0")
     if not 0.0 <= eta <= 1.0:
@@ -334,18 +331,15 @@ def windowed_rate_numeric(
     # G30's error on an oscillation of amplitude A is at most A C h (w h)^60;
     # with A up to 3 mean(f), w h = (rel_tol / (3 C))^(1/60) meets the share
     # (64.0 rad, 10.2 periods per panel, at rel_tol = 1e-9).  The result is
-    # K61's, so its own bound, w h = (rel_tol / (3 C'))^(1/92), caps the
-    # width too; it binds only above rel_tol = 8e37.
+    # K61's, whose own bound on cos, C' h (w h)^92 with C' ~ 2.2e-201, allows
+    # wider panels at every rel_tol below 8e37, so it never binds here.
     # rho' first: it refuses a rho <= 0, at which the chirp wavenumber divides by 0
     rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
     if not rho_p > 0:
         raise ValueError("rho_prime must be > 0 (L beta2 rho too large)")
     k = _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km)
     bump_width = 1.0 / math.sqrt(rho_p)
-    phase_step = min(
-        (rel_tol / (3.0 * _G30_COS_ERROR)) ** (1.0 / 60.0),
-        (rel_tol / (3.0 * _K61_COS_ERROR)) ** (1.0 / 92.0),
-    )
+    phase_step = (rel_tol / (3.0 * _G30_COS_ERROR)) ** (1.0 / 60.0)
 
     distinct, inverse = np.unique(np.abs(tau), return_inverse=True)
     # the chirp grid spans sigma up to where the interference envelope

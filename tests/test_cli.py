@@ -191,6 +191,9 @@ def test_gen_fit_end_to_end(tmp_path, capsys):
         ["fit", "--data-dir", str(data_dir), "--init", str(init), "--report", str(report_path)]
     )
     assert rc == 0  # converged
+    # the data do not determine beta2's sign: the printed line says |beta2|
+    fit_line = capsys.readouterr().out.splitlines()[-2]
+    assert fit_line.startswith("converged after ") and ": |beta2| = " in fit_line
     report = json.loads(report_path.read_text())
     assert report["converged"] is True
     assert abs(report["beta2_ps2_per_km"] - BETA2_REF) <= 3.0 * report["beta2_sigma_ps2_per_km"]

@@ -151,9 +151,8 @@ SAMPLE = ([-1.5, 0.0, 2.25], [3.0, 0.0, 7.5])
     "digit-group-underscore", "arabic-indic-digit", "non-ascii-comment",
 ])
 def test_layouts_read_to_the_same_dataset_or_message(tmp_path, text, expected):
-    # each expected value is the one the line walker alone gave: a file the
-    # one-call conversion takes must give the same arrays, and one it
-    # refuses the same message
+    # every layout reads to the arrays of the plain file, and a bad line is
+    # named by its number in the file as written
     path = tmp_path / "layout.csv"
     path.write_bytes(text.encode("utf-8"))
     (tmp_path / "layout.meta.json").write_text(
@@ -217,13 +216,62 @@ def test_write_matches_per_row_formatter_and_reads_back_bit_for_bit(sample):
     # adding +0.0 maps -0.0 to +0.0 and leaves every other double as it is
     assert same_bits(curve.tau_ps, taus)
     assert same_bits(curve.values, values + 0.0)
-    # write_dataset's layout takes the one-call conversion, and the line
-    # walker reads it to the same bits
-    one_call = dio._one_call_curve(text)
-    assert one_call is not None
-    walked = dio._walked_curve(path, text)
-    for a, b in ((one_call.tau_ps, walked.tau_ps), (one_call.values, walked.values)):
-        assert same_bits(a, b)
+
+
+FILLER_LINES = ["", " ", "\t ", "#", "# tau_ps,counts, re-exported", "  # indented",
+                "# \u00e9t\u00e9 run, gate 5 \u00b5s"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sample=curve_samples(), data=st.data())
+def test_decorated_file_reads_to_the_clean_arrays_and_names_a_corrupted_line(sample, data):
+    # comment, blank and whitespace-only lines, CRLF line ends, padded cells
+    # and header, and no final newline leave the arrays as the clean file
+    # gives them; a corrupted data line is named by its number in the
+    # decorated file, with _first_bad_line's reason
+    taus, values = sample
+    fillers = st.lists(st.sampled_from(FILLER_LINES), max_size=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dataset(Dataset(HomCurve(taus, values), 400.0, 10.0, "p"), path)
+        clean = read_dataset(path).curve
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        pads = iter(data.draw(st.lists(st.text(" \t", max_size=2), min_size=4 * len(rows),
+                                       max_size=4 * len(rows))))
+        lines, data_linenos = [], []
+        for row in rows:
+            lines += data.draw(fillers)
+            lines.append(",".join(next(pads) + cell + next(pads) for cell in row))
+            data_linenos.append(len(lines))
+        lines += data.draw(fillers)
+        del data_linenos[0]  # the header's
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                                  max_size=len(lines)))
+        ends[-1] = data.draw(st.sampled_from(["\n", "\r\n", ""]))
+
+        def read(lines):
+            path.write_bytes("".join(map(str.__add__, lines, ends)).encode("utf-8"))
+            return read_dataset(path).curve
+
+        curve = read(lines)
+        assert same_bits(curve.tau_ps, clean.tau_ps)
+        assert same_bits(curve.values, clean.values)
+
+        k = data.draw(st.integers(0, len(data_linenos) - 1))
+        tau, count = rows[1 + k]
+        corruptions = [
+            (f"{tau},{count},1", "expected two columns"),
+            (f"{tau},abc", "non-numeric value"),
+            (f"{tau},1_000", "non-numeric value"),
+            (f"{tau},-1", "negative counts"),
+        ]
+        if k > 0:
+            corruptions.append((f"{rows[k][0]},{count}", "tau_ps not strictly increasing"))
+        corrupted, reason = data.draw(st.sampled_from(corruptions))
+        lineno = data_linenos[k]
+        with pytest.raises(DatasetFormatError) as info:
+            read(lines[:lineno - 1] + [corrupted] + lines[lineno:])
+        assert str(info.value) == f"{path}:{lineno}: {reason}"
 
 
 def test_wrong_header_rejected(tmp_path):
