@@ -53,9 +53,12 @@ def _meta_path(csv_path: Path) -> Path:
 
 
 def _read_text(path) -> str:
-    """A file's UTF-8 text; errors name the file."""
+    """A file's UTF-8 text, its line ends as they are; errors name the file.
+
+    No newline translation: a line ends only at LF, and a CR is whitespace,
+    so lines are numbered as grep -n and sed number them."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
@@ -258,8 +261,8 @@ def read_dataset(path) -> Dataset:
     line or key: wrong header, unparsable numbers (a '_' or a non-ASCII
     character among them), non-finite numbers, non-monotone tau, negative
     counts, missing or unknown sidecar keys, a label that is not a string.
-    Every layout (CRLF line ends, which the text read turns into LF,
-    comments, blank lines, padded cells) takes the one conversion of _curve;
+    Every layout (CRLF line ends, whose CR is whitespace, comments, blank
+    lines, padded cells) takes the one conversion of _curve;
     the line walk runs only once that has failed, to name the bad line.
     """
     path = Path(path)

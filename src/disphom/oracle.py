@@ -17,6 +17,12 @@ depends on tau through |tau| alone, so the windowed rate is even in tau and
 each distinct |tau| of a grid is integrated once.  The distinct delays are
 integrated together, a memory-bounded group of them per adaptive pass, and
 each one's result does not depend on the group it falls in.
+
+The integrand's interference term is sin^2 of a chirp phase that reaches
+thousands of radians.  The phase is reduced mod pi, sin^2's period, with pi
+in three parts (Cody and Waite, 1980) before the sine is taken: numpy's
+sine costs about half as much on [-pi/2, pi/2], and the reduced sin^2 is
+within a few 1e-16 of that of the unreduced phase.
 """
 
 from __future__ import annotations
@@ -106,6 +112,35 @@ def differential_rate(tau_ps, sigma_ps, eta, rho, fiber_length_km, beta2_ps2_per
     return out
 
 
+# pi in three parts for the Cody-Waite reduction of a phase mod pi (Cody and
+# Waite, Software Manual for the Elementary Functions, 1980): the first two
+# hold 33 bits each, so m times either is exact for |m| < 2^20, and
+# theta - m _PI_1 is exact by Sterbenz's lemma; the third is pi's next 53 bits
+_PI_1 = float.fromhex("0x1.921fb544p+1")
+_PI_2 = float.fromhex("0x1.0b4611a6p-33")
+_PI_3 = float.fromhex("0x1.3198a2e037073p-68")
+
+
+def _sin_squared(theta):
+    """sin(theta)^2, computed in theta's own array (a float64 ndarray), which it returns.
+
+    theta is first reduced mod pi, sin^2's period: r = theta - m pi with
+    m = rint(theta / pi), m pi subtracted in the parts _PI_1, _PI_2 and
+    _PI_3.  r differs from the exact remainder of the double theta by about
+    an ulp of pi/2 at most.  A call in which some |m| reaches 2^20, where
+    m _PI_1 may not be exact, takes the sine of theta as it is.
+    """
+    m = np.multiply(theta, 1.0 / math.pi)
+    np.rint(m, out=m)
+    if max(m.max(), -m.min()) < 2.0**20:
+        part = np.multiply(m, _PI_1)
+        theta -= part
+        theta -= np.multiply(m, _PI_2, out=part)
+        theta -= np.multiply(m, _PI_3, out=part)
+    np.sin(theta, out=theta)
+    return np.square(theta, out=theta)
+
+
 def _folded_rate(t, sigma, eta, rho_p, k):
     """c(t, sigma) + c(t, -sigma) for t, sigma >= 0: the folded window integrand.
 
@@ -119,17 +154,26 @@ def _folded_rate(t, sigma, eta, rho_p, k):
     a = eta^2 + (1-eta)^2, b = 2 eta (1-eta), eta' = (1 - 2 eta)^2 and
     1 - u = -expm1(-rho' t sigma): every term is non-negative, so the
     bracket keeps its digits where u -> 1 and k t sigma -> 0 (a long fiber
-    at a small delay), where the expanded form cancels to 0.
+    at a small delay), where the expanded form cancels to 0.  The factor
+    sqrt(rho'/2pi) is taken into the bracket's coefficients, and each
+    step after the first writes into an array already made.
     """
-    eta_p = (1.0 - 2.0 * eta) ** 2
+    scale = math.sqrt(rho_p / (2.0 * math.pi))
     with np.errstate(under="ignore"):
-        one_minus_u = -np.expm1(-rho_p * t * sigma)
-        u = 1.0 - one_minus_u
-        out = np.exp(-0.5 * rho_p * (t - sigma) ** 2) * (
-            (eta * eta + (1.0 - eta) * (1.0 - eta)) * one_minus_u**2
-            + u * (2.0 * eta_p + (8.0 * eta * (1.0 - eta)) * np.sin(k * t * sigma) ** 2)
-        )
-    out *= math.sqrt(rho_p / (2.0 * math.pi))
+        out = _sin_squared((k * t) * sigma)
+        out *= scale * (8.0 * eta * (1.0 - eta))
+        out += scale * (2.0 * (1.0 - 2.0 * eta) ** 2)
+        # expm1 is u - 1 = -(1 - u)
+        u_minus_1 = np.multiply(-rho_p * t, sigma)
+        np.expm1(u_minus_1, out=u_minus_1)
+        out *= u_minus_1 + 1.0
+        np.square(u_minus_1, out=u_minus_1)
+        u_minus_1 *= scale * (eta * eta + (1.0 - eta) * (1.0 - eta))
+        out += u_minus_1
+        envelope = np.subtract(t, sigma, out=u_minus_1)
+        np.square(envelope, out=envelope)
+        envelope *= -0.5 * rho_p
+        out *= np.exp(envelope, out=envelope)
     return out
 
 
@@ -197,10 +241,10 @@ _MAX_LEVELS = 24
 # bisected once, and a (panels x 61) node array stays near 64 MB
 _MAX_OPEN_PANELS = 2**17
 # start panels of the delays integrated together, so that a group's
-# (panels x 61) node array holds at most 27k nodes.  Wider groups save
-# little more per-level overhead (groups of 16k to 64k nodes time within
-# 6% on 201-delay curves) and raise peak memory
-_GROUP_PANELS = 440
+# (panels x 61) node array holds at most 54k nodes.  On 201-delay curves
+# (T = 300-800 ps, L = 5-29 km) groups of 440 panels took 15% longer per
+# curve and groups of 1760 4-11% longer; 1320 timed the same as 880
+_GROUP_PANELS = 880
 # the bump's seeds, in widths 1/sqrt(rho') from sigma = |tau|
 _BUMP_SEEDS = np.array([-8.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0])
 
@@ -246,7 +290,9 @@ def _gauss_kronrod(f, breakpoints, owner, abs_tol, rel_tol, max_levels, name="in
     for level in range(max_levels + 1):
         centre = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        values = f(centre[:, None] + half[:, None] * _GK_NODES, own)
+        x = np.multiply.outer(half, _GK_NODES)
+        x += centre[:, None]
+        values = f(x, own)
         kronrod = half * np.einsum("ij,j->i", values, _K61)
         err = np.abs(half * np.einsum("ij,j->i", values, _K61_MINUS_G30))
         estimate = integral + np.bincount(own, kronrod, count)
@@ -325,7 +371,9 @@ def windowed_rate_numeric(
     # is w = 2|tau| |k|.  The initial panels over [0, T] are cut only at the
     # bump's seeds and on the chirp grid; the adaptive rule refines the rest.
     # The seeds reach 8 widths out, so that the bump's tails hold nodes even
-    # where the window is far wider than the bump.
+    # where the window is far wider than the bump.  A grid whose step is at
+    # most half a bump width already puts two or more panels across the
+    # bump, so its delay keeps only the seeds past the grid's span.
     # The chirp grid's panels are sized to be accepted at the first level.
     # A panel of width h is given h rel_tol mean(f) of the tolerance, and
     # G30's error on an oscillation of amplitude A is at most A C h (w h)^60;
@@ -359,11 +407,15 @@ def windowed_rate_numeric(
         last = np.cumsum(grid_points)
         index = np.arange(grid_owner.size) - np.repeat(last - grid_points, grid_points)
         has_grid = grid_points > 0
-        grid = index * (half_span / np.maximum(grid_points - 1, 1))[grid_owner]
+        step = half_span / np.maximum(grid_points - 1, 1)
+        grid = index * step[grid_owner]
         grid[last[has_grid] - 1] = half_span[has_grid]
+        # seeds at or below lowest are dropped
+        lowest = np.where(has_grid & (step <= 0.5 * bump_width), half_span, 0.0)
         sigma = np.concatenate([(t[:, None] + bump_width * _BUMP_SEEDS).ravel(), grid])
         owner = np.concatenate([np.repeat(delay, _BUMP_SEEDS.size), grid_owner])
-        inside = (0.0 < sigma) & (sigma < window_t)
+        floor = np.concatenate([np.repeat(lowest, _BUMP_SEEDS.size), np.zeros(grid.size)])
+        inside = (floor < sigma) & (sigma < window_t)
         sigma = np.concatenate([np.zeros(t.size), np.full(t.size, window_t), sigma[inside]])
         owner = np.concatenate([delay, delay, owner[inside]])
         order = np.lexsort((sigma, owner))

@@ -144,11 +144,14 @@ SAMPLE = ([-1.5, 0.0, 2.25], [3.0, 0.0, 7.5])
     ("tau_ps,counts\n-1,1_000\n", ":2: non-numeric value"),
     ("tau_ps,counts\n-1,3\n0,\u0661\n", ":3: non-numeric value"),
     ("# \u00e9t\u00e9 run\ntau_ps,counts\n-1.5,3\n0,0\n2.25,7.5\n", SAMPLE),
+    # a CR is whitespace, not a line end: lines are numbered as grep -n numbers them
+    ("tau_ps,counts\r\n-1.5,3\r\n\t \r\r\n0,x\r\n", ":4: non-numeric value"),
 ], ids=[
     "crlf", "crlf-after-lf-header", "comments", "blank-lines", "spaces-and-header-spaces",
     "spaces", "no-final-newline", "non-numeric", "crlf-non-numeric", "inf",
     "non-increasing", "negative-no-final-newline", "negative-after-comment-and-blank",
     "digit-group-underscore", "arabic-indic-digit", "non-ascii-comment",
+    "whitespace-and-cr-line",
 ])
 def test_layouts_read_to_the_same_dataset_or_message(tmp_path, text, expected):
     # every layout reads to the arrays of the plain file, and a bad line is

@@ -249,6 +249,42 @@ def test_windowed_matches_closed_form_in_a_wide_window(length, window):
     assert np.abs(numeric - closed).max() <= 1e-12 * closed.max()
 
 
+@pytest.mark.parametrize("length, window, tau_min, tau_max", [
+    (1.0, 3e3, 600.0, 800.0), (1.0, 1e4, 600.0, 800.0), (1.0, 1e6, 600.0, 800.0),
+    (1.0, 1e9, 600.0, 800.0), (0.3, 2e4, 200.0, 240.0), (0.3, 1e9, 200.0, 240.0),
+])
+def test_windowed_keeps_the_seeds_past_the_chirp_grid(length, window, tau_min, tau_max):
+    # at 7 < |tau| sqrt(rho') < 10 a delay has a chirp grid, but its bump
+    # lies past the grid's span, which ends where the interference envelope
+    # falls below e^-50.  Seeds inside a fine grid's span are dropped; in a
+    # window far wider than the bump, the seeds past it must stay.  At
+    # T = 1e9 ps without them no start panel has a node near the bump, and
+    # the rate comes out near 0
+    rho_p = broadened_rho(RHO_REF, ChannelParams(length, BETA2_REF))
+    half = np.linspace(tau_min, tau_max, 21)
+    assert (7.0 < half * math.sqrt(rho_p)).all() and (half * math.sqrt(rho_p) < 10.0).all()
+    taus = np.concatenate([-half[::-1], half])
+    numeric = windowed_rate_numeric(taus, window, 0.52, RHO_REF, length, BETA2_REF)
+    closed = coincidence_curve(taus, RHO_REF, rho_p, eta_prime(0.52), window).values
+    assert (np.abs(numeric - closed) <= 1e-12 * closed).all()
+
+
+def test_reduced_sine_squared_matches_mpmath():
+    # sin^2 of phases of both signs from 1e-3 rad up to where the reduction
+    # mod pi is exact, against sin^2 of the same doubles in 40-digit
+    # arithmetic; without pi's third part the error reaches 4e-15
+    rng = np.random.default_rng(47)
+    magnitude = np.exp(rng.uniform(math.log(1e-3), math.log((2**20 - 1) * math.pi), 2000))
+    theta = magnitude * rng.choice([-1.0, 1.0], magnitude.size)
+    got = oracle._sin_squared(theta.copy())
+    with mp.workdps(40):
+        reference = np.array([float(mp.sin(mp.mpf(x)) ** 2) for x in theta])
+    assert np.abs(got - reference).max() <= 4.5e-16
+    # a call that holds a phase past 2^20 pi takes numpy's sine of every phase as it is
+    theta = np.append(theta, -3e6 * math.pi)
+    assert np.array_equal(oracle._sin_squared(theta.copy()), np.sin(theta) ** 2)
+
+
 def _mpmath_windowed_rate(tau, window_t, eta, length, pieces):
     # int_{-T}^{T} |eta b((tau+s)/sqrt2) - (1-eta) b((tau-s)/sqrt2)|^2 / sqrt2 ds in
     # 40-digit arithmetic, from the complex amplitude b(t) = (rho'/pi)^(1/4)
@@ -308,7 +344,7 @@ def test_chirp_grid_panels_are_accepted_unbisected(monkeypatch):
 @pytest.mark.parametrize("window, length", [(400.0, 10.0), (795.3, 5.07)])
 def test_windowed_grid_matches_single_delays_bit_for_bit(window, length):
     # delays integrated together in groups give what each gives alone; at
-    # T = 795.3 ps, L = 5.07 km the grid spans 38 groups
+    # T = 795.3 ps, L = 5.07 km the grid spans 18 groups
     taus = np.linspace(-1.5 * window, 1.5 * window, 201)
     curve = windowed_rate_numeric(taus, window, 0.52, RHO_REF, length, BETA2_REF)
     single = [windowed_rate_numeric(t, window, 0.52, RHO_REF, length, BETA2_REF) for t in taus]
