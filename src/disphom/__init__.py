@@ -5,13 +5,12 @@ a brute-force quadrature reference, global multi-dataset fitting with shared
 dispersion/spectral parameters, and synthetic-campaign tooling.
 """
 
-from .erfkernel import erf_complex, erf_real, scaled_dip_term
+from .erfkernel import erf_real, scaled_dip_term
 from .fitting import (
     FitParams,
     FitProblem,
     FitResult,
     lm_fit,
-    model_values,
     profile_scale,
     rmsre,
 )
@@ -44,16 +43,9 @@ from .model import (
     eta_prime,
     extract_fwhm,
     filter_variance,
-    group_index_bounds,
     oscillation_period,
 )
-from .oracle import (
-    QuadratureError,
-    beta_minus_time,
-    differential_rate,
-    sinc_gaussian_check,
-    windowed_rate_numeric,
-)
+from .oracle import QuadratureError, windowed_rate_numeric
 
 __version__ = "0.1.0"
 
@@ -75,30 +67,24 @@ __all__ = [
     "HomCurve",
     "QuadratureError",
     "SourceParams",
-    "beta_minus_time",
     "broadened_rho",
     "canonical_eta",
     "check_epm",
     "coincidence_curve",
     "derive_gammas",
     "derive_spectral",
-    "differential_rate",
-    "erf_complex",
     "erf_real",
     "eta_prime",
     "extract_fwhm",
     "filter_variance",
     "generate_synthetic",
-    "group_index_bounds",
     "lm_fit",
-    "model_values",
     "oscillation_period",
     "poisson_counts",
     "profile_scale",
     "read_dataset",
     "rmsre",
     "scaled_dip_term",
-    "sinc_gaussian_check",
     "windowed_rate_numeric",
     "write_dataset",
 ]

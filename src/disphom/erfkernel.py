@@ -42,9 +42,6 @@ _SERIES_COEFFS = np.array(
     [(-1.0) ** n / (math.factorial(n) * (2 * n + 1)) for n in range(_SERIES_TERMS)]
 )[::-1]
 
-# Overflow guard: |erf(x+iy)| ~ exp(y^2 - x^2) / (sqrt(pi) |z|) for large |y|.
-_OVERFLOW_LIMIT = 708.0
-
 _WEIDEMAN_N = 48
 _CF_RADIUS = 12.0
 _CF_DEPTH = 16
@@ -129,58 +126,17 @@ def _erf_series(z):
     return _TWO_OVER_SQRT_PI * z * p
 
 
-def _erf_quadrant(x, y):
-    """erf(x+iy) for x >= 0, y >= 0, |z| > 2, via 1 - exp(-z^2) w(iz)."""
-    z = x + 1j * y
-    return 1.0 - np.exp(-z * z) * _faddeeva_upper(1j * z)
-
-
 def erf_real(x):
     """Real-axis error function: the C library's erf, element by element.
 
     An array gives a float array of the same shape; a scalar or 0-d array
     gives a Python float.  The coincidence-rate formula takes its window
-    terms from here, and scaled_dip_term(x, 0) and erf_complex(x + 0j) call
-    this same function, so the tau = 0 cancellation between window and dip
-    is exact.
+    terms from here, and scaled_dip_term(x, 0) calls this same function, so
+    the tau = 0 cancellation between window and dip is exact.
     """
     x = np.asarray(x, dtype=float)
     out = np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return out if out.ndim else float(out)
-
-
-def erf_complex(z):
-    """Error function of a complex argument.
-
-    Accuracy is ~1e-13 relative or better away from the (isolated) complex
-    zeros of erf.  Satisfies erf(-z) = -erf(z) and erf(conj z) = conj(erf z)
-    exactly: erf is evaluated at (|x|, |y|) in the first quadrant, and one
-    sign rule maps it back, the real part times sign(x) and the imaginary
-    part times sign(y).  So the real part is exactly 0 at x = 0, where
-    erf(iy) = i erfi(y).
-
-    Raises OverflowError once |erf(z)| would exceed the double range
-    (Im(z)^2 - Re(z)^2 > 708); callers that only need the damped combination
-    exp(-Im(z)^2) * Re[erf(z)] should use scaled_dip_term instead.
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("erf_complex requires a finite argument")
-    x, y = z.real, z.imag
-    if y * y - x * x > _OVERFLOW_LIMIT:
-        raise OverflowError(
-            "erf(z) exceeds the double-precision range for this argument; "
-            "use scaled_dip_term for the damped combination"
-        )
-    if y == 0.0:
-        return complex(erf_real(x), 0.0)
-    ax, ay = abs(x), abs(y)
-    if ax * ax + ay * ay <= 4.0:
-        base = complex(_erf_series(np.asarray(complex(ax, ay))))
-    else:
-        with np.errstate(under="ignore"):
-            base = complex(_erf_quadrant(np.asarray(ax), np.asarray(ay)))
-    return complex(np.sign(x) * base.real, np.sign(y) * base.imag)
 
 
 def scaled_dip_term(x, y):

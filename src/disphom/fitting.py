@@ -229,7 +229,7 @@ class FitProblem:
       Wy = sum w^2 y of the one or two points it stands for; _fold gives
       each point's folded point.  The rate is even in the delay, bit for
       bit, so parts evaluates only these points in one coincidence_parts
-      call, the model pass, with one broadened rho per distinct L; a
+      call, the model pass, with one broadened rho per dataset; a
       folded (p, q) taken back to every point equals per-dataset calls
       bit for bit.  A grid symmetric about tau = 0 costs half its points.
       Two datasets that share (T, L) and grid share no folded point, as
@@ -270,9 +270,7 @@ class FitProblem:
         self._taus = taus[first]
         self._folded_sizes = np.bincount(sets[first])
         self._folded_starts = np.cumsum(np.concatenate(([0], self._folded_sizes[:-1])))
-        self._lengths, self._set_lengths = np.unique(
-            [ds.fiber_length_km for ds in datasets], return_inverse=True)
-        self._length_index = self.at(self._set_lengths)
+        self._lengths = np.array([ds.fiber_length_km for ds in datasets])
         self._windows = self.at(np.array([ds.window_half_width_ps for ds in datasets]))
         self._w2 = np.concatenate([_poisson_weights(ds.curve.values) for ds in datasets])
         self._y = np.concatenate([ds.curve.values for ds in datasets])
@@ -281,7 +279,7 @@ class FitProblem:
         self.passes = 0
 
     def _chirp(self, beta2, rho):
-        """chi = L beta2 rho and g = 1 + chi^2 per distinct L: rho / g is broadened_rho."""
+        """chi = L beta2 rho and g = 1 + chi^2 per dataset: rho / g is broadened_rho."""
         chi = self._lengths * beta2 * rho
         return chi, 1.0 + chi * chi
 
@@ -296,7 +294,7 @@ class FitProblem:
         if not ((rho_p > 0) & (rho_p < math.inf)).all():
             return None
         self.passes += 1
-        return coincidence_parts(self._taus, rho, rho_p[self._length_index], self._windows)
+        return coincidence_parts(self._taus, rho, self.at(rho_p), self._windows)
 
     def split(self, values):
         """A per-point array, along its last axis, cut into its datasets."""
@@ -311,7 +309,7 @@ class FitProblem:
         return np.repeat(values, self._folded_sizes, axis=-1)
 
     def _rho_p_derivatives(self, beta2, rho):
-        """rho' = rho / g per distinct fiber length, and u of shape (5, datasets):
+        """rho' = rho / g per dataset, and u of shape (5, datasets):
         d rho' / d x0, x1, x0 x0, x0 x1 and x1 x1 at each dataset's length."""
         chi, g = self._chirp(beta2, rho)
         rho_p = rho / g
@@ -321,7 +319,7 @@ class FitProblem:
         u_0 = -2.0 * v * chi * slope
         u = np.array([u_0, v * (1.0 - chi2), 2.0 * v * slope * slope * (3.0 * chi2 - 1.0) / g,
                       u_0 * (3.0 - chi2) / g, v * (chi2 * (chi2 - 6.0) + 1.0) / g])
-        return rho_p, u[:, self._set_lengths]
+        return rho_p, u
 
     def solve(self, beta2, rho) -> _Solved | None:
         """The loss at (beta2, rho), with every dataset's s and eta' in [0, 1] minimizing it.
@@ -394,7 +392,7 @@ class FitProblem:
         """
         rho_p, u = self._rho_p_derivatives(beta2, rho)
         derivs = coincidence_parts_derivatives(
-            self._taus, rho, rho_p[self._length_index], self._windows, *solved.parts
+            self._taus, rho, self.at(rho_p), self._windows, *solved.parts
         )  # w_p, w_pp, b_p, b_pp, b_r, b_rp, b_rr
         scales, alpha, beta = solved.scales, 1.0 + solved.eta_ps, solved.eta_ps - 1.0
         s, alpha_f, beta_f, u0_f, u1_f, rho_beta = self.at(

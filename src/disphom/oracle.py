@@ -55,30 +55,9 @@ def max_workers() -> int:
 
 
 def _chirp_wavenumber(rho, fiber_length_km, beta2_ps2_per_km):
-    """k = Im(1/(4a)), a as in beta_minus_time: the amplitude's phase is -k t^2."""
+    """k = Im(1/(4a)) with a = (1/rho + i L beta2)/2, the chirped Gaussian's
+    exp(-a w^2) in frequency: the time-domain amplitude's phase is -k t^2."""
     return (0.5 / (1.0 / rho + 1j * fiber_length_km * beta2_ps2_per_km)).imag
-
-
-def beta_minus_time(t_ps, rho, fiber_length_km, beta2_ps2_per_km):
-    """Time-domain difference amplitude after dispersion (complex, unit L2 norm).
-
-    The frequency-domain amplitude is a chirped Gaussian exp(-a w^2) with
-    a = (1/rho + i L beta2)/2; its Fourier transform is proportional to
-    a^(-1/2) exp(-t^2/(4a)).  Normalized so that the intensity integrates to
-    one, which makes |amplitude|^2 = sqrt(rho'/pi) exp(-rho' t^2) with rho'
-    the broadened width.
-    """
-    if not rho > 0:
-        raise ValueError("rho must be > 0")
-    t = np.asarray(t_ps, dtype=float)
-    a = 0.5 * (1.0 / rho + 1j * fiber_length_km * beta2_ps2_per_km)
-    rho_p = broadened_rho(rho, ChannelParams(fiber_length_km, beta2_ps2_per_km))
-    norm = math.sqrt(abs(a)) * (rho_p / math.pi) ** 0.25
-    with np.errstate(under="ignore"):
-        amp = norm / np.sqrt(a) * np.exp(-t * t / (4.0 * a))
-    if np.isscalar(t_ps):
-        return complex(amp)
-    return amp
 
 
 def differential_rate(tau_ps, sigma_ps, eta, rho, fiber_length_km, beta2_ps2_per_km):
@@ -410,14 +389,15 @@ def windowed_rate_numeric(
         step = half_span / np.maximum(grid_points - 1, 1)
         grid = index * step[grid_owner]
         grid[last[has_grid] - 1] = half_span[has_grid]
-        # seeds at or below lowest are dropped
+        # seeds at or below lowest, or at or past T, are dropped.  The grid
+        # lies in [0, half_span], within [0, T]: its 0, and its last point
+        # where half_span = T, repeat the window's ends, and the dedup
+        # below drops them
+        seeds = t[:, None] + bump_width * _BUMP_SEEDS
         lowest = np.where(has_grid & (step <= 0.5 * bump_width), half_span, 0.0)
-        sigma = np.concatenate([(t[:, None] + bump_width * _BUMP_SEEDS).ravel(), grid])
-        owner = np.concatenate([np.repeat(delay, _BUMP_SEEDS.size), grid_owner])
-        floor = np.concatenate([np.repeat(lowest, _BUMP_SEEDS.size), np.zeros(grid.size)])
-        inside = (floor < sigma) & (sigma < window_t)
-        sigma = np.concatenate([np.zeros(t.size), np.full(t.size, window_t), sigma[inside]])
-        owner = np.concatenate([delay, delay, owner[inside]])
+        inside = (lowest[:, None] < seeds) & (seeds < window_t)
+        sigma = np.concatenate([np.zeros(t.size), np.full(t.size, window_t), seeds[inside], grid])
+        owner = np.concatenate([delay, delay, np.nonzero(inside)[0], grid_owner])
         order = np.lexsort((sigma, owner))
         sigma, owner = sigma[order], owner[order]
         new = np.ones(sigma.size, dtype=bool)
@@ -443,21 +423,3 @@ def windowed_rate_numeric(
     if np.isscalar(tau_ps):
         return float(out)
     return out
-
-
-def sinc_gaussian_check(x_values):
-    """Deviation report for the small-argument Gaussian stand-in of sinc.
-
-    Returns (max_deviation, x_at_max) of |sinc(x) - exp(-x^2/6)| over the
-    given points.  The deviation grows like x^4/180 for small |x|: its
-    maximum is 0.0050 over |x| <= 1 and 0.0223 over |x| <= 1.5.  The
-    replacement is useless in the tails (hence the bandpass filter in the
-    derivation).
-    """
-    x = np.asarray(x_values, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("x_values must be finite")
-    sinc = np.sinc(x / np.pi)  # numpy sinc is sin(pi x)/(pi x)
-    dev = np.abs(sinc - np.exp(-x * x / 6.0))
-    i = int(dev.argmax())
-    return float(dev[i]), float(x[i])

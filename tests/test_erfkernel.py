@@ -6,8 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from disphom import erf_complex, erf_real, scaled_dip_term
+from disphom import erf_real, scaled_dip_term
 from disphom.erfkernel import _faddeeva_upper
+from reference import erf_complex
 
 mp.mp.dps = 60
 

@@ -16,11 +16,11 @@ from disphom import (
     eta_prime,
     generate_synthetic,
     lm_fit,
-    model_values,
     profile_scale,
     rmsre,
 )
 from disphom import fitting
+from disphom.fitting import model_values
 from disphom.io import poisson_counts
 from disphom.model import coincidence_parts, coincidence_parts_derivatives
 from conftest import BETA2_REF, RHO_REF, small_campaign

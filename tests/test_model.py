@@ -21,12 +21,12 @@ from disphom import (
     eta_prime,
     extract_fwhm,
     filter_variance,
-    group_index_bounds,
     oscillation_period,
 )
 from disphom import model
 from disphom.model import coincidence_parts, coincidence_parts_derivatives
 from conftest import DN_IDLER_REF, DN_SIGNAL_REF, RHO_REF, BETA2_REF, reference_filter
+from reference import group_index_bounds
 
 
 def _source(dn_s=DN_SIGNAL_REF, dn_i=DN_IDLER_REF, d=10.0, sigma_p=2.0):

@@ -18,18 +18,16 @@ import pytest
 from disphom import (
     ChannelParams,
     QuadratureError,
-    beta_minus_time,
     broadened_rho,
     coincidence_curve,
-    differential_rate,
     eta_prime,
     profile_scale,
-    sinc_gaussian_check,
     windowed_rate_numeric,
 )
 from disphom import oracle
-from disphom.oracle import _chirp_wavenumber, _folded_rate, _gauss_kronrod
+from disphom.oracle import _chirp_wavenumber, _folded_rate, _gauss_kronrod, differential_rate
 from conftest import BETA2_REF, RHO_REF
+from reference import beta_minus_time, sinc_gaussian_check
 
 
 def test_amplitude_dispersionless_is_real():
