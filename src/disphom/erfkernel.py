@@ -11,9 +11,12 @@ the closed upper half plane, so that the physically relevant combination
 
 stays finite and accurate for |y| up to 1e3 and beyond.
 
-On the real axis erf comes from the C library (math.erf), element by
-element; the code below serves only points off the real axis.  Evaluation
-regions there (calibrated against a 60-digit reference):
+On the real axis erf_real sums, for a whole array at once, the 6-term
+Taylor polynomial of erf about the nearest of the nodes k/256 on [0, 6],
+from a table built at import; the C library's math.erf supplies only the
+values at the nodes.  It stays within 2 ulp of erf (at most 1.39 ulp
+measured).  Off the real axis the evaluation regions are (calibrated
+against a 60-digit reference):
   * |z| <= 2          Maclaurin series of erf (cancellation growth <= e^4).
   * 2 < |zeta| < 12   Weideman rational approximation of w (N = 48 terms,
                       max relative error ~1e-15 on the upper half plane).
@@ -41,6 +44,36 @@ _SERIES_TERMS = 40
 _SERIES_COEFFS = np.array(
     [(-1.0) ** n / (math.factorial(n) * (2 * n + 1)) for n in range(_SERIES_TERMS)]
 )[::-1]
+
+# erf_real's table: at the nodes x0 = k/_ERF_NODES_PER_UNIT on [0, _ERF_SATURATION]
+# the Taylor coefficients erf^(j)(x0)/j! for j < _ERF_TERMS.  With |x - x0| at
+# most 1/512 the first term left out stays below 1e-17 of erf(x).  128 nodes
+# per unit with 7 terms cost one more gather and reached 1.99 ulp near
+# x = 0.0044, where erf(x0) and the Taylor tail cancel by about half.
+_ERF_NODES_PER_UNIT = 256  # a power of two: x0 and h = x - x0 are exact
+_ERF_TERMS = 6
+_ERF_SATURATION = 6.0  # from here on erf(x) rounds to 1
+
+
+def _erf_taylor_table():
+    """Rows j = 0 .. _ERF_TERMS - 1 of erf^(j)(x0)/j! at every node x0.
+
+    Row 0 is math.erf(x0).  For j >= 1, erf^(j)(x0) =
+    (2/sqrt(pi)) (-1)^(j-1) H_(j-1)(x0) exp(-x0^2), with the physicists'
+    Hermite polynomials from H_(n+1) = 2x H_n - 2n H_(n-1).
+    """
+    x0 = np.arange(round(_ERF_SATURATION * _ERF_NODES_PER_UNIT) + 1) / _ERF_NODES_PER_UNIT
+    table = np.empty((_ERF_TERMS, x0.size))
+    table[0] = [math.erf(v) for v in x0.tolist()]
+    gauss = _TWO_OVER_SQRT_PI * np.exp(-x0 * x0)
+    hermite_prev, hermite = np.zeros_like(x0), np.ones_like(x0)
+    for j in range(1, _ERF_TERMS):
+        table[j] = (-1) ** (j - 1) * gauss * hermite / math.factorial(j)
+        hermite_prev, hermite = hermite, 2.0 * x0 * hermite - 2.0 * (j - 1) * hermite_prev
+    return table
+
+
+_ERF_TABLE = _erf_taylor_table()
 
 _WEIDEMAN_N = 48
 _CF_RADIUS = 12.0
@@ -127,16 +160,38 @@ def _erf_series(z):
 
 
 def erf_real(x):
-    """Real-axis error function: the C library's erf, element by element.
+    """Real-axis error function from a table of Taylor coefficients.
 
-    An array gives a float array of the same shape; a scalar or 0-d array
-    gives a Python float.  The coincidence-rate formula takes its window
-    terms from here, and scaled_dip_term(x, 0) calls this same function, so
-    the tau = 0 cancellation between window and dip is exact.
+    |x| is clipped to 6 and rounded to its nearest node x0 = k/256; the
+    6-term Taylor polynomial at x0 is summed by Horner's rule in the exact
+    h = |x| - x0 (|h| <= 1/512) and takes the sign of x.  So erf is exactly
+    odd, -0.0 gives -0.0, NaN gives NaN, and from |x| = 6 on the result is
+    exactly +-1.  Against 40-digit mpmath the error was at most 1.39 ulp,
+    over 20 000 uniform points in [0, 6], the nodes, the points halfway
+    between them and 1 ulp either side, and the test suite's points; the C
+    library's math.erf, which supplies the values at the nodes, reached
+    0.96 ulp on the same points.
+
+    Every step is one correctly rounded operation on each element alone, so
+    a value does not depend on the array it came in.  An array gives a float
+    array of the same shape; a scalar or 0-d array gives a Python float.
+    The coincidence-rate formula takes its window terms from here, and
+    scaled_dip_term(x, 0) calls this same function, so the tau = 0
+    cancellation between window and dip is exact.
     """
     x = np.asarray(x, dtype=float)
-    out = np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return out if out.ndim else float(out)
+    flat = x.reshape(-1)
+    a = np.minimum(np.abs(flat), _ERF_SATURATION)
+    # np.fmin sends a NaN to the last node, where its h stays NaN
+    node = np.rint(np.fmin(a * _ERF_NODES_PER_UNIT, _ERF_SATURATION * _ERF_NODES_PER_UNIT))
+    h = a - node * (1.0 / _ERF_NODES_PER_UNIT)
+    index = node.astype(np.intp)
+    out = _ERF_TABLE[-1].take(index)
+    for row in _ERF_TABLE[-2::-1]:
+        out *= h
+        out += row.take(index)
+    np.copysign(out, flat, out=out)
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def scaled_dip_term(x, y):

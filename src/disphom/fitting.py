@@ -187,17 +187,21 @@ def rmsre(residuals, data_values) -> float:
 # --- the fit ------------------------------------------------------------------
 
 
-def _poisson_weights(y):
+def _poisson_weights(y, starts):
     """Squared per-point weights 1/(max(y, y_min) max(y)) of the lm_fit objective.
 
-    y_min is the smallest positive value, so empty bins weigh like the
-    faintest filled one.  Both factors scale with the curve, so rescaling it
-    leaves the weighted residuals unchanged; a curve of zeros weighs 1.
+    y holds the curves concatenated, each starting at its index in starts,
+    and max(y) and y_min are taken per curve.  y_min is the smallest
+    positive value, so empty bins weigh like the faintest filled one.  Both
+    factors scale with the curve, so rescaling it leaves the weighted
+    residuals unchanged; a curve of zeros weighs 1.
     """
-    peak = float(y.max())
-    if not peak > 0:
-        return np.ones_like(y)
-    return 1.0 / (np.maximum(y, y[y > 0].min()) * peak)
+    sizes = np.diff(starts, append=len(y))
+    peak = np.maximum.reduceat(y, starts)
+    faintest = np.minimum.reduceat(np.where(y > 0, y, math.inf), starts)
+    filled = peak > 0
+    peak, faintest = np.where(filled, peak, 1.0), np.where(filled, faintest, 1.0)
+    return 1.0 / (np.maximum(y, np.repeat(faintest, sizes)) * np.repeat(peak, sizes))
 
 
 class _Solved(NamedTuple):
@@ -272,8 +276,8 @@ class FitProblem:
         self._folded_starts = np.cumsum(np.concatenate(([0], self._folded_sizes[:-1])))
         self._lengths = np.array([ds.fiber_length_km for ds in datasets])
         self._windows = self.at(np.array([ds.window_half_width_ps for ds in datasets]))
-        self._w2 = np.concatenate([_poisson_weights(ds.curve.values) for ds in datasets])
         self._y = np.concatenate([ds.curve.values for ds in datasets])
+        self._w2 = _poisson_weights(self._y, self._starts)
         self._weights = np.array([np.bincount(self._fold, self._w2),
                                   np.bincount(self._fold, self._w2 * self._y)])
         self.passes = 0

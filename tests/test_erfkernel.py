@@ -212,3 +212,47 @@ def test_far_continued_fraction_equals_16_levels_bit_for_bit():
     got = _faddeeva_upper(zeta)
     want = continued_fraction_16(zeta)
     assert got.tobytes() == want.tobytes()
+
+
+# --- the real-axis erf's table ------------------------------------------------
+
+NODES = np.arange(6 * 256 + 1) / 256  # erf_real's nodes k/256 on [0, 6]
+HALFWAY = (NODES[:-1] + NODES[1:]) / 2  # where the node rounding turns and |h| is largest
+
+
+@pytest.mark.parametrize("x", [
+    NODES,
+    np.concatenate([HALFWAY, np.nextafter(HALFWAY, 0.0), np.nextafter(HALFWAY, 7.0)]),
+    np.array([np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, 7.0)]),
+    np.array([5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]),
+], ids=["nodes", "halfway-and-one-ulp-either-side", "around-saturation", "subnormals"])
+def test_erf_real_within_two_ulp_at_the_table_edges(x):
+    x = np.concatenate([x, -x])
+    got = erf_real(x)
+    worst = 0.0
+    with mp.workdps(40):
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            want = mp.erf(mp.mpf(xi))
+            worst = max(worst, float(abs(mp.mpf(gi) - want)) / math.ulp(float(want)))
+    assert worst <= 2.0
+
+
+def test_erf_real_keeps_the_sign_of_zero():
+    assert math.copysign(1.0, erf_real(-0.0)) == -1.0
+    assert math.copysign(1.0, erf_real(0.0)) == 1.0
+    assert np.signbit(erf_real(np.array([0.0, -0.0]))).tolist() == [False, True]
+
+
+def test_erf_real_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(36)
+    x = np.concatenate([
+        rng.uniform(-7.0, 7.0, 3000),
+        rng.choice(HALFWAY, 500) * rng.choice([-1.0, 1.0], 500),
+        rng.choice(NODES, 500) * rng.choice([-1.0, 1.0], 500),
+        [0.0, -0.0, 6.0, -6.0, 5e-324, math.nan, math.inf, -math.inf],
+    ])
+    rng.shuffle(x)
+    batch = erf_real(x)
+    single = np.array([erf_real(xi) for xi in x.tolist()])
+    assert batch.tobytes() == single.tobytes()
+    assert erf_real(x.reshape(8, -1)).tobytes() == batch.tobytes()

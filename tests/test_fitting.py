@@ -113,9 +113,22 @@ def test_fit_problem_empty():
 def test_fit_problem_self_consistency():
     sets = [make_dataset(0.4, 10.0), make_dataset(0.8, 20.0)]
     solved = FitProblem(sets).solve(BETA2_REF, RHO_REF)
-    total = sum(np.sum(fitting._poisson_weights(ds.curve.values) * ds.curve.values**2)
+    total = sum(np.sum(fitting._poisson_weights(ds.curve.values, [0]) * ds.curve.values**2)
                 for ds in sets)
     assert solved.loss <= 1e-18 * total
+
+
+def test_poisson_weights_of_concatenated_curves_match_a_per_curve_loop():
+    curves = [np.array([0.0, 3.0, 0.0, 7.0]), np.zeros(5), np.array([2.0]),
+              np.array([0.0, 1e-300, 5.0, 4.0]), np.array([9.0, 1.0, 0.5])]
+    reference = []
+    for y in curves:
+        peak = float(y.max())
+        reference.append(np.ones_like(y) if not peak > 0
+                         else 1.0 / (np.maximum(y, y[y > 0].min()) * peak))
+    starts = np.cumsum([0] + [len(y) for y in curves[:-1]])
+    got = fitting._poisson_weights(np.concatenate(curves), starts)
+    assert got.tobytes() == np.concatenate(reference).tobytes()
 
 
 def test_fit_problem_scale_invariant_value():
@@ -757,7 +770,7 @@ def test_lm_fit_covariance_matches_differences(monkeypatch, cap, init):
     datasets, _ = generate_synthetic(small_campaign(seed=3, etas=0.55))
     result = lm_fit(datasets, FitParams(*init))
     assert result.converged == (cap is None) and result.etas_held_at_bound == []
-    weights = [np.sqrt(fitting._poisson_weights(ds.curve.values)) for ds in datasets]
+    weights = [np.sqrt(fitting._poisson_weights(ds.curve.values, [0])) for ds in datasets]
 
     def weighted_residuals(theta):
         out = []

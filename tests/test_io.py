@@ -146,12 +146,15 @@ SAMPLE = ([-1.5, 0.0, 2.25], [3.0, 0.0, 7.5])
     ("# \u00e9t\u00e9 run\ntau_ps,counts\n-1.5,3\n0,0\n2.25,7.5\n", SAMPLE),
     # a CR is whitespace, not a line end: lines are numbered as grep -n numbers them
     ("tau_ps,counts\r\n-1.5,3\r\n\t \r\r\n0,x\r\n", ":4: non-numeric value"),
+    # so lines that end with a bare CR are one line, which is not the header
+    ("tau_ps,counts\r-1.5,3\r0,0\r2.25,7.5\r",
+     ":1: expected header 'tau_ps,counts', got 'tau_ps,counts\\r-1.5,3\\r0,0\\r2.25,7.5'"),
 ], ids=[
     "crlf", "crlf-after-lf-header", "comments", "blank-lines", "spaces-and-header-spaces",
     "spaces", "no-final-newline", "non-numeric", "crlf-non-numeric", "inf",
     "non-increasing", "negative-no-final-newline", "negative-after-comment-and-blank",
     "digit-group-underscore", "arabic-indic-digit", "non-ascii-comment",
-    "whitespace-and-cr-line",
+    "whitespace-and-cr-line", "bare-cr",
 ])
 def test_layouts_read_to_the_same_dataset_or_message(tmp_path, text, expected):
     # every layout reads to the arrays of the plain file, and a bad line is
