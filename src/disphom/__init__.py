@@ -12,7 +12,6 @@ from .fitting import (
     FitResult,
     lm_fit,
     profile_scale,
-    rmsre,
 )
 from .io import (
     CampaignConfig,
@@ -83,7 +82,6 @@ __all__ = [
     "poisson_counts",
     "profile_scale",
     "read_dataset",
-    "rmsre",
     "scaled_dip_term",
     "windowed_rate_numeric",
     "write_dataset",

@@ -98,8 +98,9 @@ class FitResult:
         no data point moves with, as beta2 when every dataset has L = 0,
         and for one whose variance lies beyond the double range.
     scales: each dataset's profiled amplitude s_i.
-    rmsre_per_dataset: each dataset's rmsre of the unweighted residuals
-        s_i f_i - y; NaN for a dataset whose counts are all 0.
+    rmsre_per_dataset: each dataset's root mean square relative error
+        sqrt(mean (r/y)^2) of the unweighted residuals r = s_i f_i - y, over
+        its bins with y > 0; NaN for a dataset whose counts are all 0.
     covariance: (J^T J)^-1 loss / (n - p) in the external parameters,
         ordered as covariance_order.  J is the Jacobian of the weighted
         residuals in (|beta2|, rho) and each free eta, with the scales
@@ -173,17 +174,6 @@ def model_values(dataset: Dataset, beta2, rho, eta) -> np.ndarray:
     return curve.values
 
 
-def rmsre(residuals, data_values) -> float:
-    """Root mean square relative error sqrt(mean (r/y)^2), zero bins excluded."""
-    r = np.asarray(residuals, dtype=float)
-    y = np.asarray(data_values, dtype=float)
-    valid = y > 0
-    if not valid.any():
-        raise ValueError("no valid points: all data values are zero")
-    ratio = r[valid] / y[valid]
-    return float(np.sqrt(np.mean(ratio * ratio)))
-
-
 # --- the fit ------------------------------------------------------------------
 
 
@@ -225,9 +215,10 @@ class FitProblem:
     through it, so at a fit's params it gives the fit's loss bit for bit.
 
     Two layouts of the campaign's points serve the fit:
-    - point: all datasets' points concatenated in order.  The data, their
-      squared weights and the residuals live here, and split cuts a
-      per-point array into its datasets.
+    - point: all datasets' points concatenated in order, each dataset's
+      block starting at its index in _starts.  The data, their squared
+      weights and the residuals live here, and np.add.reduceat over _starts
+      gives per-dataset sums of a per-point array.
     - folded: each (dataset, |tau|) once, in dataset order and then by
       ascending |tau|, with the summed weights W = sum w^2 and
       Wy = sum w^2 y of the one or two points it stands for; _fold gives
@@ -299,10 +290,6 @@ class FitProblem:
             return None
         self.passes += 1
         return coincidence_parts(self._taus, rho, self.at(rho_p), self._windows)
-
-    def split(self, values):
-        """A per-point array, along its last axis, cut into its datasets."""
-        return np.split(values, self._starts[1:], axis=-1)
 
     def sums(self, values):
         """Per-dataset sums of a folded array: shape (..., folded) to (..., datasets)."""
@@ -536,16 +523,19 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     p counts beta2, rho, and each dataset's eta and scale; a
     dataset whose counts are all 0 brings neither points nor parameters.
     The same n and p give the covariance's loss / (n - p) and the input
-    check: a fit needs n >= p + 1.  FitResult says how the covariance is
-    inverted and what each of its fields holds.
+    check: a fit needs n >= p + 1.  n, p and each dataset's rmsre are read
+    off the point layout, from per-dataset sums of y > 0 and of (r/y)^2.
+    FitResult says how the covariance is inverted and what each of its
+    fields holds.
     """
     datasets = list(datasets)
     problem = FitProblem(datasets)
+    y, starts = problem._y, problem._starts
+    filled = np.add.reduceat(y > 0, starts)  # each dataset's nonzero bins
     # beta2, rho, and each dataset's eta and scale; an all-zero dataset
     # brings neither points nor parameters
-    has_counts = [ds.curve.values.any() for ds in datasets]
-    n_points = sum(len(ds.curve) for ds, c in zip(datasets, has_counts) if c)
-    n_params = 2 + 2 * sum(has_counts)
+    n_points = int(np.diff(starts, append=y.size)[filled > 0].sum())
+    n_params = 2 + 2 * int(np.count_nonzero(filled))
     if n_points < n_params + 1:
         raise ValueError("need at least p + 1 data points for p parameters")
 
@@ -636,14 +626,16 @@ def lm_fit(datasets, init: FitParams) -> FitResult:
     cov = np.zeros((len(order), len(order)))
     cov[np.ix_(kept, kept)] = 0.5 * (cov_free + cov_free.T)
 
-    rmsre_list = [rmsre(r, ds.curve.values) if counts else math.nan for r, ds, counts
-                  in zip(problem.split(state.res), datasets, has_counts)]
+    # each dataset's sqrt(mean (r/y)^2) over its nonzero bins; 0/0 is NaN for an all-zero one
+    ratio = np.divide(state.res, y, out=np.zeros_like(y), where=y > 0)
+    with np.errstate(invalid="ignore"):
+        rmsre = np.sqrt(np.add.reduceat(ratio * ratio, starts) / filled)
     return FitResult(
         params=params,
         beta2_sigma_ps2_per_km=float(np.sqrt(max(cov[0, 0], 0.0))),
         rho_sigma_ps2_inv=float(np.sqrt(max(cov[1, 1], 0.0))),
         scales=state.scales.tolist(),
-        rmsre_per_dataset=rmsre_list,
+        rmsre_per_dataset=rmsre.tolist(),
         covariance=cov,
         covariance_order=order,
         loss=state.loss,

@@ -14,9 +14,11 @@ the symmetric window [-T, T] is the integral over [0, T] of the folded
 density c(tau, sigma) + c(tau, -sigma), which holds one bump (at
 sigma = |tau|) where the unfolded density holds two.  The folded density
 depends on tau through |tau| alone, so the windowed rate is even in tau and
-each distinct |tau| of a grid is integrated once.  The distinct delays are
-integrated together, a memory-bounded group of them per adaptive pass, and
-each one's result does not depend on the group it falls in.
+each distinct |tau| of a grid is integrated once.  The start breakpoints
+of all the distinct delays are built in one pass.  Consecutive delays are
+then integrated together, one group per adaptive pass, for as long as
+their start panels fit a fixed budget.  Each one's result does not depend
+on the group it falls in.
 
 The integrand's interference term is sin^2 of a chirp phase that reaches
 thousands of radians.  The phase is reduced mod pi, sin^2's period, with pi
@@ -219,11 +221,12 @@ _MAX_LEVELS = 24
 # open panels a level may hold: a full 5e4-panel chirp grid can still be
 # bisected once, and a (panels x 61) node array stays near 64 MB
 _MAX_OPEN_PANELS = 2**17
-# start panels of the delays integrated together, so that a group's
-# (panels x 61) node array holds at most 54k nodes.  On 201-delay curves
-# (T = 300-800 ps, L = 5-29 km) groups of 440 panels took 15% longer per
-# curve and groups of 1760 4-11% longer; 1320 timed the same as 880
-_GROUP_PANELS = 880
+# start panels of the delays integrated together.  On 201-delay curves
+# (T = 300-800 ps, L = 5-29 km) on a 2-vCPU Xeon, groups of 880 took 9-14%
+# longer than groups of 560, in perfbench's oracle_grid and in a tight loop
+# alike.  320 was fastest in the loop, where the node arrays stay in cache,
+# but no faster in perfbench, whose ops run between other work
+_GROUP_PANELS = 560
 # the bump's seeds, in widths 1/sqrt(rho') from sigma = |tau|
 _BUMP_SEEDS = np.array([-8.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0])
 
@@ -376,46 +379,46 @@ def windowed_rate_numeric(
     wavenumber = 2.0 * distinct * abs(k)
     chirp_panels = np.minimum(np.ceil(half_span * wavenumber / phase_step), 50_000)
     grid_points = np.where(chirp_panels > 1, chirp_panels + 1, 0).astype(np.int64)
-    # start panels per delay are at most the grid's, the 9 seeds' and one more
-    ends = np.cumsum(grid_points + _BUMP_SEEDS.size + 1)
 
-    def _breakpoints(t, grid_points, half_span):
-        """Sorted distinct start breakpoints of the delays t, and each one's delay index."""
-        delay = np.arange(t.size)
-        grid_owner = np.repeat(delay, grid_points)
-        last = np.cumsum(grid_points)
-        index = np.arange(grid_owner.size) - np.repeat(last - grid_points, grid_points)
-        has_grid = grid_points > 0
-        step = half_span / np.maximum(grid_points - 1, 1)
-        grid = index * step[grid_owner]
-        grid[last[has_grid] - 1] = half_span[has_grid]
-        # seeds at or below lowest, or at or past T, are dropped.  The grid
-        # lies in [0, half_span], within [0, T]: its 0, and its last point
-        # where half_span = T, repeat the window's ends, and the dedup
-        # below drops them
-        seeds = t[:, None] + bump_width * _BUMP_SEEDS
-        lowest = np.where(has_grid & (step <= 0.5 * bump_width), half_span, 0.0)
-        inside = (lowest[:, None] < seeds) & (seeds < window_t)
-        sigma = np.concatenate([np.zeros(t.size), np.full(t.size, window_t), seeds[inside], grid])
-        owner = np.concatenate([delay, delay, np.nonzero(inside)[0], grid_owner])
-        order = np.lexsort((sigma, owner))
-        sigma, owner = sigma[order], owner[order]
-        new = np.ones(sigma.size, dtype=bool)
-        new[1:] = (sigma[1:] != sigma[:-1]) | (owner[1:] != owner[:-1])
-        return sigma[new], owner[new]
+    # the sorted distinct start breakpoints of every delay, and each one's delay
+    delay = np.arange(distinct.size)
+    grid_owner = np.repeat(delay, grid_points)
+    last = np.cumsum(grid_points)
+    index = np.arange(grid_owner.size) - np.repeat(last - grid_points, grid_points)
+    has_grid = grid_points > 0
+    step = half_span / np.maximum(grid_points - 1, 1)
+    grid = index * step[grid_owner]
+    grid[last[has_grid] - 1] = half_span[has_grid]
+    # seeds at or below lowest, or at or past T, are dropped.  The grid
+    # lies in [0, half_span], within [0, T]: its 0, and its last point
+    # where half_span = T, repeat the window's ends, and the dedup
+    # below drops them
+    seeds = distinct[:, None] + bump_width * _BUMP_SEEDS
+    lowest = np.where(has_grid & (step <= 0.5 * bump_width), half_span, 0.0)
+    inside = (lowest[:, None] < seeds) & (seeds < window_t)
+    sigma = np.concatenate([np.tile([0.0, window_t], distinct.size), seeds[inside], grid])
+    owner = np.concatenate([np.repeat(delay, 2), np.nonzero(inside)[0], grid_owner])
+    order = np.lexsort((sigma, owner))
+    sigma, owner = sigma[order], owner[order]
+    new = np.ones(sigma.size, dtype=bool)
+    new[1:] = (sigma[1:] != sigma[:-1]) | (owner[1:] != owner[:-1])
+    sigma, owner = sigma[new], owner[new]
 
     # consecutive delays are integrated together while their start panels
-    # fit in _GROUP_PANELS; a delay that alone exceeds it gets a group to itself
+    # fit in _GROUP_PANELS; a delay that alone exceeds it gets a group to
+    # itself.  panels[j] counts those of delays 0..j, whose breakpoints end
+    # at index panels[j] + j + 1
+    panels = np.cumsum(np.bincount(owner) - 1)
     values = np.empty(distinct.size)
     start = 0
     while start < distinct.size:
-        base = ends[start - 1] if start else 0
-        stop = max(int(np.searchsorted(ends, base + _GROUP_PANELS, side="right")), start + 1)
+        base = int(panels[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(panels, base + _GROUP_PANELS, side="right")), start + 1)
+        group = slice(base + start, int(panels[stop - 1]) + stop)
         t = distinct[start:stop]
         values[start:stop], _ = _gauss_kronrod(
-            lambda sigma, own: _folded_rate(t[own][:, None], sigma, eta, rho_p, k),
-            *_breakpoints(t, grid_points[start:stop], half_span[start:stop]),
-            _ABS_TOL, rel_tol, _MAX_LEVELS,
+            lambda x, own: _folded_rate(t[own][:, None], x, eta, rho_p, k),
+            sigma[group], owner[group] - start, _ABS_TOL, rel_tol, _MAX_LEVELS,
             name=lambda i: f"|tau| = {float(t[i])!r} ps",
         )
         start = stop

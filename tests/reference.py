@@ -3,8 +3,9 @@
 Each checks a part of the package from outside its pipeline: the dispersed
 difference amplitude that the oracle's rate density is checked against, erf
 of a complex argument built on the kernel's own series and Faddeeva parts,
-the size of the sinc-to-Gaussian stand-in, and the inversion of a fitted rho
-back to the crystal's group-index difference.
+the size of the sinc-to-Gaussian stand-in, the inversion of a fitted rho
+back to the crystal's group-index difference, and the per-dataset rmsre
+that lm_fit reports.
 """
 
 from __future__ import annotations
@@ -134,3 +135,14 @@ def group_index_bounds(rho, filt: FilterParams, crystal_length_mm) -> tuple[floa
         bounds.append(C_MM_PER_PS * gamma_diff / 2.0)
     low, high = sorted(bounds)
     return low, high
+
+
+def rmsre(residuals, data_values) -> float:
+    """Root mean square relative error sqrt(mean (r/y)^2), zero bins excluded."""
+    r = np.asarray(residuals, dtype=float)
+    y = np.asarray(data_values, dtype=float)
+    valid = y > 0
+    if not valid.any():
+        raise ValueError("no valid points: all data values are zero")
+    ratio = r[valid] / y[valid]
+    return float(np.sqrt(np.mean(ratio * ratio)))

@@ -17,13 +17,13 @@ from disphom import (
     generate_synthetic,
     lm_fit,
     profile_scale,
-    rmsre,
 )
 from disphom import fitting
 from disphom.fitting import model_values
 from disphom.io import poisson_counts
 from disphom.model import coincidence_parts, coincidence_parts_derivatives
 from conftest import BETA2_REF, RHO_REF, small_campaign
+from reference import rmsre
 
 
 def make_dataset(window_ns, length_km, eta=0.52, peak=1e4, points=201, seed=None,
@@ -162,7 +162,7 @@ def test_fit_problem_sums_over_mixed_datasets():
     solved = problem.solve(beta2, rho)
     singles = [FitProblem([ds]).solve(beta2, rho) for ds in sets]
     assert solved.loss == pytest.approx(sum(single.loss for single in singles), rel=1e-12)
-    for block, scale, eta_p, single in zip(problem.split(solved.res), solved.scales,
+    for block, scale, eta_p, single in zip(np.split(solved.res, problem._starts[1:]), solved.scales,
                                            solved.eta_ps, singles):
         assert np.array_equal(block, single.res)
         assert [scale, eta_p] == [single.scales[0], single.eta_ps[0]]
@@ -229,7 +229,8 @@ def kernel_points(monkeypatch, datasets, beta2=BETA2_REF, rho=RHO_REF):
     monkeypatch.setattr(fitting, "coincidence_parts", counted)
     objective = FitProblem(datasets)
     folded = objective.parts(beta2, rho)
-    parts = [tuple(block) for block in objective.split(folded.take(objective._fold, axis=-1))]
+    parts = [tuple(block) for block in np.split(folded.take(objective._fold, axis=-1),
+                                                 objective._starts[1:], axis=-1)]
     assert len(sizes) == 1
     return parts, sizes[0]
 
@@ -343,9 +344,11 @@ def test_solve_matches_dense_eta_scan():
     assert 0.0 < solved.eta_ps[0] < 1.0 and list(solved.eta_ps[1:]) == [0.0, 1.0]
     assert list(solved.held) == [False, True, True]
     scan = np.linspace(0.0, 1.0, 2001)
-    parts = objective.split(objective.parts(BETA2_REF, RHO_REF).take(objective._fold, axis=-1))
-    for (p, q), ds, w2, r, s, eta_p in zip(parts, sets, objective.split(objective._w2),
-                                           objective.split(solved.res), solved.scales,
+    cuts = objective._starts[1:]
+    parts = np.split(objective.parts(BETA2_REF, RHO_REF).take(objective._fold, axis=-1), cuts,
+                     axis=-1)
+    for (p, q), ds, w2, r, s, eta_p in zip(parts, sets, np.split(objective._w2, cuts),
+                                           np.split(solved.res, cuts), solved.scales,
                                            solved.eta_ps):
         y = ds.curve.values
         f = p + scan[:, None] * q
@@ -506,6 +509,25 @@ def test_rmsre_near_poisson_floor():
             y = ds.curve.values
             floor = math.sqrt(np.mean(1.0 / y[y > 0]))
             assert floor / 2.0 <= got <= 2.0 * floor
+
+
+def test_lm_fit_rmsre_matches_reference_per_dataset():
+    # lm_fit sums (r/y)^2 per dataset over the whole point layout at once;
+    # each dataset's value is the reference's on its own residuals, and an
+    # all-zero dataset reads NaN
+    datasets, _ = generate_synthetic(small_campaign(seed=3, peak_counts=30.0))
+    taus = datasets[0].curve.tau_ps
+    datasets.insert(2, Dataset(HomCurve(taus, np.zeros_like(taus)), 400.0, 10.0))
+    assert all((ds.curve.values == 0).any() for ds in datasets)
+    result = lm_fit(datasets, FitParams(BETA2_REF, RHO_REF))
+    problem = FitProblem(datasets)
+    solved = problem.solve(result.params.beta2_ps2_per_km, result.params.rho_ps2_inv)
+    assert solved.loss == result.loss
+    got = result.rmsre_per_dataset
+    assert math.isnan(got[2])
+    for i, (r, ds) in enumerate(zip(np.split(solved.res, problem._starts[1:]), datasets)):
+        if i != 2:
+            assert got[i] == pytest.approx(rmsre(r, ds.curve.values), rel=1e-15, abs=0.0)
 
 
 # --- lm_fit ----------------------------------------------------------------------

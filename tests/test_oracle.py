@@ -339,14 +339,43 @@ def test_chirp_grid_panels_are_accepted_unbisected(monkeypatch):
     assert np.array_equal(np.sort(np.concatenate(delays)), distinct)
 
 
-@pytest.mark.parametrize("window, length", [(400.0, 10.0), (795.3, 5.07)])
-def test_windowed_grid_matches_single_delays_bit_for_bit(window, length):
-    # delays integrated together in groups give what each gives alone; at
-    # T = 795.3 ps, L = 5.07 km the grid spans 18 groups
+def _grouped_curve(monkeypatch, window, length):
+    """A 201-delay curve over +-1.5 T, and each of its _gauss_kronrod calls'
+    start panels and those of the call's first delay."""
+    groups = []
+    integrate = oracle._gauss_kronrod
+
+    def counted(f, breakpoints, owner, *args, **kwargs):
+        groups.append((breakpoints.size - (int(owner[-1]) + 1),
+                       int(np.count_nonzero(owner == 0)) - 1))
+        return integrate(f, breakpoints, owner, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_gauss_kronrod", counted)
     taus = np.linspace(-1.5 * window, 1.5 * window, 201)
-    curve = windowed_rate_numeric(taus, window, 0.52, RHO_REF, length, BETA2_REF)
+    return taus, windowed_rate_numeric(taus, window, 0.52, RHO_REF, length, BETA2_REF), groups
+
+
+@pytest.mark.parametrize("window, length", [(400.0, 10.0), (795.3, 5.07)])
+def test_windowed_grid_matches_single_delays_bit_for_bit(window, length, monkeypatch):
+    # delays integrated together in groups give what each gives alone; at
+    # T = 795.3 ps, L = 5.07 km the grid spans 25 groups, and at 400 ps,
+    # 10 km 2
+    taus, curve, groups = _grouped_curve(monkeypatch, window, length)
+    assert len(groups) > 1
     single = [windowed_rate_numeric(t, window, 0.52, RHO_REF, length, BETA2_REF) for t in taus]
     assert np.array_equal(curve, single)
+
+
+@pytest.mark.parametrize("window, length", [(400.0, 10.0), (795.3, 5.07)])
+def test_windowed_groups_fill_greedily(window, length, monkeypatch):
+    # each group takes the next delay while their start panels, counted
+    # exactly, fit in _GROUP_PANELS: every group but the last would overflow
+    # with the next group's first delay, and only a delay alone may exceed it
+    _, _, groups = _grouped_curve(monkeypatch, window, length)
+    for (panels, _), (_, following) in zip(groups, groups[1:]):
+        assert panels + following > oracle._GROUP_PANELS
+    for panels, first in groups:
+        assert panels <= oracle._GROUP_PANELS or panels == first
 
 
 def test_windowed_nonconvergence_names_the_first_open_delay(monkeypatch):
