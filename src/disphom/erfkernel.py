@@ -18,11 +18,13 @@ values at the nodes.  It stays within 2 ulp of erf (at most 1.39 ulp
 measured).  Off the real axis the evaluation regions are (calibrated
 against a 60-digit reference):
   * |z| <= 2          Maclaurin series of erf (cancellation growth <= e^4).
-  * 2 < |zeta| < 12   Weideman rational approximation of w (N = 48 terms,
-                      max relative error ~1e-15 on the upper half plane).
-  * |zeta| >= 12      Laplace continued fraction of w, 16 levels
-                      (~3e-16 worst case); 6 levels where |zeta| >= 100,
-                      which give the 16-level value bit for bit there.
+  * 2 < |zeta| < 66   Weideman rational approximation of w (N = 48 terms,
+                      max relative error ~1e-15 on the upper half plane;
+                      4e-16 against 30-digit mpmath on 12 <= |zeta| < 66).
+  * |zeta| >= 66      Laplace continued fraction of w, 6 levels.  From
+                      |zeta| = 66 on they give the 16-level fraction's value
+                      (~3e-16 worst case) bit for bit; below 66 the two
+                      start to differ in the last bit.
 
 A pure Maclaurin region extending to |z| = 4..5 loses 6+ digits near the
 diagonals (round-off is amplified by ~exp(|z|^2)), which is why the series
@@ -76,14 +78,13 @@ def _erf_taylor_table():
 _ERF_TABLE = _erf_taylor_table()
 
 _WEIDEMAN_N = 48
-_CF_RADIUS = 12.0
-_CF_DEPTH = 16
-# From this radius on, 6 levels give the same doubles as 16.  Of random
-# upper-half-plane points, none differed among 3e7 in [66, 100), 3e7 in
-# [100, 200) and 3e6 in each of [100, 1e3), [1e3, 1e4) and [1e4, 1e8); in
-# [50, 66) about one in a million does (the largest at |zeta| = 65.6).
-_CF_FAR_RADIUS = 100.0
-_CF_FAR_DEPTH = 6
+# From _CF_RADIUS on, 6 levels of the continued fraction give the same
+# doubles as 16.  Of random upper-half-plane points, none differed among 3e7
+# in [66, 100), 3e7 in [100, 200) and 3e6 in each of [100, 1e3), [1e3, 1e4)
+# and [1e4, 1e8); in [50, 66) about one in a million does (the largest at
+# |zeta| = 65.6), so the radius is 66 and Weideman's form serves below it.
+_CF_RADIUS = 66.0
+_CF_DEPTH = 6
 
 
 def _weideman_coeffs(n_terms):
@@ -102,7 +103,7 @@ _WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs(_WEIDEMAN_N)
 
 
 def _w_weideman(zeta):
-    """Faddeeva w on the upper half plane, rational approximation (|zeta| < 12)."""
+    """Faddeeva w on the upper half plane, rational approximation (|zeta| < 66)."""
     # 2 p(Z) / (L - i zeta)^2 + (1/sqrt(pi)) / (L - i zeta) for Z = (L + i zeta) / (L - i zeta)
     izeta = 1j * zeta
     denom = _WEIDEMAN_L - izeta
@@ -113,26 +114,13 @@ def _w_weideman(zeta):
     return 2.0 * p / denom**2 + (1.0 / _SQRT_PI) / denom
 
 
-def _cf_levels(zeta, r, top, bottom):
-    """Levels top down to bottom + 1 of the Laplace continued fraction, in
-    place on r: r = (n/2) / (zeta - r) for n = top, ..., bottom + 1."""
-    for n in range(top, bottom, -1):
+def _w_cf(zeta):
+    """Faddeeva w by the Laplace continued fraction at _CF_DEPTH levels
+    (|zeta| >= _CF_RADIUS, where it gives the 16-level value bit for bit)."""
+    r = np.zeros_like(zeta)
+    for n in range(_CF_DEPTH, 0, -1):
         np.subtract(zeta, r, out=r)
         np.divide(0.5 * n, r, out=r)
-    return r
-
-
-def _w_cf(zeta, modulus):
-    """Faddeeva w by Laplace continued fraction (accurate for |zeta| >= 12).
-
-    Every point takes the bottom _CF_FAR_DEPTH levels; only points inside
-    _CF_FAR_RADIUS take the levels above them, up to _CF_DEPTH.
-    """
-    r = np.zeros_like(zeta)
-    near = modulus < _CF_FAR_RADIUS
-    if near.any():
-        r[near] = _cf_levels(zeta[near], r[near], _CF_DEPTH, _CF_FAR_DEPTH)
-    _cf_levels(zeta, r, _CF_FAR_DEPTH, 0)
     np.subtract(zeta, r, out=r)
     return np.divide(1j / _SQRT_PI, r, out=r)
 
@@ -141,10 +129,9 @@ def _faddeeva_upper(zeta):
     """w(zeta) for Im(zeta) >= 0; array valued."""
     zeta = np.asarray(zeta, dtype=complex)
     out = np.empty_like(zeta)
-    modulus = np.abs(zeta)
-    big = modulus >= _CF_RADIUS
+    big = np.abs(zeta) >= _CF_RADIUS
     if big.any():
-        out[big] = _w_cf(zeta[big], modulus[big])
+        out[big] = _w_cf(zeta[big])
     if (~big).any():
         out[~big] = _w_weideman(zeta[~big])
     return out

@@ -210,11 +210,21 @@ def filter_variance(filt: FilterParams) -> float:
     The quoted FWHM (nm) at the center wavelength converts to an angular
     frequency width dw = 2*pi*c*dl/lambda^2 (rad/ps); the field-level
     convention gives s = dw^2/(8 ln 2), the intensity-level one twice that.
+    fwhm_nm = inf gives s = inf, no filter; a width and center wavelength
+    that put s out of the float range on the way raise ValueError.
     """
-    d_omega = 2.0 * math.pi * C_NM_PER_PS * filt.fwhm_nm / filt.center_wavelength_nm**2
-    if filt.convention is FilterConvention.FIELD_LEVEL:
-        return d_omega**2 / (8.0 * math.log(2.0))
-    return d_omega**2 / (4.0 * math.log(2.0))
+    field = filt.convention is FilterConvention.FIELD_LEVEL
+    try:
+        d_omega = 2.0 * math.pi * C_NM_PER_PS * filt.fwhm_nm / filt.center_wavelength_nm**2
+        s = d_omega**2 / ((8.0 if field else 4.0) * math.log(2.0))
+    except (ZeroDivisionError, OverflowError):
+        s = 0.0
+    if not s > 0:
+        raise ValueError(
+            f"filter width fwhm_nm = {filt.fwhm_nm:g} at center_wavelength_nm = "
+            f"{filt.center_wavelength_nm:g} puts the variance s out of the float range"
+        )
+    return s
 
 
 def derive_spectral(source: SourceParams, filt: FilterParams) -> DerivedSpectral:
@@ -228,12 +238,30 @@ def derive_spectral(source: SourceParams, filt: FilterParams) -> DerivedSpectral
     Raises if gamma_idler == gamma_signal (difference bandwidth degenerate).
     In the exact EPM limit gamma_idler == -gamma_signal the sum-coordinate
     quantities sigma_pm and gamma_tilde are flagged infinite while r and rho
-    stay valid.
+    stay valid.  Inputs that put r, s or r_p out of the float range raise
+    ValueError naming them (s = inf is no filter).
     """
     gamma_s, gamma_i = derive_gammas(source)
     d = source.crystal_length_mm
     if gamma_i == gamma_s:
         raise ValueError("r undefined (degenerate difference bandwidth)")
+    try:
+        r = 24.0 / ((gamma_i - gamma_s) * d) ** 2
+    except (ZeroDivisionError, OverflowError):
+        r = 0.0
+    if not 0.0 < r < math.inf:
+        raise ValueError(
+            f"crystal_length_mm = {d:g} with delta_ng_signal = {source.delta_ng_signal:g} "
+            f"and delta_ng_idler = {source.delta_ng_idler:g} puts the phase-matching "
+            "scale r out of the float range"
+        )
+    try:
+        r_p = source.pump_sigma_radps**2 / 4.0
+    except OverflowError:
+        raise ValueError(
+            f"pump_sigma_radps = {source.pump_sigma_radps:g} puts r_p out of the float range"
+        ) from None
+    # r is a positive float, so gamma_sum * d underflows to 0 only where gamma_sum is 0
     gamma_sum = gamma_i + gamma_s
     if gamma_sum == 0.0:
         sigma_pm = math.inf
@@ -243,8 +271,6 @@ def derive_spectral(source: SourceParams, filt: FilterParams) -> DerivedSpectral
         sigma_pm = 4.0 * math.sqrt(6.0) / (gamma_sum * d)
         gt_i = 2.0 * gamma_i / gamma_sum
         gt_s = 2.0 * gamma_s / gamma_sum
-    r = 24.0 / ((gamma_i - gamma_s) * d) ** 2
-    r_p = source.pump_sigma_radps**2 / 4.0
     s = filter_variance(filt)
     rho = 1.0 / (1.0 / r + 1.0 / s) if math.isfinite(s) else r
     return DerivedSpectral(

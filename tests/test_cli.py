@@ -239,6 +239,16 @@ def test_gen_rejects_shared_labels_before_writing(tmp_path, capsys, windows_ns):
     assert not data_dir.exists()
 
 
+def test_gen_filter_width_out_of_float_range_exits_2(tmp_path, capsys):
+    echo = small_campaign().to_json_dict()
+    echo["filter"]["fwhm_nm"] = 1e-200
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(echo))
+    assert run(["gen", "--config", str(path), "--out-dir", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fwhm_nm = 1e-200" in err
+
+
 def test_gen_zero_model_curve_names_dataset(tmp_path, capsys):
     config = campaign_config(tmp_path, windows_ns=[0.4], fiber_lengths_km=[10.0],
                              tau_min_ps=1e7, tau_max_ps=2e7)

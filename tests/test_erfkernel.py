@@ -189,7 +189,7 @@ def test_erf_real_within_two_ulp_odd_and_saturating():
 
 def continued_fraction_16(zeta):
     """The Laplace continued fraction of w at 16 levels for every point: the
-    kernel's reference at |zeta| >= 12."""
+    reference of the kernel's 6-level fraction at |zeta| >= 66."""
     r = np.zeros_like(zeta)
     for n in range(16, 0, -1):
         r = 0.5 * n / (zeta - r)
@@ -197,8 +197,9 @@ def continued_fraction_16(zeta):
 
 
 def test_far_continued_fraction_equals_16_levels_bit_for_bit():
-    # from |zeta| = 100 the kernel stops at 6 levels; the points include
-    # both sides of that radius, the real axis and points just above it
+    # from |zeta| = 66 the kernel stops at 6 levels; the points cover the
+    # real axis and points just above it, and those below 66 are checked
+    # against mpmath by the next test
     rng = np.random.default_rng(26)
     n = 100_000
     modulus = np.exp(rng.uniform(math.log(12.0), math.log(1e8), 3 * n))
@@ -208,10 +209,30 @@ def test_far_continued_fraction_equals_16_levels_bit_for_bit():
         math.pi - 10.0 ** rng.uniform(-12.0, -1.0, n),
     ])
     zeta = modulus * np.cos(angle) + 1j * np.abs(modulus * np.sin(angle))
-    assert ((modulus >= 12) & (modulus < 100)).sum() > 20_000
-    got = _faddeeva_upper(zeta)
-    want = continued_fraction_16(zeta)
+    far = modulus >= 66
+    assert (far & (modulus < 1e3)).sum() >= 20_000
+    got = _faddeeva_upper(zeta[far])
+    want = continued_fraction_16(zeta[far])
     assert got.tobytes() == want.tobytes()
+
+
+def test_faddeeva_between_12_and_66_against_mpmath():
+    # Weideman's form serves |zeta| < 66, where 6 levels of the fraction
+    # are not yet the 16-level value; w = exp(-zeta^2) erfc(-i zeta)
+    rng = np.random.default_rng(38)
+    n = 1000
+    modulus = rng.uniform(12.0, 66.0, 3 * n)
+    near_axis = 10.0 ** rng.uniform(-12.0, -1.0, 2 * n)
+    angle = np.concatenate([rng.uniform(0.0, math.pi, n), near_axis[:n], math.pi - near_axis[n:]])
+    zeta = modulus * np.cos(angle) + 1j * (modulus * np.sin(angle))
+    got = _faddeeva_upper(zeta)
+    worst = 0.0
+    with mp.workdps(30):
+        for z, g in zip(zeta.tolist(), got.tolist()):
+            zz = mp.mpc(z.real, z.imag)
+            want = mp.exp(-zz * zz) * mp.erfc(-1j * zz)
+            worst = max(worst, float(abs(mp.mpc(g.real, g.imag) - want) / abs(want)))
+    assert worst <= 1e-15
 
 
 # --- the real-axis erf's table ------------------------------------------------

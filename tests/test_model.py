@@ -1,6 +1,7 @@
 """Derivation chain, closed-form rate properties, and curve analyzers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,6 +110,27 @@ def test_derive_spectral_no_filter_limit():
 def test_derive_spectral_degenerate_difference():
     with pytest.raises(ValueError, match="degenerate difference bandwidth"):
         derive_spectral(_source(0.02, 0.02), reference_filter())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fwhm_nm", 1e-200),
+    ("crystal_length_mm", 1e-200),
+    ("center_wavelength_nm", 1e-200),
+    ("fwhm_nm", 1e200),
+    ("crystal_length_mm", 1e200),
+    ("delta_ng_signal", 1e300),
+    ("pump_sigma_radps", 1e200),
+])
+def test_derive_spectral_out_of_float_range_names_the_input(field, value):
+    # the params accept each value; the scale it puts out of range must not
+    # surface as a ZeroDivisionError or an OverflowError naming nothing
+    source, filt = _source(), reference_filter()
+    if field in ("fwhm_nm", "center_wavelength_nm"):
+        filt = replace(filt, **{field: value})
+    else:
+        source = replace(source, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        derive_spectral(source, filt)
 
 
 def test_broadened_rho_no_fiber():
