@@ -34,6 +34,7 @@ from .model import (
     broadened_rho,
     check_epm,
     coincidence_curve,
+    delay_grid,
     derive_spectral,
     eta_prime,
     extract_fwhm,
@@ -52,7 +53,7 @@ def _tau_grid(args):
         raise ValueError("--tau-max-ps must exceed --tau-min-ps")
     if args.points < 2:
         raise ValueError("--points must be >= 2")
-    return np.linspace(args.tau_min_ps, args.tau_max_ps, args.points)
+    return delay_grid(args.tau_min_ps, args.tau_max_ps, args.points)
 
 
 def _model_inputs(args):

@@ -226,7 +226,10 @@ class FitProblem:
       bit, so parts evaluates only these points in one coincidence_parts
       call, the model pass, with one broadened rho per dataset; a
       folded (p, q) taken back to every point equals per-dataset calls
-      bit for bit.  A grid symmetric about tau = 0 costs half its points.
+      bit for bit.  A grid whose +-tau are the same doubles costs half its
+      points.  The package's own symmetric grids, from model.delay_grid,
+      are mirror-exact; one from np.linspace(-a, a, n) pairs only where a
+      rounds well, and measured delays keep what their file holds.
       Two datasets that share (T, L) and grid share no folded point, as
       each has its own s and eta'.  passes counts the model passes, sums
       adds a folded array up per dataset, and at gives per-dataset values

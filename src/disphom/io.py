@@ -39,6 +39,7 @@ from .model import (
     SourceParams,
     broadened_rho,
     coincidence_parts,
+    delay_grid,
     derive_spectral,
     eta_prime,
 )
@@ -334,7 +335,9 @@ class CampaignConfig:
 
     etas may be a single float (applied to every dataset) or one value per
     (window, length) pair in row-major order (windows outer).  A null tau
-    range means each dataset scans +-1.5 T on `tau_points` samples.  Each
+    range means each dataset scans +-1.5 T on `tau_points` samples.  A
+    symmetric scan, that one or a given tau_min_ps = -tau_max_ps, is
+    mirror-exact: its delays pair as +-tau bit for bit (delay_grid).  Each
     dataset is labelled T<window>ns_L<length>km with its values in %g form,
     and no two datasets may share a label, since it names their files.
     """
@@ -410,21 +413,24 @@ def generate_synthetic(config: CampaignConfig):
     coincidence_parts call over their concatenated grids, with each point's
     broadened rho' and window half-width, as FitProblem.parts passes them.
     The rate is evaluated element by element, so each curve equals
-    coincidence_curve on its own grid bit for bit.  A model curve that is
-    zero on its whole tau grid is an error naming the first such dataset,
-    raised before any counts are drawn.  Each curve is then scaled so its
-    maximum equals peak_counts, and each bin is drawn from a Poisson law
-    with that mean by poisson_counts.  The Philox key mixes the campaign
-    seed with the dataset index, so datasets are independent but fixed per
-    seed for a given numpy version.
+    coincidence_curve on its own grid bit for bit.  Each grid comes from
+    delay_grid, so a symmetric range (the default +-1.5 T among them) is
+    mirror-exact: tau[k] == -tau[n-1-k] bit for bit.  A model curve that
+    is not finite somewhere on its grid, as for a window too wide for the
+    closed form, or is zero on its whole grid, is an error naming the
+    first such dataset, raised before any counts are drawn.  Each curve
+    is then scaled so its maximum equals peak_counts, and each bin is
+    drawn from a Poisson law with that mean by poisson_counts.  The
+    Philox key mixes the campaign seed with the dataset index, so datasets
+    are independent but fixed per seed for a given numpy version.
     """
     rho = derive_spectral(config.source, config.filter).rho
     pairs = [(window_ns, length_km) for window_ns in config.windows_ns
              for length_km in config.fiber_lengths_km]
     windows_ps = [1000.0 * window_ns for window_ns, _ in pairs]
-    grids = [np.linspace(-1.5 * window_ps, 1.5 * window_ps, config.tau_points)
+    grids = [delay_grid(-1.5 * window_ps, 1.5 * window_ps, config.tau_points)
              if config.tau_min_ps is None
-             else np.linspace(config.tau_min_ps, config.tau_max_ps, config.tau_points)
+             else delay_grid(config.tau_min_ps, config.tau_max_ps, config.tau_points)
              for window_ps in windows_ps]
     rho_ps = [broadened_rho(rho, ChannelParams(length_km, config.beta2_ps2_per_km))
               for _, length_km in pairs]
@@ -432,12 +438,18 @@ def generate_synthetic(config: CampaignConfig):
     def per_point(values):
         return np.repeat(values, config.tau_points)
 
-    p, q = coincidence_parts(np.concatenate(grids), rho, per_point(rho_ps), per_point(windows_ps))
     eta_ps = per_point([eta_prime(eta) for eta in config.etas])
-    curves = np.maximum(p + eta_ps * q, 0.0).reshape(len(pairs), config.tau_points)
+    # a window too wide for the closed form overflows it: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = coincidence_parts(np.concatenate(grids), rho, per_point(rho_ps),
+                                 per_point(windows_ps))
+        curves = np.maximum(p + eta_ps * q, 0.0).reshape(len(pairs), config.tau_points)
     labels = [_label(window_ns, length_km) for window_ns, length_km in pairs]
-    peaks = curves.max(axis=1)
-    for label, peak in zip(labels, peaks):
+    peaks = curves.max(axis=1)  # NaN or inf wherever the curve is not finite
+    for label, curve, peak in zip(labels, curves, peaks):
+        if not math.isfinite(peak):
+            raise ValueError(f"dataset {label}: the model curve is not finite at "
+                             f"{np.count_nonzero(~np.isfinite(curve))} of its {curve.size} delays")
         if not peak > 0:
             raise ValueError(f"dataset {label}: the model curve is zero on its whole tau grid")
     datasets = []

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from disphom import (
-    CampaignConfig, Dataset, HomCurve, QuadratureError, cli, read_dataset, write_dataset,
+    CampaignConfig, Dataset, FilterParams, HomCurve, QuadratureError, SourceParams, cli,
+    derive_spectral, read_dataset, write_dataset,
 )
 from disphom.cli import main
 from conftest import BETA2_REF, DN_ENGINEERED, RHO_REF, small_campaign
@@ -57,6 +58,22 @@ def test_simulate_balanced_minimum_at_zero(tmp_path):
     center = int(np.argmin(np.abs(ds.curve.tau_ps)))
     assert abs(ds.curve.values[center]) <= 1e-12
     assert ds.curve.values.min() >= 0.0
+
+
+def test_simulate_grid_pairs_every_delay(tmp_path):
+    # np.linspace(-1191, 1191, 201) pairs only some of its +-tau
+    out = tmp_path / "sim.csv"
+    rc = run(
+        [
+            "simulate", "--rho", "14.53", "--beta2", "21.39", "--length-km", "10",
+            "--window-ns", "0.794", "--tau-min-ps", "-1191", "--tau-max-ps", "1191",
+            "--points", "201", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    taus = read_dataset(out).curve.tau_ps
+    assert taus.size == 201 and np.array_equal(taus, -taus[::-1])
+    assert np.unique(np.abs(taus)).size == 101
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -174,6 +191,23 @@ def test_derive_source_is_strict_json_at_the_epm_limit(tmp_path):
     assert report["field"]["rho_ps2_inv"] == pytest.approx(RHO_REF, rel=1e-12)
 
 
+@pytest.mark.parametrize("delta_ng_idler", [
+    -0.028862523134748696, -0.028862521414408464, -0.028862520554238345, -0.028862520124153287,
+])
+def test_near_epm_source_derives_and_generates(tmp_path, delta_ng_idler):
+    # gamma_signal + gamma_idler is 1e-8 to 1e-7 of either gamma, so the
+    # gamma_tilde reach 1.7e7 to 1.3e8 and their sum misses 2 by the
+    # rounding of two quotients
+    echo = small_campaign(windows_ns=[0.4], fiber_lengths_km=[10.0]).to_json_dict()
+    echo["source"]["delta_ng_idler"] = delta_ng_idler
+    derived = derive_spectral(SourceParams(**echo["source"]), FilterParams(**echo["filter"]))
+    assert derived.rho == pytest.approx(RHO_REF, rel=1e-7)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(echo))
+    assert run(["derive-source", "--config", str(path), "--out", str(tmp_path / "d.json")]) == 0
+    assert run(["gen", "--config", str(path), "--out-dir", str(tmp_path / "data")]) == 0
+
+
 def test_gen_fit_end_to_end(tmp_path, capsys):
     data_dir = tmp_path / "data"
     rc = run(["gen", "--config", str(campaign_config(tmp_path, seed=2024)), "--out-dir", str(data_dir)])
@@ -254,6 +288,18 @@ def test_gen_zero_model_curve_names_dataset(tmp_path, capsys):
                              tau_min_ps=1e7, tau_max_ps=2e7)
     assert run(["gen", "--config", str(config), "--out-dir", str(tmp_path / "data")]) == 2
     assert "T0.4ns_L10km" in capsys.readouterr().err
+
+
+def test_gen_window_too_wide_for_the_closed_form_exits_2(tmp_path, capsys):
+    # at T = 1e300 ns the rate overflows to NaN at every delay but tau = 0:
+    # gen refuses the curve as not finite, and its overflow raises no
+    # RuntimeWarning, an error in this suite
+    config = campaign_config(tmp_path, windows_ns=[1e300], fiber_lengths_km=[10.0, 20.0],
+                             tau_points=201)
+    assert run(["gen", "--config", str(config), "--out-dir", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: dataset T1e+300ns_L10km: the model curve is not finite at 200 of "
+                   "its 201 delays\n")
 
 
 def test_fwhm_subcommand(tmp_path):

@@ -416,6 +416,23 @@ def test_generate_synthetic_names_the_first_all_zero_dataset(monkeypatch):
         generate_synthetic(config)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(windows_ns=[0.794], tau_points=401),
+    dict(windows_ns=[0.794], tau_points=400),
+    dict(tau_min_ps=-1191.0, tau_max_ps=1191.0, tau_points=201),
+], ids=["default-range-odd", "default-range-even", "given-range"])
+def test_generate_synthetic_grids_pair_every_delay(overrides):
+    # neither 1.5 x 794 ps nor 1191 ps rounds well enough for np.linspace to
+    # pair its +-tau; each grid is mirror-exact, so the fit's fold keeps one
+    # point per |tau|
+    config = small_campaign(fiber_lengths_km=[10.0], **overrides)
+    datasets, _ = generate_synthetic(config)
+    for ds in datasets:
+        taus = ds.curve.tau_ps
+        assert np.array_equal(taus, -taus[::-1])
+        assert np.unique(np.abs(taus)).size == (config.tau_points + 1) // 2
+
+
 def test_generate_synthetic_balanced_dip_survives_noise():
     config = small_campaign(etas=0.5, seed=33, windows_ns=[0.4],
                             fiber_lengths_km=[10.0], tau_points=201)

@@ -25,7 +25,7 @@ from disphom import (
     oscillation_period,
 )
 from disphom import model
-from disphom.model import coincidence_parts, coincidence_parts_derivatives
+from disphom.model import coincidence_parts, coincidence_parts_derivatives, delay_grid
 from conftest import DN_IDLER_REF, DN_SIGNAL_REF, RHO_REF, BETA2_REF, reference_filter
 from reference import group_index_bounds
 
@@ -114,6 +114,7 @@ def test_derive_spectral_degenerate_difference():
 
 @pytest.mark.parametrize("field, value", [
     ("fwhm_nm", 1e-200),
+    ("fwhm_nm", 1e-155),  # s is subnormal: 1/s overflows, and rho would be 0
     ("crystal_length_mm", 1e-200),
     ("center_wavelength_nm", 1e-200),
     ("fwhm_nm", 1e200),
@@ -577,6 +578,35 @@ def test_rate_properties(rho, beta2, length, window, eta, scaled_taus):
     flipped = coincidence_curve(np.unique(taus), rho, rho_p, eta_prime(1.0 - eta), window)
     assert np.array_equal(flipped.values, values)  # eta <-> 1 - eta
     assert coincidence_curve([0.0], rho, rho_p, eta_prime(0.5), window).values[0] == 0.0
+
+
+# --- delay grid ----------------------------------------------------------------
+
+@pytest.mark.parametrize("points", [151, 201, 401])
+@pytest.mark.parametrize("window_ns", [0.3, 0.4, 0.5, 0.8, 1.0])
+def test_delay_grid_is_linspace_at_the_campaign_windows(window_ns, points):
+    # the test suite's small_campaign, CI's campaign.json and the benchmark's
+    # CLI campaign scan +-1.5 T at these (T, points): the mirrored grid, and
+    # so gen's files, must keep np.linspace's bits there
+    window_ps = 1000.0 * window_ns
+    lo, hi = -1.5 * window_ps, 1.5 * window_ps
+    assert delay_grid(lo, hi, points).tobytes() == np.linspace(lo, hi, points).tobytes()
+
+
+def test_delay_grid_of_an_asymmetric_range_is_linspace():
+    assert delay_grid(-500.0, 700.0, 64).tobytes() == np.linspace(-500.0, 700.0, 64).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(hi=st.floats(1e-3, 1e7), n=st.integers(2, 2000))
+@example(hi=1.5 * 794.0, n=401)  # np.linspace pairs 116 of its 200 +-tau here
+@example(hi=1.5 * 794.0, n=400)
+def test_delay_grid_pairs_every_delay(hi, n):
+    grid = delay_grid(-hi, hi, n)
+    assert grid.size == n and grid[0] == -hi and grid[-1] == hi
+    assert (np.diff(grid) > 0).all()
+    assert np.array_equal(grid, -grid[::-1])
+    assert np.abs(grid - np.linspace(-hi, hi, n)).max() <= 2.0 * math.ulp(hi)
 
 
 # --- analyzers -----------------------------------------------------------------
