@@ -120,17 +120,13 @@ def _cmd_derive_source(args):
         values = {
             "gamma_signal_ps_per_mm": derived.gamma_signal,
             "gamma_idler_ps_per_mm": derived.gamma_idler,
-            "gamma_tilde_signal": derived.gamma_tilde_signal,
-            "gamma_tilde_idler": derived.gamma_tilde_idler,
-            "sigma_pm_radps": derived.sigma_pm,
             "r_ps2_inv": derived.r,
-            "r_p_ps2_inv": derived.r_p,
             "s_ps2_inv": derived.s,
             "rho_ps2_inv": derived.rho,
         }
-        # at the EPM limit sigma_pm and the gamma_tilde are infinite: JSON has no inf
+        # without a filter s is infinite: JSON has no inf
         report[convention.value] = {key: _json_number(value) for key, value in values.items()}
-    epm = check_epm(*(report["field"][k] for k in ("gamma_signal_ps_per_mm", "gamma_idler_ps_per_mm")))
+    epm = check_epm(derived.gamma_signal, derived.gamma_idler)
     report["epm_mismatch"] = epm.mismatch
     report["epm_within_tolerance"] = epm.within_tolerance
     dio.write_json_object(args.out, report)
@@ -293,7 +289,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("derive-source", help="crystal/pump/filter to spectral scales (both filter conventions)")
+    p = sub.add_parser("derive-source", help="crystal/filter to spectral scales (both filter conventions)")
     p.add_argument("--config", required=True, help="JSON with source and filter blocks")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=_cmd_derive_source)

@@ -25,8 +25,15 @@ C_NM_PER_PS = 299792.458
 """Vacuum speed of light in nm/ps."""
 
 EPM_REL_TOL = 0.15
-"""check_epm's tolerance on the relative mismatch; a real ppKTP source with
-mismatch ~0.12 still counts as approximately phase matched."""
+"""check_epm's tolerance on the relative mismatch.
+
+tests/test_joint_spectrum.py fits six noise-free 151-point curves (T = 0.4,
+0.8 ns; L = 1, 10, 20 km; eta = 0.52) of the full Gaussian joint spectrum
+with the difference-frequency model.  For pump widths up to 10 rad/ps,
+beta2 moves by at most 4e-8 ps^2/km at mismatch 0.12 (the reference ppKTP
+crystal) and 9e-7 at mismatch 1: 6e-5 of beta2's standard error at 1e4
+peak counts.  rho moves by +0.010 of its standard error at 0.12 and +0.26
+at 1 for a 2 rad/ps pump, and by +0.042 and +1.08 at 10 rad/ps."""
 
 
 class FilterConvention(str, Enum):
@@ -46,8 +53,12 @@ class SourceParams:
     """Crystal and pump description.
 
     delta_ng_* are dimensionless group-index differences between pump and
-    signal/idler; poling_period_um is metadata only (phase matching is taken
-    as zeroed at degeneracy).
+    signal/idler.  The package reads them and crystal_length_mm, through
+    derive_spectral and check_epm.  pump_wavelength_nm, pump_sigma_radps
+    and poling_period_um are metadata (phase matching is taken as zeroed
+    at degeneracy): the rate sees only the difference frequency, so gen
+    writes the same bytes whatever they hold.  The pump fields must still
+    be finite.
     """
 
     delta_ng_signal: float
@@ -60,10 +71,10 @@ class SourceParams:
     def __post_init__(self):
         if not self.crystal_length_mm > 0:
             raise ValueError("crystal_length_mm must be > 0")
-        if not self.pump_wavelength_nm > 0:
-            raise ValueError("pump_wavelength_nm must be > 0")
-        if self.pump_sigma_radps < 0:
-            raise ValueError("pump_sigma_radps must be >= 0")
+        if not 0 < self.pump_wavelength_nm < math.inf:
+            raise ValueError("pump_wavelength_nm must be finite and > 0")
+        if not 0 <= self.pump_sigma_radps < math.inf:
+            raise ValueError("pump_sigma_radps must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,31 +108,21 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class DerivedSpectral:
-    """Spectral quantities derived from crystal, pump and filter.
+    """Spectral scales derived from crystal and filter.
 
-    gamma_* in ps/mm, sigma_pm in rad/ps, r / r_p / s / rho in ps^-2.
-    sigma_pm and the gamma_tilde pair are infinite in the exact
-    extended-phase-matching limit (gamma_idler == -gamma_signal); r and rho
-    remain valid there.  sigma_pm takes the sign of gamma_signal +
-    gamma_idler.
+    gamma_* in ps/mm, r / s / rho in ps^-2.  The rate, gen and fit read rho
+    alone; check_epm reads the gamma pair, and derive-source reports all
+    five.
 
     derive_spectral builds it and guarantees what the formulas give: r is
     finite and > 0, s is a normal float > 0 or inf (no filter), and so
     rho = 1 / (1/r + 1/s) is finite, > 0 and at most min(r, s) up to
-    rounding.  Away from the EPM limit the gamma_tilde pair sums to 2 up
-    to the rounding of its two quotients, about an ulp of their size,
-    which grows as gamma_signal + gamma_idler shrinks: where that sum is
-    1e-8 to 1e-7 of either gamma they reach 1.7e7 to 1.3e8, and their sum
-    misses 2 by 1.9e-9 to 1.5e-8.
+    rounding.
     """
 
     gamma_signal: float
     gamma_idler: float
-    gamma_tilde_signal: float
-    gamma_tilde_idler: float
-    sigma_pm: float
     r: float
-    r_p: float
     s: float
     rho: float
 
@@ -192,7 +193,11 @@ def check_epm(gamma_signal, gamma_idler) -> EpmCheck:
     """Extended-phase-matching check: how far gamma_idler is from -gamma_signal.
 
     Returns the relative mismatch |gamma_i + gamma_s| / max(|gamma_i|, |gamma_s|)
-    and whether it is within EPM_REL_TOL.
+    and whether it is within EPM_REL_TOL.  At mismatch 0 the sum frequency
+    separates and the difference-frequency model is exact for any pump; at
+    0.12 and 1 a broad pump moves the fitted rho by the fractions of a
+    standard error that EPM_REL_TOL's docstring gives, and beta2 by 6e-5 of
+    one at most.
     """
     scale = max(abs(gamma_signal), abs(gamma_idler))
     if scale == 0.0:
@@ -226,7 +231,7 @@ def filter_variance(filt: FilterParams) -> float:
 
 
 def derive_spectral(source: SourceParams, filt: FilterParams) -> DerivedSpectral:
-    """Full derivation chain from crystal/pump/filter to the spectral scales.
+    """Full derivation chain from crystal and filter to the spectral scales.
 
     r replaces the phase-matching sinc(x) by the Gaussian exp(-x^2/6) of
     the same curvature at x = 0.  The two differ by at most 0.0050 over
@@ -234,10 +239,8 @@ def derive_spectral(source: SourceParams, filt: FilterParams) -> DerivedSpectral
     which is why the filter s enters the chain.
 
     Raises if gamma_idler == gamma_signal (difference bandwidth degenerate).
-    In the exact EPM limit gamma_idler == -gamma_signal the sum-coordinate
-    quantities sigma_pm and gamma_tilde are flagged infinite while r and rho
-    stay valid.  Inputs that put r, s or r_p out of the float range raise
-    ValueError naming them (s = inf is no filter).
+    Inputs that put r or s out of the float range raise ValueError naming
+    them (s = inf is no filter).
     """
     gamma_s, gamma_i = derive_gammas(source)
     d = source.crystal_length_mm
@@ -253,35 +256,9 @@ def derive_spectral(source: SourceParams, filt: FilterParams) -> DerivedSpectral
             f"and delta_ng_idler = {source.delta_ng_idler:g} puts the phase-matching "
             "scale r out of the float range"
         )
-    try:
-        r_p = source.pump_sigma_radps**2 / 4.0
-    except OverflowError:
-        raise ValueError(
-            f"pump_sigma_radps = {source.pump_sigma_radps:g} puts r_p out of the float range"
-        ) from None
-    # r is a positive float, so gamma_sum * d underflows to 0 only where gamma_sum is 0
-    gamma_sum = gamma_i + gamma_s
-    if gamma_sum == 0.0:
-        sigma_pm = math.inf
-        gt_i = math.copysign(math.inf, gamma_i)
-        gt_s = math.copysign(math.inf, gamma_s)
-    else:
-        sigma_pm = 4.0 * math.sqrt(6.0) / (gamma_sum * d)
-        gt_i = 2.0 * gamma_i / gamma_sum
-        gt_s = 2.0 * gamma_s / gamma_sum
     s = filter_variance(filt)
     rho = 1.0 / (1.0 / r + 1.0 / s) if math.isfinite(s) else r
-    return DerivedSpectral(
-        gamma_signal=gamma_s,
-        gamma_idler=gamma_i,
-        gamma_tilde_signal=gt_s,
-        gamma_tilde_idler=gt_i,
-        sigma_pm=sigma_pm,
-        r=r,
-        r_p=r_p,
-        s=s,
-        rho=rho,
-    )
+    return DerivedSpectral(gamma_s, gamma_i, r, s, rho)
 
 
 def broadened_rho(rho: float, channel: ChannelParams) -> float:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file contracts, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,20 +163,19 @@ def test_derive_source_both_conventions(tmp_path):
         2.0 * report["field"]["s_ps2_inv"], rel=1e-12
     )
     assert report["epm_mismatch"] == pytest.approx(0.1188959660, rel=1e-8)
-    # every numeric key is unit-suffixed or dimensionless by construction
+    assert set(report) == {"field", "intensity", "epm_mismatch", "epm_within_tolerance"}
+    # every numeric key is unit-suffixed
     for block in ("field", "intensity"):
-        for key in report[block]:
-            assert key.endswith(("_ps_per_mm", "_radps", "_ps2_inv")) or key.startswith(
-                "gamma_tilde"
-            )
+        assert set(report[block]) == {"gamma_signal_ps_per_mm", "gamma_idler_ps_per_mm",
+                                      "r_ps2_inv", "s_ps2_inv", "rho_ps2_inv"}
 
 
 def test_derive_source_is_strict_json_at_the_epm_limit(tmp_path):
-    # the reference source meets extended phase matching exactly: sigma_pm
-    # and the gamma_tilde are infinite and must be written as null
+    # the campaign source meets extended phase matching exactly; without a
+    # filter s is infinite and must be written as null
     config = tmp_path / "source.json"
     config.write_text(json.dumps({"source": small_campaign().to_json_dict()["source"],
-                                  "filter": {"center_wavelength_nm": 1550.0, "fwhm_nm": 12.0}}))
+                                  "filter": {"center_wavelength_nm": 1550.0, "fwhm_nm": math.inf}}))
     out = tmp_path / "derived.json"
     assert run(["derive-source", "--config", str(config), "--out", str(out)]) == 0
 
@@ -184,20 +184,17 @@ def test_derive_source_is_strict_json_at_the_epm_limit(tmp_path):
 
     report = json.loads(out.read_text(), parse_constant=refuse)
     for block in ("field", "intensity"):
-        assert report[block]["sigma_pm_radps"] is None
-        assert report[block]["gamma_tilde_signal"] is None
-        assert report[block]["gamma_tilde_idler"] is None
-        assert report[block]["rho_ps2_inv"] > 0
-    assert report["field"]["rho_ps2_inv"] == pytest.approx(RHO_REF, rel=1e-12)
+        assert report[block]["s_ps2_inv"] is None
+        assert report[block]["rho_ps2_inv"] == report[block]["r_ps2_inv"] > 0
+    assert report["epm_mismatch"] == 0.0
 
 
 @pytest.mark.parametrize("delta_ng_idler", [
     -0.028862523134748696, -0.028862521414408464, -0.028862520554238345, -0.028862520124153287,
 ])
 def test_near_epm_source_derives_and_generates(tmp_path, delta_ng_idler):
-    # gamma_signal + gamma_idler is 1e-8 to 1e-7 of either gamma, so the
-    # gamma_tilde reach 1.7e7 to 1.3e8 and their sum misses 2 by the
-    # rounding of two quotients
+    # gamma_signal + gamma_idler is 1e-8 to 1e-7 of either gamma: a source
+    # just off extended phase matching derives and generates like any other
     echo = small_campaign(windows_ns=[0.4], fiber_lengths_km=[10.0]).to_json_dict()
     echo["source"]["delta_ng_idler"] = delta_ng_idler
     derived = derive_spectral(SourceParams(**echo["source"]), FilterParams(**echo["filter"]))
@@ -258,6 +255,45 @@ def test_gen_deterministic_bytes(tmp_path):
         assert run(["gen", "--config", str(config), "--out-dir", str(d)]) == 0
     for name in sorted(p.name for p in dirs[0].iterdir()):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pump_sigma_radps", 0.5), ("pump_wavelength_nm", 532.0), ("poling_period_um", 9.0),
+])
+def test_gen_bytes_ignore_the_pump_and_the_poling_period(tmp_path, field, value):
+    # the rate sees only the difference frequency: these source fields are metadata
+    echo = small_campaign(seed=5).to_json_dict()
+    dirs = [tmp_path / "base", tmp_path / "changed"]
+    for out_dir in dirs:
+        path = tmp_path / f"{out_dir.name}.json"
+        path.write_text(json.dumps(echo))
+        assert run(["gen", "--config", str(path), "--out-dir", str(out_dir)]) == 0
+        echo["source"][field] = value
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir()) and len(names) == 13
+    for name in names:
+        if name != "campaign.json":
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    base, changed = (json.loads((d / "campaign.json").read_text()) for d in dirs)
+    assert changed["source"].pop(field) == value
+    del base["source"][field]
+    assert changed == base
+
+
+@pytest.mark.parametrize("field", ["pump_sigma_radps", "pump_wavelength_nm"])
+def test_derive_source_and_gen_refuse_a_non_finite_pump(tmp_path, capsys, field):
+    # JSON's Infinity parses to a float; nothing downstream of SourceParams reads it
+    echo = small_campaign().to_json_dict()
+    echo["source"][field] = math.inf
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(echo))
+    assert "Infinity" in path.read_text()
+    out = tmp_path / "derived.json"
+    assert run(["derive-source", "--config", str(path), "--out", str(out)]) == 2
+    assert run(["gen", "--config", str(path), "--out-dir", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"{field} must be finite") == 2
+    assert not out.exists() and not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("windows_ns", [[0.4, 0.4], [0.4, 0.4000001]], ids=["duplicate", "same-to-6-digits"])
